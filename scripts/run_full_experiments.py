@@ -1,8 +1,8 @@
 """Run every reproduction experiment with paper-faithful settings.
 
 Writes the rendered artifacts (Table I, Fig. 6, Fig. 7, ablations) to
-``results/`` so EXPERIMENTS.md can quote them.  This is the long-running
-companion of the benchmark harness; expect a few minutes of runtime.
+``results/``.  This is the long-running companion of the benchmark
+harness; expect a few minutes of runtime.
 """
 
 from __future__ import annotations

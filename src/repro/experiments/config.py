@@ -40,7 +40,7 @@ class ExperimentConfig:
     #: Monte Carlo iterations (paper: 10 000).
     monte_carlo_samples: int = 10000
     #: Monte Carlo sample chunk size; ``None`` auto-sizes each run's chunks
-    #: from the graph so the working set stays cache/memory-bounded (see
+    #: from the graph so the working set stays within the chunk budget (see
     #: :func:`repro.montecarlo.auto_chunk_size`).  Chunking is purely a
     #: memory/runtime trade-off: sampling is counter-based per block, so
     #: the simulated values are bit-identical for every chunk size (and
@@ -57,10 +57,6 @@ class ExperimentConfig:
     workers: Optional[int] = None
     #: Seed of every random construction and simulation.
     seed: int = 2009
-    #: Largest gate count for which Table I accuracy is validated against
-    #: Monte Carlo; larger circuits fall back to the full-graph SSTA
-    #: reference (see EXPERIMENTS.md for the rationale).
-    monte_carlo_gate_limit: int = 2500
 
     def correlation(self) -> SpatialCorrelation:
         """The spatial correlation profile described in Section VI."""

@@ -8,9 +8,8 @@ model at the configured criticality threshold, and reports:
 ``Em, Vm`` — edges/vertices of the extracted model;
 ``pe, pv`` — the compression ratios ``Em/Eo`` and ``Vm/Vo``;
 ``merr, verr`` — maximum relative error of the model's input/output delay
-means and sigmas against the reference (Monte Carlo of the original
-netlist, or the full-graph SSTA matrix for circuits above the configured
-Monte Carlo gate limit);
+means and sigmas against Monte Carlo of the original netlist's timing
+graph, for every row;
 ``T`` — extraction runtime in seconds.
 """
 
@@ -180,36 +179,25 @@ def characterize_circuit(
 def _model_accuracy(
     circuit: CharacterizedCircuit,
     model: TimingModel,
-    analysis: AllPairsTiming,
     config: ExperimentConfig,
-) -> Tuple[float, float, str]:
-    """``(merr, verr, reference)`` of a model against its accuracy reference.
+) -> Tuple[float, float]:
+    """``(merr, verr)`` of a model against Monte Carlo.
 
-    Circuits up to ``config.monte_carlo_gate_limit`` gates are validated the
-    way the paper does — against Monte Carlo of the original netlist's
-    timing graph.  Larger circuits use the full-graph SSTA delay matrix as
-    the reference, which isolates the reduction error and avoids multi-hour
-    Monte Carlo runs in pure Python (see EXPERIMENTS.md).
+    Every circuit is validated the way the paper does — against Monte
+    Carlo of the original netlist's timing graph, whose working set
+    stays within the chunk budget however many inputs the circuit has
+    (see :func:`~repro.montecarlo.simulate_io_delays`).
     """
-    model_means = model.delay_matrix_means()
-    model_stds = model.delay_matrix_stds()
-    if circuit.netlist.num_gates <= config.monte_carlo_gate_limit:
-        reference = simulate_io_delays(
-            circuit.graph,
-            num_samples=config.monte_carlo_samples,
-            seed=config.seed,
-            chunk_size=config.monte_carlo_chunk,
-            engine=config.monte_carlo_engine,
-        )
-        return (
-            max_relative_matrix_error(model_means, reference.means),
-            max_relative_matrix_error(model_stds, reference.stds),
-            "monte-carlo",
-        )
+    reference = simulate_io_delays(
+        circuit.graph,
+        num_samples=config.monte_carlo_samples,
+        seed=config.seed,
+        chunk_size=config.monte_carlo_chunk,
+        engine=config.monte_carlo_engine,
+    )
     return (
-        max_relative_matrix_error(model_means, analysis.matrix_means()),
-        max_relative_matrix_error(model_stds, analysis.matrix_std()),
-        "ssta",
+        max_relative_matrix_error(model.delay_matrix_means(), reference.means),
+        max_relative_matrix_error(model.delay_matrix_stds(), reference.stds),
     )
 
 
@@ -238,7 +226,8 @@ def _table1_row(payload: Tuple[str, ExperimentConfig, Optional[Library], bool]) 
     extraction_seconds = time.perf_counter() - start
 
     if validate_accuracy:
-        mean_error, std_error, reference = _model_accuracy(circuit, model, analysis, config)
+        mean_error, std_error = _model_accuracy(circuit, model, config)
+        reference = "monte-carlo"
     else:
         mean_error, std_error, reference = 0.0, 0.0, "skipped"
 

@@ -24,9 +24,11 @@ object split of :mod:`repro.timing.propagation`:
   one shot and reduces them into the sink rows with a sorted-segment
   ``np.maximum.reduceat`` — no per-vertex Python work at all.  The same
   kernel generalises to a third *source* axis, so
-  :func:`simulate_io_delays` computes the per-input longest paths of all
-  ``|I|`` inputs in a single ``(V, I, chunk)`` pass over one shared
-  sampled delay matrix instead of ``|I|`` full propagations per chunk;
+  :func:`simulate_io_delays` computes the per-input longest paths of a
+  group of ``g`` inputs in one ``(V, g, chunk)`` pass, every group
+  sharing one sampled delay matrix, instead of ``|I|`` full propagations
+  per chunk (``g`` is sized to the chunk budget, see
+  :func:`_io_group_size`);
 * the **object-level engine** (``engine="object"``) is the original
   per-vertex loop over ``fanin_edges``, kept as the readable reference
   and as the parity baseline (both engines produce bit-identical samples
@@ -46,7 +48,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -79,11 +81,14 @@ _NEG_INF = -np.inf
 #: and criticality engines, scaled to the Monte Carlo kernels' costs).
 AUTO_LEVELIZED_MIN_EDGES = AUTO_BATCH_MIN_EDGES // 16
 
-#: Working-set budget (in float64 elements) of one auto-sized sample chunk:
-#: the sampled delay block ``(E, chunk)`` plus, per source, the arrival
-#: block ``(V, chunk)`` and the transient per-level candidate block.
-#: 4M floats (32 MiB) keeps the chunk working set last-level-cache
-#: resident on typical hardware — the levelized kernel's sweet spot
+#: Working-set budget (in float64 elements) of one sample chunk: the
+#: sampled delay block ``(E, chunk)`` plus, per source, the arrival block
+#: ``(V, chunk)`` and the transient per-level candidate block.  It sizes
+#: auto chunks and the input groups of :func:`simulate_io_delays`, whose
+#: ``(V, g, chunk)`` passes use the largest ``g`` that fits.  The floor
+#: is one source and one :data:`MC_SAMPLE_BLOCK`, which a tiny budget may
+#: exceed.  4M floats (32 MiB) keeps the chunk working set last-level-
+#: cache resident on typical hardware — the levelized kernel's sweet spot
 #: (measured on c7552: ~40 us/sample at chunk 256 vs ~56 us at 1024).
 #: Overridable per run via the ``REPRO_MC_CHUNK_BUDGET`` environment
 #: variable (see :func:`mc_chunk_budget`).
@@ -144,7 +149,11 @@ def auto_chunk_size(
     arrival and candidate blocks (``(V, chunk)`` and ``~(E, chunk)`` each,
     times ``num_sources`` for the multi-source kernel) stay within the
     active budget (:func:`mc_chunk_budget`), clipped to
-    ``[MC_MIN_CHUNK, MC_MAX_CHUNK]`` and to ``num_samples``.
+    ``[MC_MIN_CHUNK, MC_MAX_CHUNK]`` and to ``num_samples``.  When even
+    one block of ``num_sources`` sources exceeds the budget the chunk is
+    the one-block floor and the working set overshoots; the io reference
+    avoids that by passing one input group, not all ``|I|`` inputs, as
+    ``num_sources`` (see :func:`_io_plan`).
 
     The chunk is **block-aligned**: the counter-based sampler always
     materialises whole :data:`MC_SAMPLE_BLOCK`-sample blocks and slices the
@@ -185,6 +194,31 @@ def _resolve_chunk_size(
     return auto_chunk_size(
         arrays.edge_mean.shape[0], arrays.num_vertices, num_sources, num_samples
     )
+
+
+def _graph_arrays(graph: TimingGraph, arrays: Optional[GraphArrays]) -> GraphArrays:
+    """The caller's prebuilt ``arrays`` if they are current, else a fresh build.
+
+    Prebuilt arrays are never refreshed here — they may belong to a
+    session — so arrays of another graph, or of an older revision of this
+    one, raise :class:`~repro.errors.TimingGraphError` instead of being
+    simulated with stale delays.
+    """
+    if arrays is None:
+        return GraphArrays.from_graph(graph)
+    if arrays.graph is not graph or arrays.revision != graph.revision:
+        raise TimingGraphError(
+            "stale arrays: built from %s at revision %d, but %r is at "
+            "revision %d; refresh them or drop arrays="
+            % (
+                "this graph" if arrays.graph is graph
+                else "graph %r" % arrays.graph.name,
+                arrays.revision,
+                graph.name,
+                graph.revision,
+            )
+        )
+    return arrays
 
 
 def _resolve_engine(engine: str, num_edges: int) -> str:
@@ -508,53 +542,62 @@ def _longest_paths_levelized(
     return arrivals
 
 
-def _longest_paths_multi_source(
+def _multi_source_groups(
     arrays: GraphArrays,
     delays: np.ndarray,
     source_rows: np.ndarray,
+    group_size: int,
     backend: Optional[str] = None,
-) -> np.ndarray:
-    """All per-source longest paths in one pass; returns ``(V, I, S)``.
+) -> Iterator[Tuple[int, int, np.ndarray]]:
+    """Per-source longest paths of consecutive groups of sources.
 
+    Yields ``(low, high, arrivals)`` per group, ``arrivals`` being the
+    ``(V, high - low, S)`` block of ``source_rows[low:high]``:
     ``arrivals[:, k, :]`` is exactly the matrix the single-source kernel
-    produces for ``source_rows[k]`` alone — the third axis shares every
-    gather of the sampled delay matrix across all ``|I|`` propagations, so
-    the cost of the per-input Table-I reference drops from ``|I|`` full
-    passes per chunk to one.  The compiled backend runs the same fold as
-    one fused nopython sweep (bitwise identical).
+    produces for ``source_rows[low + k]`` alone.  The source axis shares
+    every gather of the sampled delay matrix across a group, so the
+    per-input Table-I reference costs one fold per group instead of one
+    per input, and all groups share the delay matrix permuted once into
+    fold order.  Each block is fresh: only the rows no level writes — the
+    fanin-free vertices and the sources, whose seed the fold reads — are
+    initialised.  The compiled backend runs each group's fold as one fused
+    nopython sweep (bitwise identical).
     """
     num_sources = source_rows.shape[0]
     num_samples = delays.shape[1]
     kernel = get_kernel("mc_longest_paths", backend)
-    if kernel.backend == "numba":
-        flat = flat_fold_schedule(arrays, "forward")
-        arrivals = np.full(
-            (arrays.num_vertices, num_sources, num_samples), _NEG_INF
-        )
-        arrivals[source_rows, np.arange(num_sources)] = 0.0
-        is_source = np.zeros(arrays.num_vertices, dtype=bool)
-        is_source[source_rows] = True
-        kernel.function(
-            flat.level_ptr, flat.vertices, flat.edge_ptr, flat.edge_rows,
-            arrays.edge_source, delays, arrivals, is_source,
-        )
-        return arrivals
-    schedule = _forward_schedule(arrays)
-    arrivals = np.full(
-        (arrays.num_vertices, num_sources, num_samples), _NEG_INF
-    )
-    arrivals[source_rows, np.arange(num_sources)] = 0.0
     is_source = np.zeros(arrays.num_vertices, dtype=bool)
     is_source[source_rows] = True
-    permuted_delays = delays[schedule.perm]
-
-    for rows, rounds in schedule.levels:
-        acc = _fold_level_rounds(arrivals, permuted_delays, rounds, multi=True)
-        seeded = is_source[rows]
-        if seeded.any():
-            acc[seeded] = np.maximum(acc[seeded], arrivals[rows[seeded]])
-        arrivals[rows] = acc
-    return arrivals
+    unwritten = np.flatnonzero(is_source | (arrays.fanin_counts() == 0))
+    if kernel.backend == "numba":
+        flat = flat_fold_schedule(arrays, "forward")
+    else:
+        schedule = _forward_schedule(arrays)
+        permuted_delays = delays[schedule.perm]
+        # An input vertex with fanin keeps its 0.0 seed in the fold.
+        levels = [
+            (rows, rounds, is_source[rows] if is_source[rows].any() else None)
+            for rows, rounds in schedule.levels
+        ]
+    for low in range(0, num_sources, group_size):
+        high = min(low + group_size, num_sources)
+        arrivals = np.empty((arrays.num_vertices, high - low, num_samples))
+        arrivals[unwritten] = _NEG_INF
+        arrivals[source_rows[low:high], np.arange(high - low)] = 0.0
+        if kernel.backend == "numba":
+            kernel.function(
+                flat.level_ptr, flat.vertices, flat.edge_ptr, flat.edge_rows,
+                arrays.edge_source, delays, arrivals, is_source,
+            )
+        else:
+            for rows, rounds, seeded in levels:
+                acc = _fold_level_rounds(
+                    arrivals, permuted_delays, rounds, multi=True
+                )
+                if seeded is not None:
+                    acc[seeded] = np.maximum(acc[seeded], arrivals[rows[seeded]])
+                arrivals[rows] = acc
+        yield low, high, arrivals
 
 
 def _reachable_from(arrays: GraphArrays, source_rows: np.ndarray) -> np.ndarray:
@@ -658,7 +701,9 @@ def simulate_graph_delay(
     pattern) skips the per-call :meth:`GraphArrays.from_graph` rebuild —
     at million-edge scale that rebuild plus the levelized schedule costs
     several times the sampling-and-propagation work itself, so repeated
-    callers should build once and reuse.
+    callers should build once and reuse.  Arrays of another graph or of
+    an older revision raise :class:`~repro.errors.TimingGraphError`; call
+    :meth:`GraphArrays.refresh` after editing the graph.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
@@ -668,8 +713,7 @@ def simulate_graph_delay(
     from repro.parallel.pool import maybe_executor
 
     start = time.perf_counter()
-    if arrays is None:
-        arrays = GraphArrays.from_graph(graph)
+    arrays = _graph_arrays(graph, arrays)
     chunk_size = _resolve_chunk_size(chunk_size, arrays, 1, num_samples)
     executor = maybe_executor(workers, executor)
     if executor is not None and executor.engine != "process":
@@ -699,6 +743,40 @@ def simulate_graph_delay(
     )
 
 
+def _io_group_size(arrays: GraphArrays, chunk: int) -> int:
+    """How many inputs one multi-source pass of ``chunk`` samples covers.
+
+    The largest ``g`` whose working set ``(E + (V + E) * g) * chunk`` —
+    the cost model of :func:`auto_chunk_size` with ``g`` sources — fits
+    :func:`mc_chunk_budget`, clamped to ``[1, |I|]``: one source is the
+    floor, so a budget below even that still propagates one input at a
+    time instead of failing.
+    """
+    num_edges = arrays.edge_mean.shape[0]
+    per_source = arrays.num_vertices + num_edges
+    group = (mc_chunk_budget() // max(chunk, 1) - num_edges) // max(per_source, 1)
+    return int(min(max(group, 1), arrays.input_rows.shape[0]))
+
+
+def _io_plan(
+    chunk_size: Optional[int], arrays: GraphArrays, num_samples: int
+) -> Tuple[int, int]:
+    """``(chunk_size, group_size)`` of one :func:`simulate_io_delays` run.
+
+    An explicit ``chunk_size`` wins; ``None`` auto-sizes the chunk for one
+    group of sources — the group that fits the budget at a one-block
+    chunk — instead of the whole ``|I|`` axis.  Chunks cover whole sample
+    blocks so every block's moment partial is reduced in one piece, and
+    the group size is then taken at the chunk actually propagated.
+    """
+    sources = _io_group_size(arrays, min(MC_SAMPLE_BLOCK, num_samples))
+    chunk_size = _resolve_chunk_size(chunk_size, arrays, sources, num_samples)
+    chunk_size = max(
+        MC_SAMPLE_BLOCK, chunk_size // MC_SAMPLE_BLOCK * MC_SAMPLE_BLOCK
+    )
+    return chunk_size, _io_group_size(arrays, min(chunk_size, num_samples))
+
+
 def _io_block_moments(
     arrays: GraphArrays,
     seed: int,
@@ -706,67 +784,62 @@ def _io_block_moments(
     start: int,
     stop: int,
     chunk_size: int,
+    group_size: int,
     levelized: bool = True,
     backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-block IO moment partials of samples ``[start, stop)``.
 
     ``start``/``stop`` must be block-aligned (``stop`` may be the final
-    partial block's end).  Returns ``(sums, square_sums)`` stacks of shape
+    partial block's end) and ``chunk_size`` a block multiple (see
+    :func:`_io_plan`).  Returns ``(sums, square_sums)`` stacks of shape
     ``(blocks, I, O)``: entry ``k`` holds the output-arrival moment sums of
     the ``k``-th covered block.  The per-block partial is the canonical
     accumulation unit — a fixed-length reduction over one whole block — so
     it is invariant to the chunking that computed it, and summing the
     stacks in ascending block order reproduces the serial statistics bit
     for bit no matter how the blocks were sharded.
+
+    Each chunk's sampled delays are shared by consecutive groups of
+    ``group_size`` inputs, one ``(V, group_size, chunk)`` multi-source pass
+    per group, so the arrival block stays within the budget the group was
+    sized for.  Per-input propagations are independent, so every group
+    size yields the same partials bit for bit.  The object-level reference
+    propagates one input at a time.
     """
     input_rows = arrays.input_rows
     output_rows = arrays.output_rows
     num_inputs = input_rows.shape[0]
-    num_outputs = output_rows.shape[0]
-    # Chunks must cover whole blocks so every block's reduction happens in
-    # one piece; round the requested chunk down to a block multiple.
-    chunk_size = max(
-        MC_SAMPLE_BLOCK, chunk_size // MC_SAMPLE_BLOCK * MC_SAMPLE_BLOCK
-    )
-    sums_parts = []
-    square_parts = []
+    shape = (-(-(stop - start) // MC_SAMPLE_BLOCK), num_inputs, output_rows.shape[0])
+    sums = np.empty(shape)
+    square_sums = np.empty(shape)
     done = start
     while done < stop:
         chunk = min(chunk_size, stop - done)
+        first_block = (done - start) // MC_SAMPLE_BLOCK
         delays = _sample_delay_range(arrays, seed, num_samples, done, done + chunk)
         if levelized:
-            arrivals = _longest_paths_multi_source(
-                arrays, delays, input_rows, backend
+            passes = _multi_source_groups(
+                arrays, delays, input_rows, group_size, backend
             )
-            output_arrivals = arrivals[output_rows].transpose(1, 0, 2)  # (I, O, chunk)
-            finite = np.where(np.isfinite(output_arrivals), output_arrivals, 0.0)
-            for offset in range(0, chunk, MC_SAMPLE_BLOCK):
-                block = finite[:, :, offset : offset + MC_SAMPLE_BLOCK]
-                sums_parts.append(block.sum(axis=2))
-                square_parts.append((block * block).sum(axis=2))
         else:
-            blocks = range(0, chunk, MC_SAMPLE_BLOCK)
-            chunk_sums = np.empty((len(blocks), num_inputs, num_outputs))
-            chunk_squares = np.empty_like(chunk_sums)
-            for input_position in range(num_inputs):
-                source_rows = input_rows[input_position : input_position + 1]
-                arrivals = _longest_paths_object(arrays, delays, source_rows)
-                output_arrivals = arrivals[output_rows]  # (O, chunk)
-                finite = np.where(np.isfinite(output_arrivals), output_arrivals, 0.0)
-                for position, offset in enumerate(blocks):
-                    block = finite[:, offset : offset + MC_SAMPLE_BLOCK]
-                    chunk_sums[position, input_position] = block.sum(axis=1)
-                    chunk_squares[position, input_position] = (block * block).sum(
-                        axis=1
-                    )
-            sums_parts.extend(chunk_sums)
-            square_parts.extend(chunk_squares)
+            passes = (
+                (low, low + 1, _longest_paths_object(
+                    arrays, delays, input_rows[low : low + 1]
+                )[:, np.newaxis, :])
+                for low in range(num_inputs)
+            )
+        for low, high, arrivals in passes:
+            output_arrivals = arrivals[output_rows].transpose(1, 0, 2)  # (g, O, chunk)
+            finite = np.where(np.isfinite(output_arrivals), output_arrivals, 0.0)
+            for position, offset in enumerate(range(0, chunk, MC_SAMPLE_BLOCK)):
+                block = finite[:, :, offset : offset + MC_SAMPLE_BLOCK]
+                sums[first_block + position, low:high] = block.sum(axis=2)
+                square_sums[first_block + position, low:high] = (block * block).sum(
+                    axis=2
+                )
         done += chunk
-    shape = (len(sums_parts), num_inputs, num_outputs)
-    if not sums_parts:
-        return np.zeros(shape), np.zeros(shape)
-    return np.stack(sums_parts), np.stack(square_parts)
+    return sums, square_sums
 
 
 def simulate_io_delays(
@@ -783,18 +856,20 @@ def simulate_io_delays(
     """Monte Carlo mean and sigma of every input-to-output delay.
 
     This is the reference used for the ``merr``/``verr`` columns of Table I.
-    The levelized engine computes all ``|I|`` per-input propagations of a
-    chunk in one ``(V, I, chunk)`` pass sharing a single sampled delay
-    matrix; the object-level reference (``engine="object"``) runs the
-    original one-propagation-per-input loop.  Sampling is counter-based per
-    block and moments accumulate per block in ascending order, so the
-    statistics are bit-identical across engines, chunk sizes and worker
-    counts for the same ``(seed, num_samples)``.  The ``valid`` mask is
-    derived structurally from per-input reachability, so a pair is NaN
-    exactly when no path connects it.  ``chunk_size=None`` auto-sizes the
-    chunks accounting for the ``|I|``-wide source axis; ``workers`` /
-    ``executor`` shard block ranges exactly like
-    :func:`simulate_graph_delay`; so do prebuilt ``arrays``.
+    The levelized engine propagates consecutive groups of inputs, one
+    ``(V, g, chunk)`` pass per group sharing a single sampled delay matrix,
+    with ``g`` the largest group whose working set fits the chunk budget
+    (at least one input); the object-level reference (``engine="object"``)
+    runs the original one-propagation-per-input loop.  Sampling is
+    counter-based per block and moments accumulate per block in ascending
+    order, so the statistics are bit-identical across engines, chunk
+    sizes, group sizes and worker counts for the same
+    ``(seed, num_samples)``.  The ``valid`` mask is derived structurally
+    from per-input reachability, so a pair is NaN exactly when no path
+    connects it.  ``chunk_size=None`` auto-sizes the chunks for one input
+    group; ``workers`` / ``executor`` shard block ranges exactly like
+    :func:`simulate_graph_delay`, every shard using the caller's group
+    size; so do prebuilt ``arrays``, which must be current.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
@@ -804,13 +879,12 @@ def simulate_io_delays(
     from repro.parallel.pool import maybe_executor
 
     start = time.perf_counter()
-    if arrays is None:
-        arrays = GraphArrays.from_graph(graph)
+    arrays = _graph_arrays(graph, arrays)
     num_inputs = len(graph.inputs)
     num_outputs = len(graph.outputs)
     input_rows = arrays.input_rows
     output_rows = arrays.output_rows
-    chunk_size = _resolve_chunk_size(chunk_size, arrays, num_inputs, num_samples)
+    chunk_size, group_size = _io_plan(chunk_size, arrays, num_samples)
     executor = maybe_executor(workers, executor)
     if executor is not None and executor.engine != "process":
         executor = None  # graceful serial fallback (bit-identical)
@@ -826,7 +900,8 @@ def simulate_io_delays(
 
         ranges = partition_samples(num_samples, executor.workers, MC_SAMPLE_BLOCK)
         payloads = [
-            (seed, num_samples, lo, hi, chunk_size) for lo, hi in ranges
+            (seed, num_samples, lo, hi, chunk_size, group_size)
+            for lo, hi in ranges
         ]
         parts, map_report = executor.run_with_report(
             "mc_io_blocks", payloads, arrays
@@ -837,8 +912,8 @@ def simulate_io_delays(
     else:
         levelized = _resolve_engine(engine, graph.num_edges) == "levelized"
         sums_stack, square_stack = _io_block_moments(
-            arrays, seed, num_samples, 0, num_samples, chunk_size, levelized,
-            backend,
+            arrays, seed, num_samples, 0, num_samples, chunk_size, group_size,
+            levelized, backend,
         )
 
     # Sequential per-block accumulation in ascending block order: the exact

@@ -105,14 +105,17 @@ def _mc_delay_range(arrays, payload):
 def _mc_io_blocks(arrays, payload):
     """Per-block IO moment partials of one block-aligned sample range.
 
-    Payload: ``(seed, num_samples, start, stop, chunk_size)``; returns the
-    ``(sums_stack, square_sums_stack)`` pair of shape ``(blocks, I, O)``.
+    Payload: ``(seed, num_samples, start, stop, chunk_size, group_size)``
+    (the caller sizes the input groups, so every worker honours the
+    caller's budget); returns the ``(sums_stack, square_sums_stack)`` pair
+    of shape ``(blocks, I, O)``.
     """
     from repro.montecarlo.flat import _io_block_moments
 
-    seed, num_samples, start, stop, chunk_size = payload
+    seed, num_samples, start, stop, chunk_size, group_size = payload
     return _io_block_moments(
-        arrays, seed, num_samples, start, stop, chunk_size, levelized=True
+        arrays, seed, num_samples, start, stop, chunk_size, group_size,
+        levelized=True,
     )
 
 

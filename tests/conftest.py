@@ -189,3 +189,42 @@ def random_graph_edit():
         return kind
 
     return _apply
+
+
+@pytest.fixture
+def io_group(monkeypatch):
+    """Force the input-group size of ``simulate_io_delays`` via its budget.
+
+    Returns ``force(graph, kind, num_samples, chunk_size=None) -> size``:
+    it sets ``REPRO_MC_CHUNK_BUDGET`` so a run with these arguments
+    propagates ``kind`` = ``"one"`` input per pass, a ``"ragged"`` group
+    size that does not divide ``|I|``, or the ``"whole"`` input axis, and
+    checks the run's plan resolves to exactly that size.
+    """
+    from repro.montecarlo.flat import MC_SAMPLE_BLOCK, _io_plan
+    from repro.timing.arrays import GraphArrays
+
+    def force(graph, kind, num_samples, chunk_size=None):
+        num_inputs = len(graph.inputs)
+        size = {
+            "one": 1,
+            "whole": num_inputs,
+            "ragged": next(
+                (g for g in range(2, num_inputs) if num_inputs % g), None
+            ),
+        }[kind]
+        if size is None:
+            pytest.skip("every group size divides %d inputs" % num_inputs)
+        arrays = GraphArrays.from_graph(graph)
+        # Auto chunks are one block at these sizes; explicit ones ignore
+        # the budget.
+        chunk = MC_SAMPLE_BLOCK
+        if chunk_size is not None:
+            chunk = _io_plan(chunk_size, arrays, num_samples)[0]
+        edges, vertices = graph.num_edges, graph.num_vertices
+        budget = (edges + (vertices + edges) * size) * min(chunk, num_samples)
+        monkeypatch.setenv("REPRO_MC_CHUNK_BUDGET", str(budget))
+        assert _io_plan(chunk_size, arrays, num_samples)[1] == size
+        return size
+
+    return force

@@ -66,8 +66,3 @@ class TestRunTable1:
         result = run_table1(circuits=["c432"], config=config, validate_accuracy=False)
         assert result.rows[0].reference == "skipped"
         assert result.rows[0].mean_error == 0.0
-
-    def test_ssta_reference_used_above_gate_limit(self):
-        config = ExperimentConfig(monte_carlo_samples=100, monte_carlo_gate_limit=10)
-        result = run_table1(circuits=["c432"], config=config)
-        assert result.rows[0].reference == "ssta"

@@ -6,8 +6,9 @@ longest-path candidates are folded — ``+`` and ``max`` are exact, so on
 the object-level reference for the same seed and chunk size.  Asserted
 here on hypothesis-randomized layered DAGs (including dangling inputs,
 unreachable vertices and single-IO corners), on the multi-source
-``(V, I, chunk)`` kernel against the one-propagation-per-input reference,
-and on the empty-IO / unreachable regressions.
+``(V, g, chunk)`` kernel against the one-propagation-per-input reference
+for every input-group size, and on the empty-IO / unreachable / stale-
+arrays regressions.
 """
 
 import numpy as np
@@ -22,8 +23,8 @@ from repro.montecarlo.flat import (
     MC_MAX_CHUNK,
     MC_MIN_CHUNK,
     MC_SAMPLE_BLOCK,
-    _longest_paths_multi_source,
     _longest_paths_object,
+    _multi_source_groups,
     _resolve_engine,
     auto_chunk_size,
     simulate_graph_delay,
@@ -111,31 +112,58 @@ class TestRandomizedParity:
         reference = simulate_io_delays(graph, 40, seed=seed, engine="object")
         _assert_io_identical(levelized, reference)
 
-    @given(seed=st.integers(min_value=0, max_value=10 ** 6))
+    @given(
+        seed=st.integers(min_value=0, max_value=10 ** 6),
+        group_size=st.integers(min_value=1, max_value=5),
+    )
     @settings(max_examples=15, deadline=None)
-    def test_multi_source_kernel_matches_per_input_reference(self, seed):
+    def test_multi_source_kernel_matches_per_input_reference(self, seed, group_size):
         graph = _build_graph(seed, 4, 3, 12)
         arrays = GraphArrays.from_graph(graph)
         rng = np.random.default_rng(seed)
         delays = arrays.edge_batch.sample(rng, 23)
         input_rows = arrays.input_rows
-        multi = _longest_paths_multi_source(arrays, delays, input_rows)
-        for position, row in enumerate(input_rows):
-            reference = _longest_paths_object(
-                arrays, delays, np.asarray([row], dtype=np.int64)
-            )
-            assert np.array_equal(multi[:, position, :], reference)
+        covered = []
+        for low, high, multi in _multi_source_groups(
+            arrays, delays, input_rows, group_size
+        ):
+            assert multi.shape == (arrays.num_vertices, high - low, 23)
+            for position in range(low, high):
+                reference = _longest_paths_object(
+                    arrays, delays, input_rows[position : position + 1]
+                )
+                assert np.array_equal(multi[:, position - low, :], reference)
+                covered.append(position)
+        assert covered == list(range(input_rows.shape[0]))
 
 
 class TestAcceptanceCircuits:
-    def test_engines_bit_identical_on_parity_modules(self, parity_module):
+    @pytest.mark.parametrize("group", ["one", "ragged", "whole"])
+    def test_engines_bit_identical_on_parity_modules(
+        self, parity_module, io_group, group
+    ):
         graph = parity_module[0]
         levelized = simulate_graph_delay(graph, 200, seed=9, engine="levelized")
         reference = simulate_graph_delay(graph, 200, seed=9, engine="object")
         assert np.array_equal(levelized.samples, reference.samples)
-        lev_io = simulate_io_delays(graph, 60, seed=9, engine="levelized")
-        ref_io = simulate_io_delays(graph, 60, seed=9, engine="object")
-        _assert_io_identical(lev_io, ref_io)
+        # Input groups of any size reproduce the whole-axis pass exactly,
+        # auto-chunked or not, and so does the per-input object loop.
+        io_group(graph, "whole", 300)
+        whole = simulate_io_delays(graph, 300, seed=9, engine="levelized")
+        io_group(graph, group, 300)
+        _assert_io_identical(
+            simulate_io_delays(graph, 300, seed=9, engine="levelized"), whole
+        )
+        _assert_io_identical(
+            simulate_io_delays(graph, 300, seed=9, engine="object"), whole
+        )
+        io_group(graph, group, 300, chunk_size=256)
+        _assert_io_identical(
+            simulate_io_delays(
+                graph, 300, seed=9, engine="levelized", chunk_size=256
+            ),
+            whole,
+        )
 
     def test_prebuilt_arrays_reuse_is_bit_identical(self, parity_module):
         graph = parity_module[0]
@@ -206,6 +234,32 @@ class TestRegressions:
         with pytest.raises(ValueError):
             stats.std("a", "nope")
 
+    @pytest.mark.parametrize(
+        "simulate", [simulate_graph_delay, simulate_io_delays]
+    )
+    def test_stale_arrays_raise(self, parity_module, simulate):
+        # Prebuilt arrays are never silently refreshed: arrays of an older
+        # revision (here: before a retime) or of another graph must raise
+        # instead of simulating the old delays.
+        graph = parity_module[0].copy()
+        stale = GraphArrays.from_graph(graph)
+        edge = graph.edges[0]
+        graph.replace_edge_delay(edge, edge.delay.scale(1.5))
+        with pytest.raises(TimingGraphError) as excinfo:
+            simulate(graph, 256, 1, arrays=stale)
+        message = str(excinfo.value)
+        assert "revision %d" % stale.revision in message
+        assert "revision %d" % graph.revision in message
+        with pytest.raises(TimingGraphError):
+            simulate(graph, 256, 1, arrays=GraphArrays.from_graph(graph.copy()))
+        stale.refresh()
+        fresh = simulate(graph, 256, 1)
+        refreshed = simulate(graph, 256, 1, arrays=stale)
+        if simulate is simulate_graph_delay:
+            assert np.array_equal(fresh.samples, refreshed.samples)
+        else:
+            _assert_io_identical(fresh, refreshed)
+
     def test_input_that_is_also_output(self):
         graph = TimingGraph("through")
         graph.mark_input("a")
@@ -271,6 +325,25 @@ class TestAutoChunkSize:
         single = auto_chunk_size(5000, 3000, num_sources=1)
         multi = auto_chunk_size(5000, 3000, num_sources=100)
         assert multi < single
+
+    def test_io_working_set_honours_the_budget(self, library, monkeypatch):
+        # The (V, g, chunk) arrival block is sized to the budget: at an
+        # 8 MB budget c880's 60 inputs go six per pass, and the whole run
+        # peaks within twice the budget (all 60 at once would take ~60 MB).
+        import tracemalloc
+
+        from repro.experiments.table1 import characterize_circuit
+
+        graph = characterize_circuit("c880", library=library).graph
+        budget = 1 << 20
+        monkeypatch.setenv("REPRO_MC_CHUNK_BUDGET", str(budget))
+        tracemalloc.start()
+        try:
+            simulate_io_delays(graph, 512, seed=1)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * budget * 8, "peak %.1f MB" % (peak / 2.0 ** 20)
 
     def test_explicit_chunk_size_wins(self, adder_graph):
         explicit = simulate_graph_delay(adder_graph, 64, seed=4, chunk_size=64)

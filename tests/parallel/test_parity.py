@@ -4,8 +4,9 @@ The sampling streams are counter-based per :data:`MC_SAMPLE_BLOCK` block
 and moment accumulation folds per-block partial sums in ascending block
 order on every engine, so sharding is *exactly* invariant: the property
 tests below assert ``np.array_equal`` (not a tolerance) across worker
-counts {1, 2, 4} and arbitrary chunk splits on the three acceptance
-circuits (c17, the 4x4 multiplier, c432).
+counts {1, 2, 4}, arbitrary chunk splits and every input-group size of
+the io reference on the three acceptance circuits (c17, the 4x4
+multiplier, c432).
 """
 
 from __future__ import annotations
@@ -74,12 +75,18 @@ def test_delay_samples_invariant_across_chunk_splits(parity_module):
 # ----------------------------------------------------------------------
 # Monte Carlo input/output statistics
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("group", ["one", "ragged", "whole"])
 def test_io_stats_invariant_across_workers(
-    parity_module, process_executor, four_worker_executor
+    parity_module, process_executor, four_worker_executor, io_group, group
 ):
+    # The caller sizes the input groups and ships the size with every
+    # shard, so workers spawned under another budget still follow it.
     graph, _variation = parity_module
+    io_group(graph, "whole", IO_SAMPLES)
     serial = simulate_io_delays(graph, IO_SAMPLES, seed=9)
+    io_group(graph, group, IO_SAMPLES)
     for result in (
+        simulate_io_delays(graph, IO_SAMPLES, seed=9),
         simulate_io_delays(graph, IO_SAMPLES, seed=9, workers=1),
         simulate_io_delays(graph, IO_SAMPLES, seed=9, executor=process_executor),
         simulate_io_delays(
@@ -91,11 +98,15 @@ def test_io_stats_invariant_across_workers(
         assert np.array_equal(serial.stds, result.stds, equal_nan=True)
 
 
-def test_io_stats_invariant_across_chunk_splits(parity_module):
+@pytest.mark.parametrize("group", ["one", "ragged", "whole"])
+def test_io_stats_invariant_across_chunk_splits(parity_module, io_group, group):
     graph, _variation = parity_module
+    io_group(graph, "whole", IO_SAMPLES)
     auto = simulate_io_delays(graph, IO_SAMPLES, seed=2)
     for chunk in (130, MC_SAMPLE_BLOCK, 10000):
+        io_group(graph, group, IO_SAMPLES, chunk_size=chunk)
         split = simulate_io_delays(graph, IO_SAMPLES, seed=2, chunk_size=chunk)
+        assert np.array_equal(auto.valid, split.valid)
         assert np.array_equal(auto.means, split.means, equal_nan=True)
         assert np.array_equal(auto.stds, split.stds, equal_nan=True)
 
