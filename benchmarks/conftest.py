@@ -19,7 +19,6 @@ from typing import Optional
 
 import pytest
 
-from repro.core.backend import resolve_backend
 from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
 from repro.experiments.table1 import TABLE1_CIRCUITS, TABLE1_DEFAULT_SUBSET
 
@@ -34,14 +33,11 @@ def record_bench(
 
     Every entry is stamped with the host's ``cpu_count`` (and the worker
     count, when the benchmark shards work) so recorded speedups can be
-    judged against the parallelism that was actually available, plus the
-    kernel ``backend`` that resolved (``REPRO_BACKEND`` environment
-    included) so compiled-tier and numpy-tier numbers are never conflated.
+    judged against the parallelism that was actually available.
     """
     path = os.path.join(BENCH_RECORD_DIR, filename)
     payload = dict(payload)
     payload["cpu_count"] = os.cpu_count()
-    payload["backend"] = resolve_backend().backend
     if workers is not None:
         payload["workers"] = int(workers)
     record = {}

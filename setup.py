@@ -4,10 +4,6 @@ Carries the package metadata directly (there is no pyproject.toml in this
 offline environment); the shim form also lets the package install in
 editable mode where the ``wheel`` package (needed by the PEP 660 editable
 build hooks of older setuptools releases) is unavailable.
-
-The ``compiled`` extra pulls in numba for the optional compiled kernel
-backend (``REPRO_BACKEND``, see :mod:`repro.core.backend`); without it the
-package runs entirely on the numpy tier.
 """
 
 from setuptools import find_packages, setup
@@ -18,5 +14,4 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     install_requires=["numpy", "scipy"],
-    extras_require={"compiled": ["numba"]},
 )

@@ -42,7 +42,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backend import get_kernel
 from repro.core.batch import tightness_from_moments
 from repro.core.gaussian import normal_cdf
 from repro.timing.allpairs import AllPairsTiming, AllPairsUpdate
@@ -481,7 +480,6 @@ def _chunk_terms(
     work: Optional[Dict[str, np.ndarray]] = None,
     input_rows: Optional[np.ndarray] = None,
     output_cols: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pre-probability criticality terms of one edge chunk.
 
@@ -566,25 +564,6 @@ def _chunk_terms(
         r_corr = analysis.to_output_corr[pick]
         r_randvar = analysis.to_output_randvar[pick]
         r_valid = analysis.to_output_valid[pick]
-
-    # Compiled tier: one fused nopython pass over the pair block replaces
-    # the batched-BLAS contractions and the sparse tie refinement below
-    # (identical decision structure; sequential sums, 1e-9 contract).
-    kernel = get_kernel("criticality_chunk_terms", backend)
-    if kernel.backend == "numba":
-        z = _view(work, "var_sum", shape)
-        degenerate = _view(work, "degenerate", shape, bool)
-        tied = _view(work, "tied", shape, bool)
-        valid = _view(work, "valid", shape, bool)
-        kernel.function(
-            a_mean, a_corr, a_randvar, a_valid,
-            r_mean, r_corr, r_randvar, r_valid,
-            moments.m_mean, moments.m_var, moments.m_randvar,
-            moments.m_valid, moments.m_corr_by_input,
-            moments.neg_tolerance,
-            z, degenerate, tied, valid,
-        )
-        return z, degenerate, tied, valid
 
     a_var = np.einsum("eik,eik->ei", a_corr, a_corr) + a_randvar
     r_var = np.einsum("ejk,ejk->ej", r_corr, r_corr) + r_randvar
@@ -689,7 +668,6 @@ def _edge_rows(analysis: AllPairsTiming, edges: List[TimingEdge]) -> np.ndarray:
 def edge_criticality_tensor(
     analysis: AllPairsTiming,
     edges: Iterable[TimingEdge],
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Criticality matrices of several edges stacked into an ``(E, I, O)``.
 
@@ -707,7 +685,6 @@ def edge_criticality_tensor(
         analysis,
         _edge_rows(analysis, edge_list),
         _matrix_moments(analysis),
-        backend=backend,
     )
     criticality = np.where(degenerate, tied.astype(float), normal_cdf(z))
     return np.where(valid, criticality, 0.0)
@@ -717,7 +694,6 @@ def edge_criticality_batch(
     analysis: AllPairsTiming,
     edges: Optional[Iterable[TimingEdge]] = None,
     chunk_pairs: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> CriticalityResult:
     """Maximum criticality of ``edges`` through the edge-chunked engine.
 
@@ -758,7 +734,6 @@ def edge_criticality_batch(
     values, best = _batched_edge_max(
         analysis, rows_all, _matrix_moments(analysis), int(chunk_pairs),
         _analysis_work(analysis, analysis.num_inputs, analysis.num_outputs),
-        backend=backend,
     )
     num_outputs = analysis.num_outputs
     max_criticality: Dict[int, float] = {}
@@ -778,7 +753,6 @@ def _batched_edge_max(
     work: Dict[str, np.ndarray],
     input_rows: Optional[np.ndarray] = None,
     output_cols: Optional[np.ndarray] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-edge maximum criticality over a (restricted) pair space, batched.
 
@@ -805,8 +779,7 @@ def _batched_edge_max(
         chunk_rows = rows_all[start : start + chunk_edges]
         count = chunk_rows.size
         z, degenerate, tied, valid = _chunk_terms(
-            analysis, chunk_rows, moments, work, input_rows, output_cols,
-            backend,
+            analysis, chunk_rows, moments, work, input_rows, output_cols
         )
         # Pairs whose value is nd(z): valid and not resolved through the
         # degenerate 0/1 rule; everything else scores -inf (nd == 0.0).
@@ -836,7 +809,6 @@ def compute_edge_criticalities(
     graph: TimingGraph,
     analysis: Optional[AllPairsTiming] = None,
     engine: str = "auto",
-    backend: Optional[str] = None,
 ) -> CriticalityResult:
     """Maximum criticality ``c_m`` of every edge of ``graph``.
 
@@ -856,7 +828,7 @@ def compute_edge_criticalities(
     if analysis.num_inputs == 0 or analysis.num_outputs == 0:
         return _empty_pair_space_result(graph, resolved)
     if resolved == "batch":
-        return edge_criticality_batch(analysis, graph.edges, backend=backend)
+        return edge_criticality_batch(analysis, graph.edges)
     max_criticality: Dict[int, float] = {}
     argmax_pairs: Dict[int, Tuple[int, int]] = {}
     for edge in graph.edges:

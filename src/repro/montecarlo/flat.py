@@ -52,9 +52,8 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backend import flat_fold_schedule, get_kernel
 from repro.errors import TimingGraphError
-from repro.timing.arrays import GraphArrays
+from repro.timing.arrays import GraphArrays, _graph_arrays
 from repro.timing.graph import TimingGraph
 from repro.timing.propagation import AUTO_BATCH_MIN_EDGES
 
@@ -194,31 +193,6 @@ def _resolve_chunk_size(
     return auto_chunk_size(
         arrays.edge_mean.shape[0], arrays.num_vertices, num_sources, num_samples
     )
-
-
-def _graph_arrays(graph: TimingGraph, arrays: Optional[GraphArrays]) -> GraphArrays:
-    """The caller's prebuilt ``arrays`` if they are current, else a fresh build.
-
-    Prebuilt arrays are never refreshed here — they may belong to a
-    session — so arrays of another graph, or of an older revision of this
-    one, raise :class:`~repro.errors.TimingGraphError` instead of being
-    simulated with stale delays.
-    """
-    if arrays is None:
-        return GraphArrays.from_graph(graph)
-    if arrays.graph is not graph or arrays.revision != graph.revision:
-        raise TimingGraphError(
-            "stale arrays: built from %s at revision %d, but %r is at "
-            "revision %d; refresh them or drop arrays="
-            % (
-                "this graph" if arrays.graph is graph
-                else "graph %r" % arrays.graph.name,
-                arrays.revision,
-                graph.name,
-                graph.revision,
-            )
-        )
-    return arrays
 
 
 def _resolve_engine(engine: str, num_edges: int) -> str:
@@ -499,31 +473,14 @@ def _longest_paths_levelized(
     arrays: GraphArrays,
     delays: np.ndarray,
     source_rows: np.ndarray,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Level-scheduled longest paths from a single set of sources.
 
     Bit-identical to :func:`_longest_paths_object` (``+`` and ``max`` are
     exact, so the per-vertex fold order is immaterial), but each level's
     fanin edges are folded as whole prefix rounds over the pre-permuted
-    delay matrix instead of a per-vertex Python loop.  When the compiled
-    backend resolves, the whole propagation runs as one fused nopython
-    sweep over the flat fold plan instead — still bitwise identical.
+    delay matrix instead of a per-vertex Python loop.
     """
-    kernel = get_kernel("mc_longest_paths", backend)
-    if kernel.backend == "numba":
-        flat = flat_fold_schedule(arrays, "forward")
-        arrivals = np.full(
-            (arrays.num_vertices, 1, delays.shape[1]), _NEG_INF
-        )
-        arrivals[source_rows, 0] = 0.0
-        is_source = np.zeros(arrays.num_vertices, dtype=bool)
-        is_source[source_rows] = True
-        kernel.function(
-            flat.level_ptr, flat.vertices, flat.edge_ptr, flat.edge_rows,
-            arrays.edge_source, delays, arrivals, is_source,
-        )
-        return arrivals[:, 0, :]
     schedule = _forward_schedule(arrays)
     num_samples = delays.shape[1]
     arrivals = np.full((arrays.num_vertices, num_samples), _NEG_INF)
@@ -547,7 +504,6 @@ def _multi_source_groups(
     delays: np.ndarray,
     source_rows: np.ndarray,
     group_size: int,
-    backend: Optional[str] = None,
 ) -> Iterator[Tuple[int, int, np.ndarray]]:
     """Per-source longest paths of consecutive groups of sources.
 
@@ -560,43 +516,30 @@ def _multi_source_groups(
     per input, and all groups share the delay matrix permuted once into
     fold order.  Each block is fresh: only the rows no level writes — the
     fanin-free vertices and the sources, whose seed the fold reads — are
-    initialised.  The compiled backend runs each group's fold as one fused
-    nopython sweep (bitwise identical).
+    initialised.
     """
     num_sources = source_rows.shape[0]
     num_samples = delays.shape[1]
-    kernel = get_kernel("mc_longest_paths", backend)
     is_source = np.zeros(arrays.num_vertices, dtype=bool)
     is_source[source_rows] = True
     unwritten = np.flatnonzero(is_source | (arrays.fanin_counts() == 0))
-    if kernel.backend == "numba":
-        flat = flat_fold_schedule(arrays, "forward")
-    else:
-        schedule = _forward_schedule(arrays)
-        permuted_delays = delays[schedule.perm]
-        # An input vertex with fanin keeps its 0.0 seed in the fold.
-        levels = [
-            (rows, rounds, is_source[rows] if is_source[rows].any() else None)
-            for rows, rounds in schedule.levels
-        ]
+    schedule = _forward_schedule(arrays)
+    permuted_delays = delays[schedule.perm]
+    # An input vertex with fanin keeps its 0.0 seed in the fold.
+    levels = [
+        (rows, rounds, is_source[rows] if is_source[rows].any() else None)
+        for rows, rounds in schedule.levels
+    ]
     for low in range(0, num_sources, group_size):
         high = min(low + group_size, num_sources)
         arrivals = np.empty((arrays.num_vertices, high - low, num_samples))
         arrivals[unwritten] = _NEG_INF
         arrivals[source_rows[low:high], np.arange(high - low)] = 0.0
-        if kernel.backend == "numba":
-            kernel.function(
-                flat.level_ptr, flat.vertices, flat.edge_ptr, flat.edge_rows,
-                arrays.edge_source, delays, arrivals, is_source,
-            )
-        else:
-            for rows, rounds, seeded in levels:
-                acc = _fold_level_rounds(
-                    arrivals, permuted_delays, rounds, multi=True
-                )
-                if seeded is not None:
-                    acc[seeded] = np.maximum(acc[seeded], arrivals[rows[seeded]])
-                arrivals[rows] = acc
+        for rows, rounds, seeded in levels:
+            acc = _fold_level_rounds(arrivals, permuted_delays, rounds, multi=True)
+            if seeded is not None:
+                acc[seeded] = np.maximum(acc[seeded], arrivals[rows[seeded]])
+            arrivals[rows] = acc
         yield low, high, arrivals
 
 
@@ -632,14 +575,13 @@ def _simulate_delay_range(
     stop: int,
     chunk_size: int,
     levelized: bool = True,
-    backend: Optional[str] = None,
 ) -> np.ndarray:
     """Circuit-delay samples ``[start, stop)`` of a ``num_samples`` run.
 
     The unit of work of the sharded delay simulation: per-sample values are
     exact (``max`` and ``+`` have no rounding), so any partitioning of the
     sample axis into ranges — and any chunking within a range — reproduces
-    the same values bit for bit (backends included).
+    the same values bit for bit.
     """
     input_rows = arrays.input_rows
     output_rows = arrays.output_rows
@@ -649,7 +591,7 @@ def _simulate_delay_range(
         chunk = min(chunk_size, stop - done)
         delays = _sample_delay_range(arrays, seed, num_samples, done, done + chunk)
         if levelized:
-            arrivals = _longest_paths_levelized(arrays, delays, input_rows, backend)
+            arrivals = _longest_paths_levelized(arrays, delays, input_rows)
         else:
             arrivals = _longest_paths_object(arrays, delays, input_rows)
         samples[done - start : done - start + chunk] = arrivals[output_rows].max(
@@ -676,7 +618,6 @@ def simulate_graph_delay(
     engine: str = "auto",
     workers: Optional[int] = None,
     executor=None,
-    backend: Optional[str] = None,
     arrays: Optional[GraphArrays] = None,
 ) -> MonteCarloResult:
     """Monte Carlo distribution of the graph's input-to-output delay.
@@ -734,8 +675,7 @@ def simulate_graph_delay(
     else:
         levelized = _resolve_engine(engine, graph.num_edges) == "levelized"
         samples = _simulate_delay_range(
-            arrays, seed, num_samples, 0, num_samples, chunk_size, levelized,
-            backend,
+            arrays, seed, num_samples, 0, num_samples, chunk_size, levelized
         )
     elapsed = time.perf_counter() - start
     return MonteCarloResult(
@@ -786,7 +726,6 @@ def _io_block_moments(
     chunk_size: int,
     group_size: int,
     levelized: bool = True,
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-block IO moment partials of samples ``[start, stop)``.
 
@@ -819,9 +758,7 @@ def _io_block_moments(
         first_block = (done - start) // MC_SAMPLE_BLOCK
         delays = _sample_delay_range(arrays, seed, num_samples, done, done + chunk)
         if levelized:
-            passes = _multi_source_groups(
-                arrays, delays, input_rows, group_size, backend
-            )
+            passes = _multi_source_groups(arrays, delays, input_rows, group_size)
         else:
             passes = (
                 (low, low + 1, _longest_paths_object(
@@ -850,7 +787,6 @@ def simulate_io_delays(
     engine: str = "auto",
     workers: Optional[int] = None,
     executor=None,
-    backend: Optional[str] = None,
     arrays: Optional[GraphArrays] = None,
 ) -> IoDelayStatistics:
     """Monte Carlo mean and sigma of every input-to-output delay.
@@ -913,7 +849,7 @@ def simulate_io_delays(
         levelized = _resolve_engine(engine, graph.num_edges) == "levelized"
         sums_stack, square_stack = _io_block_moments(
             arrays, seed, num_samples, 0, num_samples, chunk_size, group_size,
-            levelized, backend,
+            levelized,
         )
 
     # Sequential per-block accumulation in ascending block order: the exact

@@ -601,3 +601,28 @@ class GraphArrays:
             round_counts = present.sum(axis=0)
             levels.append(PropagationLevel(rows, edge_matrix, round_counts))
         return levels
+
+
+def _graph_arrays(graph: TimingGraph, arrays: Optional[GraphArrays]) -> GraphArrays:
+    """The caller's prebuilt ``arrays`` if they are current, else a fresh build.
+
+    Prebuilt arrays are never refreshed here — they may belong to a
+    session — so arrays of another graph, or of an older revision of this
+    one, raise :class:`~repro.errors.TimingGraphError` instead of being
+    analysed with stale delays.
+    """
+    if arrays is None:
+        return GraphArrays.from_graph(graph)
+    if arrays.graph is not graph or arrays.revision != graph.revision:
+        raise TimingGraphError(
+            "stale arrays: built from %s at revision %d, but %r is at "
+            "revision %d; refresh them or drop arrays="
+            % (
+                "this graph" if arrays.graph is graph
+                else "graph %r" % arrays.graph.name,
+                arrays.revision,
+                graph.name,
+                graph.revision,
+            )
+        )
+    return arrays

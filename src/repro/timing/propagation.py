@@ -30,7 +30,6 @@ from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.backend import flat_fold_schedule, get_kernel
 from repro.core.batch import (
     CanonicalBatch,
     FoldWorkspace,
@@ -40,7 +39,7 @@ from repro.core.batch import (
 from repro.core.canonical import CanonicalForm
 from repro.core.ops import statistical_max, statistical_min
 from repro.errors import TimingGraphError
-from repro.timing.arrays import GraphArrays
+from repro.timing.arrays import GraphArrays, _graph_arrays
 from repro.timing.graph import TimingGraph
 
 __all__ = [
@@ -233,8 +232,6 @@ def _fold_levels(
     valid: np.ndarray,
     seed_first: bool,
     work: Optional[FoldWorkspace] = None,
-    direction: Optional[str] = None,
-    backend: Optional[str] = None,
 ) -> None:
     """Run the levelized Clark fold over ``levels``, updating state in place.
 
@@ -246,14 +243,6 @@ def _fold_levels(
     (e.g. the required time at an output) enters the fold before the edge
     candidates (backward engines) or is merged after them (arrival engine).
 
-    ``direction`` (``"forward"``/``"backward"``) opts the pass into the
-    compiled backend dispatch: when the resolved backend (explicit
-    ``backend=`` argument, else ``REPRO_BACKEND``, else ``auto``) is numba,
-    the whole fold runs as one fused nopython call over the flat schedule
-    instead of the per-round numpy pipeline.  Only the plain 1-D state
-    shape dispatches; blocked (trailing-axis) state and callers that leave
-    ``direction`` unset always take the numpy path.
-
     Accumulators and every kernel temporary live in ``work`` (created when
     omitted, pass one in to share across passes): each buffer is allocated
     once at the widest level instead of once per level, so the fold's
@@ -262,17 +251,6 @@ def _fold_levels(
     """
     edge_mean = arrays.edge_mean
     edge_randvar = arrays.edge_randvar
-    if direction is not None and mean.ndim == 1:
-        kernel = get_kernel("fold_levels", backend)
-        if kernel.backend == "numba":
-            schedule = flat_fold_schedule(arrays, direction)
-            kernel.function(
-                schedule.level_ptr, schedule.vertices,
-                schedule.edge_ptr, schedule.edge_rows,
-                neighbor_rows, edge_mean, edge_corr, edge_randvar,
-                mean, corr, randvar, valid, bool(seed_first),
-            )
-            return
     if work is None:
         work = FoldWorkspace()
 
@@ -365,19 +343,18 @@ def propagate_arrival_times_batch(
     graph: TimingGraph,
     input_arrivals: Optional[Mapping[str, CanonicalForm]] = None,
     arrays: Optional[GraphArrays] = None,
-    backend: Optional[str] = None,
 ) -> VertexTimes:
     """Levelized batched arrival-time propagation.
 
     Functionally identical to the object-level engine (same candidate fold
     order per vertex) but processes each topological level's fanin edges as
     batched Clark reductions.  ``arrays`` may be passed to reuse a
-    previously built :class:`GraphArrays` view of ``graph``; ``backend``
-    selects the fold kernel backend (``None``: ``REPRO_BACKEND``, else
-    ``auto``) — results agree across backends to 1e-9.
+    previously built :class:`GraphArrays` view of ``graph``; arrays of
+    another graph or of an older revision raise
+    :class:`~repro.errors.TimingGraphError` (call
+    :meth:`GraphArrays.refresh` after editing the graph).
     """
-    if arrays is None:
-        arrays = GraphArrays.from_graph(graph)
+    arrays = _graph_arrays(graph, arrays)
     input_arrivals = dict(input_arrivals or {})
     seeds = {
         name: input_arrivals[name] for name in graph.inputs if name in input_arrivals
@@ -399,7 +376,6 @@ def propagate_arrival_times_batch(
         arrays, arrays.forward_levels(), arrays.edge_source,
         pad_corr(arrays.edge_corr, width),
         mean, corr, randvar, valid, seed_first=False,
-        direction="forward", backend=backend,
     )
     return VertexTimes(arrays, mean, corr, randvar, valid)
 
@@ -488,18 +464,15 @@ def circuit_delay(
 def longest_path_to_outputs_batch(
     graph: TimingGraph,
     arrays: Optional[GraphArrays] = None,
-    backend: Optional[str] = None,
 ) -> VertexTimes:
     """Levelized batched maximum delay from every vertex to any output."""
-    if arrays is None:
-        arrays = GraphArrays.from_graph(graph)
+    arrays = _graph_arrays(graph, arrays)
     mean, corr, randvar, valid = _empty_state(arrays, arrays.num_corr)
     valid[arrays.output_rows] = True  # deterministic zero at every output
 
     _fold_levels(
         arrays, arrays.backward_levels(), arrays.edge_sink, arrays.edge_corr,
         mean, corr, randvar, valid, seed_first=True,
-        direction="backward", backend=backend,
     )
     return VertexTimes(arrays, mean, corr, randvar, valid)
 
@@ -540,7 +513,6 @@ def propagate_required_times_batch(
     required_at_outputs: Optional[Mapping[str, CanonicalForm]] = None,
     default_required: Optional[CanonicalForm] = None,
     arrays: Optional[GraphArrays] = None,
-    backend: Optional[str] = None,
 ) -> VertexTimes:
     """Levelized batched backward required-time propagation.
 
@@ -550,8 +522,7 @@ def propagate_required_times_batch(
     becomes ``state(sink) + delay``, and the result is negated back at the
     end.  Candidate order matches the object-level engine exactly.
     """
-    if arrays is None:
-        arrays = GraphArrays.from_graph(graph)
+    arrays = _graph_arrays(graph, arrays)
     required_at_outputs = dict(required_at_outputs or {})
     if default_required is None:
         default_required = CanonicalForm.constant(0.0, graph.num_locals)
@@ -572,7 +543,6 @@ def propagate_required_times_batch(
         arrays, arrays.backward_levels(), arrays.edge_sink,
         pad_corr(arrays.edge_corr, width),
         mean, corr, randvar, valid, seed_first=True,
-        direction="backward", backend=backend,
     )
     np.negative(mean, out=mean)
     np.negative(corr, out=corr)
@@ -632,7 +602,6 @@ def compute_slacks_batch(
     required_time: CanonicalForm,
     input_arrivals: Optional[Mapping[str, CanonicalForm]] = None,
     arrays: Optional[GraphArrays] = None,
-    backend: Optional[str] = None,
 ) -> VertexTimes:
     """Batched statistical slack at every vertex reachable in both passes.
 
@@ -640,14 +609,10 @@ def compute_slacks_batch(
     :class:`GraphArrays` view, then a single vectorized subtraction
     ``required - arrival`` (private variances add) across all vertices.
     """
-    if arrays is None:
-        arrays = GraphArrays.from_graph(graph)
-    arrival = propagate_arrival_times_batch(
-        graph, input_arrivals, arrays=arrays, backend=backend
-    )
+    arrays = _graph_arrays(graph, arrays)
+    arrival = propagate_arrival_times_batch(graph, input_arrivals, arrays=arrays)
     required = propagate_required_times_batch(
-        graph, {vertex: required_time for vertex in graph.outputs},
-        arrays=arrays, backend=backend,
+        graph, {vertex: required_time for vertex in graph.outputs}, arrays=arrays
     )
     width = max(arrival.corr.shape[1], required.corr.shape[1])
     mean = required.mean - arrival.mean

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.errors import TimingGraphError
-from repro.timing.arrays import GraphArrays
+from repro.timing.arrays import GraphArrays, _graph_arrays
 from repro.timing.graph import TimingGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -104,11 +104,11 @@ def deterministic_longest_path(
     """Longest input-to-output path with every delay at ``mean + sigma_offset * std``.
 
     ``arrays`` may be passed to reuse a previously built array view (e.g.
-    across the three corners of :func:`corner_sta`).
+    across the three corners of :func:`corner_sta`); arrays of another
+    graph or of an older revision raise
+    :class:`~repro.errors.TimingGraphError`.
     """
-    if arrays is None:
-        arrays = GraphArrays.from_graph(graph)
-    return longest_path_from_arrays(arrays, sigma_offset)
+    return longest_path_from_arrays(_graph_arrays(graph, arrays), sigma_offset)
 
 
 def _corner_arrays(

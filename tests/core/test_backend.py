@@ -1,191 +1,34 @@
-"""Backend selection, fallback and registry tests.
+"""The fixed kernel-tier record of :mod:`repro.core.backend`.
 
-Mirrors the ``resolve_workers`` suite shape (tests/parallel/test_pool.py):
-the ``REPRO_BACKEND`` knob validates like ``REPRO_WORKERS`` (explicit
-argument beats environment, unknown values raise naming the knob) and the
-compiled tier degrades to numpy — never to an ImportError — when numba is
-absent, with the reason recorded on every resolution surface.
+Every analysis runs on numpy; the module only answers which tier that is,
+in the ``requested`` / ``backend`` / ``fallback_reason`` shape the
+benchmark host fingerprint records.
 """
 
-import sys
+import dataclasses
 
 import pytest
 
-from repro.core import batch, gaussian
-from repro.core.backend import (
-    BACKEND_ENV,
-    BACKENDS,
-    available_backends,
-    get_kernel,
-    registered_kernels,
-    reset_backend_state,
-    resolve_backend,
-)
-from repro.core.backend import kernels, registry
+from repro.core import backend
+from repro.core.backend import ResolvedBackend, resolve_backend
 
 
-@pytest.fixture(autouse=True)
-def _fresh_backend_state(monkeypatch):
-    """Isolate every test from the process-cached numba probe."""
-    monkeypatch.delenv(BACKEND_ENV, raising=False)
-    reset_backend_state()
-    yield
-    reset_backend_state()
+def test_resolves_to_numpy_without_fallback():
+    resolved = resolve_backend()
+    assert resolved == ResolvedBackend("numpy", "numpy", None)
+    assert resolved == resolve_backend()
 
 
-@pytest.fixture
-def numba_absent(monkeypatch):
-    """Simulate a container without numba (import raises ImportError)."""
-    monkeypatch.setitem(sys.modules, "numba", None)
-    reset_backend_state()
+def test_record_has_the_fingerprint_fields():
+    names = [field.name for field in dataclasses.fields(ResolvedBackend)]
+    assert names == ["requested", "backend", "fallback_reason"]
 
 
-@pytest.fixture
-def identity_jit(monkeypatch):
-    """Run the pure-Python kernel bodies through the real numba dispatch."""
-    monkeypatch.setattr(registry, "_NUMBA_STATE", ((lambda fn: fn), None))
+def test_record_is_immutable():
+    resolved = resolve_backend()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        resolved.backend = "other"
 
 
-class TestResolveBackend:
-    def test_defaults_to_auto(self):
-        resolved = resolve_backend()
-        assert resolved.requested == "auto"
-        assert resolved.backend in ("numpy", "numba")
-
-    def test_numpy_request_never_falls_back(self):
-        resolved = resolve_backend("numpy")
-        assert resolved == resolve_backend("numpy")
-        assert resolved.backend == "numpy"
-        assert resolved.fallback_reason is None
-
-    def test_environment_selects_the_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numpy")
-        assert resolve_backend().requested == "numpy"
-
-    def test_explicit_backend_beats_the_environment(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "numba")
-        resolved = resolve_backend("numpy")
-        assert resolved.requested == "numpy"
-        assert resolved.backend == "numpy"
-
-    def test_bogus_environment_ignored_by_explicit_argument(self, monkeypatch):
-        # The explicit argument does not even read the environment.
-        monkeypatch.setenv(BACKEND_ENV, "bogus")
-        assert resolve_backend("numpy").backend == "numpy"
-
-    @pytest.mark.parametrize("value", ["bogus", "Numba", "1", ""])
-    def test_bogus_environment_raises(self, monkeypatch, value):
-        monkeypatch.setenv(BACKEND_ENV, value)
-        with pytest.raises(ValueError, match=BACKEND_ENV):
-            resolve_backend()
-
-    @pytest.mark.parametrize("value", ["bogus", "Numba", ""])
-    def test_bogus_explicit_backend_raises(self, value):
-        with pytest.raises(ValueError, match="backend must be one of"):
-            resolve_backend(value)
-
-    def test_backends_tuple_is_the_contract(self):
-        assert BACKENDS == ("auto", "numpy", "numba")
-
-
-class TestNumbaAbsent:
-    def test_numba_request_degrades_with_reason(self, numba_absent):
-        resolved = resolve_backend("numba")
-        assert resolved.requested == "numba"
-        assert resolved.backend == "numpy"
-        assert "numba" in resolved.fallback_reason
-        assert "compiled" in resolved.fallback_reason  # names the extra
-
-    def test_auto_degrades_with_reason(self, numba_absent):
-        resolved = resolve_backend("auto")
-        assert resolved.backend == "numpy"
-        assert resolved.fallback_reason is not None
-
-    def test_available_backends_reports_without_raising(self, numba_absent):
-        report = available_backends()
-        assert report["numpy"] == {"available": True, "reason": None}
-        assert report["numba"]["available"] is False
-        assert "numba" in report["numba"]["reason"]
-        assert report["default"]["resolved"] == "numpy"
-
-    def test_kernels_fall_back_to_numpy_implementations(self, numba_absent):
-        bound = get_kernel("clark_max_into", "numba")
-        assert bound.backend == "numpy"
-        assert bound.function is batch.clark_max_into
-        assert bound.fallback_reason is not None
-
-    def test_fused_kernels_fall_back_to_inline_paths(self, numba_absent):
-        for name in ("fold_levels", "mc_longest_paths", "criticality_chunk_terms"):
-            bound = get_kernel(name, "numba")
-            assert bound.backend == "numpy"
-            assert bound.function is None  # caller runs its inline path
-
-
-class TestRegistry:
-    def test_default_kernels_registered(self):
-        names = registered_kernels()
-        for name in (
-            "clark_max_into",
-            "merge_max_with_validity_into",
-            "normal_cdf_into",
-            "normal_pdf_into",
-            "fold_levels",
-            "mc_longest_paths",
-            "criticality_chunk_terms",
-        ):
-            assert name in names
-
-    def test_unknown_kernel_raises_listing_registered(self):
-        with pytest.raises(ValueError, match="clark_max_into"):
-            get_kernel("no_such_kernel")
-
-    def test_numpy_bindings_are_the_existing_kernels(self):
-        assert get_kernel("normal_cdf_into", "numpy").function is (
-            gaussian.normal_cdf_into
-        )
-        assert get_kernel("merge_max_with_validity_into", "numpy").function is (
-            batch.merge_max_with_validity_into
-        )
-
-    def test_compiled_binding_caches_per_kernel(self, identity_jit):
-        first = get_kernel("clark_max_into", "numba")
-        second = get_kernel("clark_max_into", "numba")
-        assert first.backend == "numba"
-        assert first.function is kernels.clark_max_into_kernel
-        assert second.function is first.function
-
-    def test_reset_clears_compiled_cache(self, identity_jit):
-        bound = get_kernel("clark_max_into", "numba")
-        assert bound.backend == "numba"
-        reset_backend_state()
-        # With the probe reset, resolution re-probes the real numba (or
-        # records its absence) instead of reusing the patched state.
-        assert registry._NUMBA_STATE is None
-
-
-class TestConsumerThreading:
-    def test_explicit_numpy_ignores_bogus_environment(
-        self, monkeypatch, tiny_graph
-    ):
-        from repro.timing.propagation import propagate_arrival_times_batch
-
-        monkeypatch.setenv(BACKEND_ENV, "bogus")
-        times = propagate_arrival_times_batch(tiny_graph, backend="numpy")
-        assert times.valid.any()
-
-    def test_default_backend_reads_the_environment(
-        self, monkeypatch, tiny_graph
-    ):
-        from repro.timing.propagation import propagate_arrival_times_batch
-
-        monkeypatch.setenv(BACKEND_ENV, "bogus")
-        with pytest.raises(ValueError, match=BACKEND_ENV):
-            propagate_arrival_times_batch(tiny_graph)
-
-    def test_simulators_validate_the_backend(self, tiny_graph):
-        from repro.montecarlo.flat import simulate_graph_delay
-
-        with pytest.raises(ValueError, match="backend must be one of"):
-            simulate_graph_delay(
-                tiny_graph, num_samples=8, engine="levelized", backend="bogus"
-            )
+def test_module_exports_only_the_record():
+    assert sorted(backend.__all__) == ["ResolvedBackend", "resolve_backend"]

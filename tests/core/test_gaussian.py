@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from repro.core.gaussian import clark_moments, clark_theta, normal_cdf, normal_pdf
+from repro.core.gaussian import (
+    clark_moments,
+    clark_theta,
+    normal_cdf,
+    normal_cdf_into,
+    normal_pdf,
+    normal_pdf_into,
+)
 
 
 class TestStandardNormal:
@@ -21,6 +28,40 @@ class TestStandardNormal:
     def test_cdf_limits(self):
         assert normal_cdf(-40.0) == pytest.approx(0.0, abs=1e-15)
         assert normal_cdf(40.0) == pytest.approx(1.0)
+
+
+class TestIntoKernels:
+    """The buffer-writing variants the batched Clark kernel calls."""
+
+    X = np.linspace(-8.0, 8.0, 1001)
+
+    def test_pdf_into_is_bitwise_the_array_path(self):
+        out = np.empty_like(self.X)
+        assert normal_pdf_into(self.X, out) is out
+        np.testing.assert_array_equal(out, normal_pdf(self.X))
+
+    def test_cdf_into_is_bitwise_the_array_path(self):
+        out = np.empty_like(self.X)
+        assert normal_cdf_into(self.X, out) is out
+        np.testing.assert_array_equal(out, normal_cdf(self.X))
+
+    def test_cdf_into_may_overwrite_its_input(self):
+        x = self.X.copy()
+        normal_cdf_into(x, x)
+        np.testing.assert_array_equal(x, normal_cdf(self.X))
+
+    # The object engine evaluates the scalar paths (math.exp, math.erfc),
+    # the batched engines these array kernels; the engines' 1e-9 parity
+    # starts here.
+    def test_pdf_into_matches_the_scalar_path(self):
+        out = normal_pdf_into(self.X, np.empty_like(self.X))
+        scalar = [normal_pdf(float(x)) for x in self.X]
+        np.testing.assert_allclose(out, scalar, rtol=1e-9, atol=1e-9)
+
+    def test_cdf_into_matches_the_scalar_path(self):
+        out = normal_cdf_into(self.X, np.empty_like(self.X))
+        scalar = [normal_cdf(float(x)) for x in self.X]
+        np.testing.assert_allclose(out, scalar, rtol=1e-9, atol=1e-9)
 
 
 class TestClarkTheta:

@@ -4,10 +4,14 @@ The levelized fold reuses preallocated workspace buffers through
 ``clark_max_into`` / ``merge_max_with_validity_into``; these must replicate
 the allocating reference kernels *bitwise* (not just to tolerance), because
 the blocked all-pairs engine's parity contract with the dense engine rests
-on every engine executing the identical floating-point expressions.
+on every engine executing the identical floating-point expressions.  They
+must also agree with the scalar ``statistical_max`` of the object engine to
+round-off (1e-9), and copy a lone valid operand bitwise.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +23,8 @@ from repro.core.batch import (
     merge_max_with_validity,
     merge_max_with_validity_into,
 )
+from repro.core.canonical import CanonicalForm
+from repro.core.ops import statistical_max
 
 
 def _random_operands(rng, shape, k):
@@ -95,6 +101,73 @@ def test_merge_with_validity_into_is_bitwise_identical(pattern):
     )
     for got, want in zip((out_mean, out_corr, out_randvar, out_valid), expected):
         assert np.array_equal(got, want)
+
+
+def _form(mean, corr, randvar):
+    return CanonicalForm(mean, corr[0], corr[1:], math.sqrt(randvar))
+
+
+def test_clark_max_into_matches_the_scalar_operator():
+    # Row by row against the object engine's statistical_max: the two
+    # evaluate the same formulas, so they agree to round-off (1e-9).
+    rng = np.random.default_rng(3)
+    shape, k = (64,), 4
+    a, b = _with_degenerate_rows(rng, shape, k)
+    out = _allocate_outputs(shape, k)
+    clark_max_into(*a, *b, *out, FoldWorkspace())
+    for row in range(shape[0]):
+        want = statistical_max(
+            _form(a[0][row], a[1][row], a[2][row]),
+            _form(b[0][row], b[1][row], b[2][row]),
+        )
+        assert out[0][row] == pytest.approx(want.nominal, rel=1e-9, abs=1e-9)
+        np.testing.assert_allclose(
+            out[1][row],
+            np.concatenate([[want.global_coeff], want.local_coeffs]),
+            rtol=1e-9,
+            atol=1e-9,
+        )
+        assert out[2][row] == pytest.approx(
+            want.random_coeff ** 2, rel=1e-9, abs=1e-9
+        )
+
+
+def test_clark_max_into_tie_of_identical_operands_is_exact():
+    # Fully correlated operands without a private part: theta is exactly 0,
+    # so the 0/1 tie rule returns the larger operand's mean and
+    # coefficients unchanged.
+    mean_a = np.array([1.0, -2.0, 4.0])
+    mean_b = np.array([1.0, -3.0, 5.0])
+    corr = np.array([[0.5, 0.25], [0.0, 1.0], [-0.75, 0.125]])
+    randvar = np.zeros(3)
+    out = _allocate_outputs((3,), 2)
+    clark_max_into(
+        mean_a, corr, randvar, mean_b, corr, randvar, *out, FoldWorkspace()
+    )
+    np.testing.assert_array_equal(out[0], np.maximum(mean_a, mean_b))
+    np.testing.assert_array_equal(out[1], corr)
+    np.testing.assert_allclose(out[2], randvar, atol=1e-12)
+
+
+def test_merge_with_validity_into_copies_a_lone_valid_side():
+    rng = np.random.default_rng(19)
+    shape, k = (40,), 3
+    a, b = _with_degenerate_rows(rng, shape, k)
+    pattern = np.arange(shape[0]) % 4
+    valid_a = (pattern == 0) | (pattern == 1)
+    valid_b = (pattern == 0) | (pattern == 2)
+    out = _allocate_outputs(shape, k)
+    out_valid = np.empty(shape, dtype=bool)
+    merge_max_with_validity_into(
+        *a, valid_a, *b, valid_b, *out, out_valid, FoldWorkspace()
+    )
+    clark = _allocate_outputs(shape, k)
+    clark_max_into(*a, *b, *clark, FoldWorkspace())
+    np.testing.assert_array_equal(out_valid, pattern != 3)
+    for got, left, right, both in zip(out, a, b, clark):
+        np.testing.assert_array_equal(got[pattern == 0], both[pattern == 0])
+        np.testing.assert_array_equal(got[pattern == 1], left[pattern == 1])
+        np.testing.assert_array_equal(got[pattern == 2], right[pattern == 2])
 
 
 def test_workspace_views_grow_and_are_reused():

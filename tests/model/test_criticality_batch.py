@@ -196,6 +196,17 @@ class TestRandomizedParity:
         _assert_results_close(scalar, batch)
 
 
+class TestAcceptanceCircuits:
+    def test_batch_matches_scalar_on_parity_modules(self, parity_module):
+        # The real c17, a 4x4 array multiplier and the c432 surrogate.
+        graph = parity_module[0]
+        analysis = AllPairsTiming.analyze(graph)
+        scalar = compute_edge_criticalities(graph, analysis, engine="scalar")
+        batch = compute_edge_criticalities(graph, analysis, engine="batch")
+        _assert_results_close(scalar, batch)
+        _assert_argmax_attains(graph, analysis, batch)
+
+
 class TestDegenerateEdges:
     def test_zero_variance_chain_is_exactly_one(self):
         """Deterministic delays: the whole chain ties at criticality 1.0."""
