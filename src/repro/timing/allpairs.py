@@ -10,7 +10,8 @@ input/output pair ``(i, j)``:
 Computing these with per-pair object-level propagation would require
 ``|I| + |O|`` full graph traversals with Python-level Clark operations.
 Instead this engine keeps, per vertex, arrays indexed by the input (or
-output) dimension and performs every Clark maximum simultaneously for all
+output) dimension and folds a whole topological level at a time, performing
+every Clark maximum simultaneously for all of the level's vertices and all
 inputs (outputs) with numpy, following Sapatnekar's all-pairs propagation
 (ISCAS 1996) lifted to the statistical domain.
 
@@ -18,11 +19,10 @@ Canonical forms are stored column-wise in the shared structure-of-arrays
 layout of :mod:`repro.core.batch`: component 0 of the ``corr`` arrays is the
 global coefficient, components ``1..K`` are the local PCA coefficients, and
 the private random part is tracked as a variance.  The graph view
-(:class:`~repro.timing.arrays.GraphArrays`) and the batched Clark kernels
-(:func:`~repro.core.batch.clark_max_arrays`,
-:func:`~repro.core.batch.merge_max_with_validity`) are the same ones the
-levelized SSTA propagation uses; they are re-exported here for backwards
-compatibility.
+(:class:`~repro.timing.arrays.GraphArrays`), the levelized fold and the
+batched Clark kernels are the same ones the levelized SSTA propagation
+uses; ``GraphArrays`` and :func:`~repro.core.batch.clark_max_arrays` are
+re-exported here for backwards compatibility.
 
 Two entry points share the tensors:
 
@@ -35,23 +35,24 @@ Two entry points share the tensors:
 Engine selection
 ----------------
 The from-scratch analysis has two engines behind
-:meth:`AllPairsTiming.analyze`:
+:meth:`AllPairsTiming.analyze`; both sweep input (output) columns level by
+level through the shared fold of :mod:`repro.timing.propagation`:
 
-* ``"dense"`` — the original per-vertex pass that materialises the full
-  ``(V, I)`` arrival and ``(V, O)`` to-output tensors (the layout every
-  incremental session and the extraction/criticality consumers read);
-* ``"blocked"`` — a levelized pass that sweeps the input (output) columns
-  in budget-sized blocks of ``B`` columns through the shared fold of
-  :mod:`repro.timing.propagation`, assembling the ``(I, O)`` delay matrix
-  without ever holding more than ``(V, B)`` state — the engine that keeps
-  10^5-10^6-edge designs inside a fixed memory budget.
+* ``"dense"`` — one column block holding every input (output), folded
+  straight into the full ``(V, I)`` arrival and ``(V, O)`` to-output
+  tensors (the layout every incremental session and the
+  extraction/criticality consumers read);
+* ``"blocked"`` — budget-sized blocks of ``B`` columns, assembling the
+  ``(I, O)`` delay matrix without ever holding more than ``(V, B)`` state —
+  the engine that keeps 10^5-10^6-edge designs inside a fixed memory
+  budget.
 
 ``"auto"`` (the default) picks ``"dense"`` while the dense tensors fit the
 float budget of :func:`allpairs_budget_floats` (env
 ``REPRO_ALLPAIRS_BUDGET_FLOATS``) and ``"blocked"`` above it.  Both fold
-every vertex's candidate edges in the identical order, so their matrices
-agree to 1e-9 (asserted by the parity tests up to generated 10^5-edge
-designs).
+every vertex's candidate edges in the identical order through the same
+kernels, so their matrices are bit-identical (asserted by the parity tests
+up to generated 10^5-edge designs).
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import FoldWorkspace, clark_max_arrays, merge_max_with_validity
+from repro.core.batch import FoldWorkspace, clark_max_arrays
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
 from repro.timing.arrays import GraphArrays
-from repro.timing.graph import GraphDelta, TimingEdge, TimingGraph
+from repro.timing.graph import GraphDelta, TimingGraph
+from repro.timing.propagation import _fold_levels, _fold_rounds
 
 __all__ = [
     "ALLPAIRS_BUDGET_FLOATS",
@@ -78,9 +80,6 @@ __all__ = [
     "clark_max_arrays",
     "dense_tensor_floats",
 ]
-
-# Backwards-compatible alias of the shared masked Clark kernel.
-_merge_max_with_validity = merge_max_with_validity
 
 #: Default budget (float64 elements) for the dense ``(V, I)`` + ``(V, O)``
 #: all-pairs tensors: 2^27 floats = 1 GiB.  Above it ``engine="auto"``
@@ -228,16 +227,14 @@ class AllPairsTiming:
             engine = "dense" if footprint <= allpairs_budget_floats() else "blocked"
         if engine == "dense":
             analysis = cls(arrays)
-            analysis._propagate_forward()
-            analysis._propagate_backward()
-            analysis._extract_matrix()
+            analysis._analyze_dense()
         else:
             analysis = cls(arrays, materialize=False)
             analysis._analyze_blocked(block_columns)
         return analysis
 
     # ------------------------------------------------------------------
-    # Blocked column sweeps
+    # Levelized column sweeps (dense: one block holding every column)
     # ------------------------------------------------------------------
     def _block_columns(self, block_columns: Optional[int]) -> int:
         if block_columns is not None:
@@ -248,35 +245,30 @@ class AllPairsTiming:
             self.arrays.num_vertices, self.arrays.num_corr, allpairs_budget_floats()
         )
 
-    def _column_block(
+    def _seed_and_fold(
         self,
         positions: range,
         backward: bool,
+        mean: np.ndarray,
+        corr: np.ndarray,
+        randvar: np.ndarray,
+        valid: np.ndarray,
         work: FoldWorkspace,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One blocked levelized pass over ``B = len(positions)`` columns.
+    ) -> None:
+        """Fold the state of ``B = len(positions)`` columns level by level.
 
-        Returns ``(mean, corr, randvar, valid)`` of shape ``(V, B, ...)``:
-        column ``b`` is the arrival-from-input (or delay-to-output) state of
-        input (output) position ``positions[b]``.  The per-vertex seed—zeros,
-        valid only at the vertex's own column—and the per-vertex candidate
-        fold order are exactly those of the dense engine, so the two engines
-        agree to round-off.
+        ``mean``/``corr``/``randvar``/``valid`` have shape ``(V, B, ...)``
+        and are overwritten: column ``b`` becomes the arrival-from-input (or
+        delay-to-output) state of input (output) position ``positions[b]``.
+        Each column is seeded with zeros, valid only at its own vertex, and
+        every vertex folds its seed first and then its fanin (fanout)
+        candidates in graph order — in both directions, the fold the
+        session's dirty-cone sweep repeats, so session and from-scratch
+        tensors are bit-identical.
         """
-        # The blocked state is (V, B): the fold body broadcasts the edge
-        # delays across the column axis (see _fold_rounds).
-        from repro.timing.propagation import _fold_levels
-
         arrays = self.arrays
-        num_vertices = arrays.num_vertices
-        width = len(positions)
         index = arrays.vertex_index
         names = self.outputs if backward else self.inputs
-
-        mean = work.view("block_mean", (num_vertices, width))
-        corr = work.view("block_corr", (num_vertices, width, arrays.num_corr))
-        randvar = work.view("block_randvar", (num_vertices, width))
-        valid = work.view("block_valid", (num_vertices, width), dtype=bool)
         mean.fill(0.0)
         corr.fill(0.0)
         randvar.fill(0.0)
@@ -290,11 +282,35 @@ class AllPairsTiming:
         else:
             levels = arrays.forward_levels()
             neighbor_rows = arrays.edge_source
+        # The state is (V, B): the fold body broadcasts the edge delays
+        # across the column axis (see _fold_rounds).
         _fold_levels(
             arrays, levels, neighbor_rows, arrays.edge_corr,
             mean, corr, randvar, valid, seed_first=True, work=work,
         )
-        return mean, corr, randvar, valid
+
+    def _column_block(
+        self,
+        positions: range,
+        backward: bool,
+        work: FoldWorkspace,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """One blocked levelized pass over ``B = len(positions)`` columns.
+
+        Returns ``(mean, corr, randvar, valid)`` of shape ``(V, B, ...)``,
+        folded by :meth:`_seed_and_fold` into workspace views.
+        """
+        arrays = self.arrays
+        num_vertices = arrays.num_vertices
+        width = len(positions)
+        state = (
+            work.view("block_mean", (num_vertices, width)),
+            work.view("block_corr", (num_vertices, width, arrays.num_corr)),
+            work.view("block_randvar", (num_vertices, width)),
+            work.view("block_valid", (num_vertices, width), dtype=bool),
+        )
+        self._seed_and_fold(positions, backward, *state, work)
+        return state
 
     def iter_arrival_blocks(
         self, block_columns: Optional[int] = None
@@ -329,97 +345,42 @@ class AllPairsTiming:
             mean, corr, randvar, valid = self._column_block(positions, True, work)
             yield positions, mean, corr, randvar, valid
 
+    def _store_matrix_rows(
+        self,
+        positions: range,
+        mean: np.ndarray,
+        corr: np.ndarray,
+        randvar: np.ndarray,
+        valid: np.ndarray,
+    ) -> None:
+        """Copy the output rows of an arrival block into matrix rows."""
+        output_rows = self.arrays.output_rows
+        rows = slice(positions.start, positions.stop)
+        self.matrix_mean[rows] = mean[output_rows].T
+        self.matrix_corr[rows] = corr[output_rows].transpose(1, 0, 2)
+        self.matrix_randvar[rows] = randvar[output_rows].T
+        self.matrix_valid[rows] = valid[output_rows].T
+
     def _analyze_blocked(self, block_columns: Optional[int]) -> None:
         """Assemble the delay matrix from blocked forward column sweeps."""
-        output_rows = self.arrays.output_rows
-        for positions, mean, corr, randvar, valid in self.iter_arrival_blocks(
-            block_columns
-        ):
-            rows = slice(positions.start, positions.stop)
-            self.matrix_mean[rows] = mean[output_rows].T
-            self.matrix_corr[rows] = corr[output_rows].transpose(1, 0, 2)
-            self.matrix_randvar[rows] = randvar[output_rows].T
-            self.matrix_valid[rows] = valid[output_rows].T
+        for positions, *state in self.iter_arrival_blocks(block_columns):
+            self._store_matrix_rows(positions, *state)
 
-    # ------------------------------------------------------------------
-    def _propagate_forward(self) -> None:
-        arrays = self.arrays
-        graph = arrays.graph
-        index = arrays.vertex_index
-
-        for input_position, input_name in enumerate(self.inputs):
-            self.arrival_valid[index[input_name], input_position] = True
-
-        for vertex in arrays.topo_order:
-            vertex_row = index[vertex]
-            fanin = graph.fanin_edges(vertex)
-            if not fanin:
-                continue
-            mean = self.arrival_mean[vertex_row]
-            corr = self.arrival_corr[vertex_row]
-            randvar = self.arrival_randvar[vertex_row]
-            valid = self.arrival_valid[vertex_row]
-            for edge in fanin:
-                edge_row = arrays.edge_rows[edge.edge_id]
-                source_row = arrays.edge_source[edge_row]
-                cand_mean = self.arrival_mean[source_row] + arrays.edge_mean[edge_row]
-                cand_corr = self.arrival_corr[source_row] + arrays.edge_corr[edge_row]
-                cand_randvar = (
-                    self.arrival_randvar[source_row] + arrays.edge_randvar[edge_row]
-                )
-                cand_valid = self.arrival_valid[source_row]
-                mean, corr, randvar, valid = _merge_max_with_validity(
-                    mean, corr, randvar, valid,
-                    cand_mean, cand_corr, cand_randvar, cand_valid,
-                )
-            self.arrival_mean[vertex_row] = mean
-            self.arrival_corr[vertex_row] = corr
-            self.arrival_randvar[vertex_row] = randvar
-            self.arrival_valid[vertex_row] = valid
-
-    def _propagate_backward(self) -> None:
-        arrays = self.arrays
-        graph = arrays.graph
-        index = arrays.vertex_index
-
-        for output_position, output_name in enumerate(self.outputs):
-            self.to_output_valid[index[output_name], output_position] = True
-
-        for vertex in reversed(arrays.topo_order):
-            vertex_row = index[vertex]
-            fanout = graph.fanout_edges(vertex)
-            if not fanout:
-                continue
-            mean = self.to_output_mean[vertex_row]
-            corr = self.to_output_corr[vertex_row]
-            randvar = self.to_output_randvar[vertex_row]
-            valid = self.to_output_valid[vertex_row]
-            for edge in fanout:
-                edge_row = arrays.edge_rows[edge.edge_id]
-                sink_row = arrays.edge_sink[edge_row]
-                cand_mean = self.to_output_mean[sink_row] + arrays.edge_mean[edge_row]
-                cand_corr = self.to_output_corr[sink_row] + arrays.edge_corr[edge_row]
-                cand_randvar = (
-                    self.to_output_randvar[sink_row] + arrays.edge_randvar[edge_row]
-                )
-                cand_valid = self.to_output_valid[sink_row]
-                mean, corr, randvar, valid = _merge_max_with_validity(
-                    mean, corr, randvar, valid,
-                    cand_mean, cand_corr, cand_randvar, cand_valid,
-                )
-            self.to_output_mean[vertex_row] = mean
-            self.to_output_corr[vertex_row] = corr
-            self.to_output_randvar[vertex_row] = randvar
-            self.to_output_valid[vertex_row] = valid
-
-    def _extract_matrix(self) -> None:
-        index = self.arrays.vertex_index
-        for output_position, output_name in enumerate(self.outputs):
-            output_row = index[output_name]
-            self.matrix_mean[:, output_position] = self.arrival_mean[output_row]
-            self.matrix_corr[:, output_position, :] = self.arrival_corr[output_row]
-            self.matrix_randvar[:, output_position] = self.arrival_randvar[output_row]
-            self.matrix_valid[:, output_position] = self.arrival_valid[output_row]
+    def _analyze_dense(self) -> None:
+        """Fold the materialised tensors as one block holding every column."""
+        work = FoldWorkspace()
+        inputs = range(len(self.inputs))
+        arrival = (
+            self.arrival_mean, self.arrival_corr,
+            self.arrival_randvar, self.arrival_valid,
+        )
+        self._seed_and_fold(inputs, False, *arrival, work)
+        self._store_matrix_rows(inputs, *arrival)
+        self._seed_and_fold(
+            range(len(self.outputs)), True,
+            self.to_output_mean, self.to_output_corr,
+            self.to_output_randvar, self.to_output_valid, work,
+        )
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -547,11 +508,12 @@ class AllPairsSession:
     :class:`~repro.timing.arrays.GraphArrays` cache (delay-only retimes are
     patched in place, structural windows migrate the tensors through the
     refresh row map), seeds a dirty frontier from the edited edges and
-    recomputes **only the affected cone** — per vertex, across all inputs
-    (or outputs) at once, with exactly the candidate fold order of the
-    from-scratch engine, so the refreshed tensors match a fresh
-    :meth:`AllPairsTiming.analyze` to floating-point round-off (asserted at
-    1e-9 by the randomized edit-sequence tests).
+    recomputes **only the affected cone** — level by level, folding the
+    dirty subset of each level across all inputs (or outputs) at once with
+    the shared fold and exactly the candidate order of the from-scratch
+    engine, so the refreshed tensors are bit-identical to a fresh
+    :meth:`AllPairsTiming.analyze` (asserted by the randomized edit-sequence
+    tests).
 
     Only an input/output designation change or a journal overflow forces a
     full recompute: the tensor dimensions are keyed to the I/O sets, which
@@ -733,13 +695,7 @@ class AllPairsSession:
         self._pending_removed = {}
         self.last_update = None
         self.store_fallback_reason = None
-        index = arrays.vertex_index
-        self._input_position = {
-            index[name]: position for position, name in enumerate(analysis.inputs)
-        }
-        self._output_position = {
-            index[name]: position for position, name in enumerate(analysis.outputs)
-        }
+        self._index_positions()
         return self
 
     def save(self, path):
@@ -853,18 +809,9 @@ class AllPairsSession:
                 "all-pairs analysis needs designated inputs and outputs"
             )
         analysis = AllPairsTiming(self._arrays)
-        analysis._propagate_forward()
-        analysis._propagate_backward()
-        analysis._extract_matrix()
+        analysis._analyze_dense()
         self._analysis = analysis
-        self._input_position = {
-            self._arrays.vertex_index[name]: position
-            for position, name in enumerate(analysis.inputs)
-        }
-        self._output_position = {
-            self._arrays.vertex_index[name]: position
-            for position, name in enumerate(analysis.outputs)
-        }
+        self._index_positions()
         self._dirty_fwd = None
         self._dirty_bwd = None
         self._changed_fwd = None
@@ -908,7 +855,12 @@ class AllPairsSession:
             self._changed_fwd = _move(self._changed_fwd)
         if self._changed_bwd is not None:
             self._changed_bwd = _move(self._changed_bwd)
+        self._index_positions()
+
+    def _index_positions(self) -> None:
+        """Map the rows of the tensors' inputs/outputs to their positions."""
         index = self._arrays.vertex_index
+        analysis = self._analysis
         self._input_position = {
             index[name]: position
             for position, name in enumerate(analysis.inputs)
@@ -949,106 +901,120 @@ class AllPairsSession:
         return fwd_dirty, bwd_dirty
 
     # ------------------------------------------------------------------
-    # Dirty-cone sweeps (per-vertex, all inputs/outputs at once)
+    # Dirty-cone sweeps (levelized, all inputs/outputs at once)
     # ------------------------------------------------------------------
     def _sweep(self, backward: bool) -> int:
         """Repropagate one direction's dirty cone; returns its vertex count.
 
-        Vertices are visited in (reverse) topological order; a dirty vertex
-        is recomputed from its seed row by folding its fanin (fanout) edges
-        in graph order with the same masked Clark kernel as the from-scratch
-        engine — candidate order per vertex is bit-identical, which is what
-        the 1e-9 parity of the randomized edit tests rests on.  A vertex
-        only dirties its dependents when one of its tensor entries actually
-        moved (early termination on convergence).
+        Processes, per topological level, only the dirty subset of the
+        level's vertices through the shared fold round body, as the
+        incremental timer's sweep does.  The subset inherits the level's
+        descending-degree order, so round ``r`` still folds a contiguous
+        prefix; every vertex folds its seed row first and then its fanin
+        (fanout) candidates in graph order, exactly the fold of the
+        from-scratch engine.  Dirty vertices with no fold edges take their
+        seed row.  A vertex only dirties its dependents when one of its
+        tensor entries actually moved (early termination on convergence).
         """
         dirty = self._dirty_bwd if backward else self._dirty_fwd
         if dirty is None:
             return 0
         analysis = self._analysis
         arrays = self._arrays
-        graph = self._graph
-        index = arrays.vertex_index
-        order = arrays.topo_order  # raises on a cycle before any state write
+        self._graph.topological_order()  # raises on a cycle before any state write
         if backward:
-            order = list(reversed(order))
-            tensor_mean = analysis.to_output_mean
-            tensor_corr = analysis.to_output_corr
-            tensor_randvar = analysis.to_output_randvar
-            tensor_valid = analysis.to_output_valid
+            levels = arrays.backward_levels()
+            degree = arrays.fanout_counts()
+            neighbor_rows, dependents = arrays.edge_sink, arrays.edge_source
+            state = (
+                analysis.to_output_mean, analysis.to_output_corr,
+                analysis.to_output_randvar, analysis.to_output_valid,
+            )
             positions = self._output_position
-            width = analysis.num_outputs
         else:
-            tensor_mean = analysis.arrival_mean
-            tensor_corr = analysis.arrival_corr
-            tensor_randvar = analysis.arrival_randvar
-            tensor_valid = analysis.arrival_valid
+            levels = arrays.forward_levels()
+            degree = arrays.fanin_counts()
+            neighbor_rows, dependents = arrays.edge_source, arrays.edge_sink
+            state = (
+                analysis.arrival_mean, analysis.arrival_corr,
+                analysis.arrival_randvar, analysis.arrival_valid,
+            )
             positions = self._input_position
-            width = analysis.num_inputs
-        num_corr = arrays.num_corr
+        tensor_mean, tensor_corr, tensor_randvar, tensor_valid = state
+        width = tensor_mean.shape[1]
+        seed_column = np.full(arrays.num_vertices, -1, dtype=np.int64)
+        for row, position in positions.items():
+            seed_column[row] = position
 
         changed_mask = self._changed_bwd if backward else self._changed_fwd
         if changed_mask is None:
             changed_mask = np.zeros((arrays.num_vertices, width), dtype=bool)
+        work = FoldWorkspace()
 
-        processed = 0
-        for vertex in order:
-            vertex_row = index[vertex]
-            if not dirty[vertex_row]:
-                continue
-            processed += 1
-            # Seed row: zeros everywhere, valid only at the vertex's own
-            # input (output) position — exactly the pre-loop state of the
-            # from-scratch propagation.
-            mean = np.zeros(width, dtype=float)
-            corr = np.zeros((width, num_corr), dtype=float)
-            randvar = np.zeros(width, dtype=float)
-            valid = np.zeros(width, dtype=bool)
-            position = positions.get(vertex_row)
-            if position is not None:
-                valid[position] = True
-            edges = (
-                graph.fanout_edges(vertex) if backward else graph.fanin_edges(vertex)
+        def seed(rows: np.ndarray) -> Tuple[np.ndarray, ...]:
+            # Zeros everywhere, valid only at the vertex's own input
+            # (output) position: the from-scratch engine's seed row.
+            num = rows.shape[0]
+            acc = (
+                work.view("acc_mean", (num, width)),
+                work.view("acc_corr", (num, width, arrays.num_corr)),
+                work.view("acc_randvar", (num, width)),
+                work.view("acc_valid", (num, width), dtype=bool),
             )
-            for edge in edges:
-                edge_row = arrays.edge_rows[edge.edge_id]
-                neighbor_row = (
-                    arrays.edge_sink[edge_row] if backward
-                    else arrays.edge_source[edge_row]
-                )
-                cand_mean = tensor_mean[neighbor_row] + arrays.edge_mean[edge_row]
-                cand_corr = tensor_corr[neighbor_row] + arrays.edge_corr[edge_row]
-                cand_randvar = (
-                    tensor_randvar[neighbor_row] + arrays.edge_randvar[edge_row]
-                )
-                cand_valid = tensor_valid[neighbor_row]
-                mean, corr, randvar, valid = _merge_max_with_validity(
-                    mean, corr, randvar, valid,
-                    cand_mean, cand_corr, cand_randvar, cand_valid,
-                )
+            for array in acc:
+                array.fill(0)
+            columns = seed_column[rows]
+            seeded = np.nonzero(columns >= 0)[0]
+            acc[3][seeded, columns[seeded]] = True
+            return acc
 
-            old_valid = tensor_valid[vertex_row]
+        def settle(rows, mean, corr, randvar, valid) -> None:
+            # Write back only the rows that moved, OR their per-entry change
+            # masks and dirty the dependents of the moved rows.
+            old_valid = tensor_valid[rows]
             entry_changed = (old_valid != valid) | (
                 old_valid
                 & valid
                 & (
-                    (tensor_mean[vertex_row] != mean)
-                    | (tensor_randvar[vertex_row] != randvar)
-                    | np.any(tensor_corr[vertex_row] != corr, axis=-1)
+                    (tensor_mean[rows] != mean)
+                    | (tensor_randvar[rows] != randvar)
+                    | np.any(tensor_corr[rows] != corr, axis=-1)
                 )
             )
-            if not entry_changed.any():
-                continue
-            tensor_mean[vertex_row] = mean
-            tensor_corr[vertex_row] = corr
-            tensor_randvar[vertex_row] = randvar
-            tensor_valid[vertex_row] = valid
-            changed_mask[vertex_row] |= entry_changed
-            dependents = (
-                graph.fanin_edges(vertex) if backward else graph.fanout_edges(vertex)
+            moved = np.nonzero(entry_changed.any(axis=1))[0]
+            if moved.size == 0:
+                return
+            moved_rows = rows[moved]
+            tensor_mean[moved_rows] = mean[moved]
+            tensor_corr[moved_rows] = corr[moved]
+            tensor_randvar[moved_rows] = randvar[moved]
+            tensor_valid[moved_rows] = valid[moved]
+            changed_mask[moved_rows] |= entry_changed[moved]
+            edges = (
+                arrays.in_edges_of(moved_rows) if backward
+                else arrays.out_edges_of(moved_rows)
             )
-            for edge in dependents:
-                dirty[index[edge.source if backward else edge.sink]] = True
+            dirty[dependents[edges]] = True
+
+        rows = np.nonzero(dirty & (degree == 0))[0]
+        processed = int(rows.size)
+        if processed:
+            settle(rows, *seed(rows))
+        for level in levels:
+            selected = np.nonzero(dirty[level.vertex_rows])[0]
+            if selected.size == 0:
+                continue
+            rows = level.vertex_rows[selected]
+            edge_matrix = level.edge_matrix[selected]
+            acc = seed(rows)
+            _fold_rounds(
+                edge_matrix, (edge_matrix >= 0).sum(axis=0), neighbor_rows,
+                arrays.edge_mean, arrays.edge_corr, arrays.edge_randvar,
+                tensor_mean, tensor_corr, tensor_randvar, tensor_valid,
+                *acc, init_round0=False, work=work,
+            )
+            settle(rows, *acc)
+            processed += int(rows.size)
 
         if backward:
             self._changed_bwd = changed_mask

@@ -2,9 +2,10 @@
 
 The blocked engine streams input/output columns in budget-sized blocks
 instead of materializing the full ``(V, I)`` / ``(V, O)`` state tensors.
-Both engines execute the identical fold kernels in the identical order, so
-parity with the dense reference is asserted at 1e-9 (it is in fact
-bitwise on every graph below).
+The dense engine is the same levelized column pass with one block holding
+every column, so both execute the identical fold kernels in the identical
+order and parity with the dense reference is asserted exactly (tolerance
+0: bitwise on every graph below).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from repro.timing.allpairs import (
 from repro.timing.arrays import GraphArrays
 from repro.timing.builder import synthetic_timing_graph
 
-PARITY_TOLERANCE = 1e-9
+PARITY_TOLERANCE = 0.0
 
 
 @pytest.fixture(scope="module")

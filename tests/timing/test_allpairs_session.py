@@ -1,13 +1,14 @@
 """Incremental-vs-full parity tests of the all-pairs extraction sessions.
 
 An :class:`~repro.timing.allpairs.AllPairsSession` repropagates only the
-dirty cone of each edit burst but folds candidates in exactly the order of
-the from-scratch engine, so after any edit sequence its per-input arrival
-tensors, per-output delay tensors and input/output delay matrix must match
-a fresh :meth:`AllPairsTiming.analyze` to 1e-9 — asserted here on
-randomized sequences of retime / remove / add edits over the real ISCAS c17
-circuit, a generated 4x4 array multiplier and the c432 surrogate (the
-acceptance circuits of the incremental-extraction refactor).
+dirty cone of each edit burst through the same levelized fold as the
+from-scratch engine, in exactly its candidate order, so after any edit
+sequence its per-input arrival tensors, per-output delay tensors and
+input/output delay matrix must equal a fresh
+:meth:`AllPairsTiming.analyze` bit for bit on every valid entry — asserted
+here on randomized sequences of retime / remove / add edits over the real
+ISCAS c17 circuit, a generated 4x4 array multiplier and the c432 surrogate
+(the acceptance circuits of the incremental-extraction refactor).
 """
 
 import random
@@ -41,11 +42,9 @@ def _assert_tensor_parity(session: AllPairsSession, graph: TimingGraph, what: st
             value = getattr(analysis, "%s_%s" % (prefix, component))
             reference = getattr(fresh, "%s_%s" % (prefix, component))
             mask = reference_valid if component != "corr" else reference_valid[..., None]
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 np.where(mask, value, 0.0),
                 np.where(mask, reference, 0.0),
-                rtol=1e-9,
-                atol=1e-9,
                 err_msg="%s %s %s" % (what, prefix, component),
             )
 
@@ -188,6 +187,63 @@ class TestFullFallbacks:
         session.refresh()
         with pytest.raises(TimingGraphError, match="stale session"):
             stale_copy.changes_since(session.revision)
+
+
+class TestCycleMidRefresh:
+    @pytest.mark.parametrize("parity_module", ["c432"], indirect=True)
+    def test_cycle_keeps_tensors_and_queued_cone(self, parity_module):
+        graph = parity_module[0].copy()
+        retimed_only = parity_module[0].copy()
+        session = AllPairsSession(graph)
+        reference = AllPairsSession(retimed_only)
+        order = graph.topological_order()
+        position = {vertex: rank for rank, vertex in enumerate(order)}
+        last = order[-1]
+        ancestors, frontier = set(), [last]
+        while frontier:
+            for predecessor in graph.predecessors(frontier.pop()):
+                if predecessor not in ancestors:
+                    ancestors.add(predecessor)
+                    frontier.append(predecessor)
+        middle = min(ancestors, key=lambda v: abs(position[v] - len(order) // 2))
+
+        # 1. Queue a retime away from the back edge's endpoints.
+        vertex = next(
+            v for v in order[len(order) // 3 :] if graph.fanin_edges(v) and v != middle
+        )
+        edge = graph.fanin_edges(vertex)[0]
+        delay = edge.delay.scale(1.3)
+        for target in (graph, retimed_only):
+            target.replace_edge_delay(target.edge(edge.edge_id), delay)
+        expected = reference.refresh()
+
+        # 2. A back edge from the last topological vertex to a middle
+        #    vertex that reaches it closes a cycle.
+        back = graph.add_edge(last, middle, CanonicalForm(1.0, 0.0, None, 0.0))
+
+        # 3. The refresh raises before writing any state.
+        before = {
+            name: getattr(session.state, name).copy()
+            for name in AllPairsSession._TENSOR_FIELDS
+        }
+        with pytest.raises(TimingGraphError, match="cycle"):
+            session.refresh()
+        for name, tensor in before.items():
+            np.testing.assert_array_equal(
+                getattr(session.state, name), tensor, err_msg=name
+            )
+
+        # 4-5. Without the back edge the queued retime cone is recomputed.
+        graph.remove_edge(back)
+        update = session.refresh()
+        assert update.mode == "incremental"
+        assert edge.edge_id in update.touched_edges
+        assert update.forward_recomputed >= expected.forward_recomputed > 0
+        np.testing.assert_array_equal(update.arrival_changed, expected.arrival_changed)
+        np.testing.assert_array_equal(
+            update.to_output_changed, expected.to_output_changed
+        )
+        _assert_tensor_parity(session, graph, "after the cycle")
 
 
 class TestReductionThroughSession:
