@@ -1,17 +1,19 @@
-"""Benchmarks of the levelized Monte Carlo engine and the MC session.
+"""Benchmarks of the levelized Monte Carlo kernels and the MC session.
 
 Measures the two headline guarantees of the Monte Carlo refactor on the
 largest ISCAS85 surrogate and records them in ``BENCH_montecarlo.json``:
 
 * **cold levelized vs object-level on c7552** — the Table-I accuracy
   reference (:func:`simulate_io_delays`) computes every input's
-  per-sample longest paths.  The levelized engine folds all ``|I| = 207``
-  propagations of a chunk in one ``(V, I, chunk)`` pass over the shared
-  sampled delay matrix; the object-level reference runs one per-vertex
-  Python propagation per input per chunk.  The engines must produce
-  bit-identical statistics for the same seed, and the levelized pass must
-  be at least 5x faster (``REPRO_MC_SPEEDUP_MIN`` overrides the
-  threshold; ~25x locally).
+  per-sample longest paths.  The levelized kernel folds the
+  propagations of a group of inputs in one ``(V, g, chunk)`` pass over
+  the shared sampled delay matrix; the bench-local object-level
+  reference (:func:`_object_io_delays`) runs one per-vertex Python
+  propagation (``_longest_paths_object``) per input per chunk and reduces
+  the same per-block moments.  The two must produce bit-identical
+  statistics for the same seed, and the levelized pass must be at least
+  5x faster (``REPRO_MC_SPEEDUP_MIN`` overrides the threshold; ~25x
+  locally).
 
 * **warm session revalidation after a single-edge retime** — a
   :class:`~repro.montecarlo.MonteCarloSession` resamples only the retimed
@@ -35,11 +37,17 @@ import pytest
 from conftest import record_bench
 from repro.liberty.library import standard_library
 from repro.montecarlo.flat import (
+    MC_SAMPLE_BLOCK,
     MonteCarloSession,
+    _io_plan,
+    _longest_paths_object,
+    _reachable_from,
+    _sample_delay_range,
     simulate_io_delays,
 )
 from repro.netlist.iscas85 import iscas85_surrogate
 from repro.placement.placer import place_netlist
+from repro.timing.arrays import GraphArrays
 from repro.timing.builder import build_timing_graph, default_variation_for
 
 PARITY = 1e-9
@@ -61,6 +69,41 @@ def c7552_graph():
     return build_timing_graph(netlist, library, placement, variation)
 
 
+def _object_io_delays(graph, num_samples, seed):
+    """``(valid, means, stds)`` of the io delays, one input at a time.
+
+    The object-level counterpart of :func:`simulate_io_delays`: the same
+    chunks of the same sampled delays and the same per-block moment
+    reduction, but one per-vertex ``_longest_paths_object`` propagation
+    per input per chunk instead of the levelized multi-source pass.
+    """
+    arrays = GraphArrays.from_graph(graph)
+    input_rows, output_rows = arrays.input_rows, arrays.output_rows
+    valid = _reachable_from(arrays, input_rows)[output_rows].T
+    chunk_size, _group_size = _io_plan(None, arrays, num_samples)
+    partials = []  # (sums, square_sums) per sample block, ascending
+    for start in range(0, num_samples, chunk_size):
+        chunk = min(chunk_size, num_samples - start)
+        delays = _sample_delay_range(arrays, seed, num_samples, start, start + chunk)
+        outputs = np.stack([
+            _longest_paths_object(arrays, delays, input_rows[k : k + 1])[output_rows]
+            for k in range(input_rows.shape[0])
+        ])  # (I, O, chunk)
+        finite = np.where(np.isfinite(outputs), outputs, 0.0)
+        for low in range(0, chunk, MC_SAMPLE_BLOCK):
+            block = finite[:, :, low : low + MC_SAMPLE_BLOCK]
+            partials.append((block.sum(axis=2), (block * block).sum(axis=2)))
+    sums = np.zeros(valid.shape)
+    square_sums = np.zeros(valid.shape)
+    for block_sums, block_squares in partials:
+        sums += block_sums
+        square_sums += block_squares
+    means = sums / float(num_samples)
+    variances = np.maximum(square_sums / float(num_samples) - means * means, 0.0)
+    stds = np.sqrt(variances) * np.sqrt(num_samples / max(num_samples - 1, 1))
+    return valid, np.where(valid, means, np.nan), np.where(valid, stds, np.nan)
+
+
 def _median_seconds(fn, repeats):
     seconds = []
     for _unused in range(repeats):
@@ -76,24 +119,20 @@ def test_levelized_io_speedup_on_c7552(benchmark, c7552_graph):
     threshold = float(os.environ.get("REPRO_MC_SPEEDUP_MIN", "5.0"))
     graph = c7552_graph
 
-    levelized = simulate_io_delays(
-        graph, IO_SAMPLES, seed=7, engine="levelized"
-    )
+    levelized = simulate_io_delays(graph, IO_SAMPLES, seed=7)
     levelized_seconds = _median_seconds(
-        lambda: simulate_io_delays(graph, IO_SAMPLES, seed=7, engine="levelized"),
-        3,
+        lambda: simulate_io_delays(graph, IO_SAMPLES, seed=7), 3
     )
-    reference = simulate_io_delays(graph, IO_SAMPLES, seed=7, engine="object")
+    valid, means, stds = _object_io_delays(graph, IO_SAMPLES, 7)
     reference_seconds = _median_seconds(
-        lambda: simulate_io_delays(graph, IO_SAMPLES, seed=7, engine="object"),
-        2,
+        lambda: _object_io_delays(graph, IO_SAMPLES, 7), 2
     )
     speedup = reference_seconds / levelized_seconds
 
-    # The engines fold the same exact candidates: bitwise agreement.
-    assert np.array_equal(levelized.valid, reference.valid)
-    assert np.array_equal(levelized.means, reference.means, equal_nan=True)
-    assert np.array_equal(levelized.stds, reference.stds, equal_nan=True)
+    # Both fold the same exact candidates: bitwise agreement.
+    assert np.array_equal(levelized.valid, valid)
+    assert np.array_equal(levelized.means, means, equal_nan=True)
+    assert np.array_equal(levelized.stds, stds, equal_nan=True)
 
     benchmark.extra_info["levelized_s"] = round(levelized_seconds, 3)
     benchmark.extra_info["object_s"] = round(reference_seconds, 3)
@@ -113,9 +152,7 @@ def test_levelized_io_speedup_on_c7552(benchmark, c7552_graph):
         },
     )
 
-    benchmark(
-        lambda: simulate_io_delays(graph, IO_SAMPLES, seed=7, engine="levelized")
-    )
+    benchmark(lambda: simulate_io_delays(graph, IO_SAMPLES, seed=7))
 
     assert speedup >= threshold, (
         "levelized io-delay Monte Carlo is only %.1fx faster than the "

@@ -121,7 +121,6 @@ def monte_carlo_yield_curve(
     num_samples: int = 10000,
     seed: int = 0,
     chunk_size=None,
-    engine: str = "auto",
     periods: Union[Sequence[float], np.ndarray, None] = None,
     num_points: int = 101,
     sigma_span: float = 4.0,
@@ -129,8 +128,8 @@ def monte_carlo_yield_curve(
     """Empirical yield curve straight from the Monte Carlo engine.
 
     ``source`` may be a :class:`~repro.timing.graph.TimingGraph` (simulated
-    one-shot with the levelized engine; ``num_samples``/``seed``/
-    ``chunk_size``/``engine`` forward to
+    one-shot with the levelized kernel; ``num_samples``/``seed``/
+    ``chunk_size`` forward to
     :func:`~repro.montecarlo.simulate_graph_delay`), an incrementally
     maintained :class:`~repro.montecarlo.MonteCarloSession` (revalidated —
     an unchanged session reuses its cached samples, a post-ECO one
@@ -147,9 +146,7 @@ def monte_carlo_yield_curve(
     elif isinstance(source, MonteCarloResult):
         result = source
     else:
-        result = simulate_graph_delay(
-            source, num_samples, seed, chunk_size, engine=engine
-        )
+        result = simulate_graph_delay(source, num_samples, seed, chunk_size)
     return yield_curve(
         result.samples,
         periods=periods,

@@ -79,27 +79,18 @@ def run_threshold_sweep(
     thresholds: Sequence[float] = (0.0, 0.01, 0.05, 0.1, 0.2, 0.4),
     config: ExperimentConfig = DEFAULT_CONFIG,
     library: Optional[Library] = None,
-    criticality_engine: str = "auto",
 ) -> ThresholdSweepResult:
     """Sweep the criticality threshold on one circuit (ABL-1).
 
     Accuracy is measured against the full-graph SSTA delay matrix so the
     sweep isolates the effect of the reduction itself.
-    ``criticality_engine`` forwards to the extraction session ("auto"
-    batches the criticality evaluation on the Table I circuits, which is
-    what makes whole-suite sweeps tractable; "scalar" forces the
-    reference for cross-checking).
     """
     library = standard_library() if library is None else library
     characterized = characterize_circuit(circuit, config, library)
     # One incremental extraction session drives the whole sweep: the
     # all-pairs tensors and criticalities are computed once and every
     # threshold pays only the copy-and-merge tail of the pipeline.
-    session = ExtractionSession(
-        characterized.graph,
-        characterized.variation,
-        engine=criticality_engine,
-    )
+    session = ExtractionSession(characterized.graph, characterized.variation)
     reference_means = session.analysis.matrix_means()
     reference_stds = session.analysis.matrix_std()
 

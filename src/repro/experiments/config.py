@@ -4,10 +4,10 @@ The defaults mirror Section VI of the paper: parameter sigmas from Nassif
 (15.7 % / 5.3 % / 4.4 %), 15 % load variation, at most 100 cells per grid,
 neighbouring-grid correlation 0.92 decaying to the 0.42 global floor at a
 grid distance of 15, criticality threshold 0.05 and 10 000 Monte Carlo
-iterations.  Sample counts are configurable because the pure-Python engine
-is slower than the paper's C++ implementation; the reproduced quantities are
-ratios and relative errors, which are insensitive to the sample count beyond
-a few thousand samples.
+iterations.  Sample counts are configurable because this NumPy implementation
+is slower than the paper's C++ one; the reproduced quantities are ratios and
+relative errors, which are insensitive to the sample count beyond a few
+thousand samples.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class ExperimentConfig:
     #: the simulated values are bit-identical for every chunk size (and
     #: worker count).
     monte_carlo_chunk: Optional[int] = None
-    #: Monte Carlo propagation engine (``"auto"``, ``"levelized"`` or the
-    #: object-level parity reference ``"object"``).
-    monte_carlo_engine: str = "auto"
     #: Worker processes of the sharded analyses (Monte Carlo sample
     #: ranges, corner sweeps, per-circuit experiment rows).  ``None``
     #: defers to the ``REPRO_WORKERS`` environment variable (default: 1,

@@ -245,7 +245,6 @@ def run_figure7(
         seed=config.seed,
         chunk_size=config.monte_carlo_chunk,
         library=library,
-        engine=config.monte_carlo_engine,
         workers=config.workers if workers is None else workers,
     )
     monte_carlo_seconds = time.perf_counter() - start

@@ -193,7 +193,6 @@ def _model_accuracy(
         num_samples=config.monte_carlo_samples,
         seed=config.seed,
         chunk_size=config.monte_carlo_chunk,
-        engine=config.monte_carlo_engine,
     )
     return (
         max_relative_matrix_error(model.delay_matrix_means(), reference.means),

@@ -15,7 +15,6 @@ inside a hierarchical design.
 """
 
 from repro.model.criticality import (
-    AUTO_BATCH_MIN_CRITICALITY_EDGES,
     CriticalityResult,
     compute_edge_criticalities,
     edge_criticality_batch,
@@ -48,7 +47,6 @@ from repro.model.serialization import (
 )
 
 __all__ = [
-    "AUTO_BATCH_MIN_CRITICALITY_EDGES",
     "CriticalityResult",
     "compute_edge_criticalities",
     "edge_criticality_batch",

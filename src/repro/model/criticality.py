@@ -12,26 +12,22 @@ input ``i``, ``r_e`` the maximum delay from the sink of ``e`` to output
 ``j`` and ``d`` the edge delay itself.  The probability is evaluated with
 the Gaussian tightness-probability formula (eq. 6) on the canonical forms.
 
-Two engines share the formulas:
-
-* **scalar reference** (:func:`edge_criticality_matrix`) — one edge at a
-  time, all ``|I| x |O|`` pairs of that edge vectorized;
-* **batched** (:func:`edge_criticality_batch`) — chunks of edges stacked
-  into ``(chunk, I, O)`` tensors, the criticality analogue of the
-  :mod:`repro.core.batch` propagation kernels.  The shared input/output
-  delay matrix moments are hoisted out of the per-edge loop entirely, so
-  the batched engine additionally does strictly less arithmetic.
-
-Both engines execute the same floating-point expressions (the probability
-tail is the single shared :func:`repro.core.batch.tightness_from_moments`
-kernel), so they agree to BLAS round-off; the parity contract asserted by
-the property suite is 1e-9.  :func:`compute_edge_criticalities` picks the
-engine by edge count (``AUTO_BATCH_MIN_CRITICALITY_EDGES``, mirroring the
-propagation engine's ``AUTO_BATCH_MIN_EDGES`` heuristic), and
-:func:`update_edge_criticalities` auto-switches its exact incremental
-update to a batched full recompute when an edit burst's change cross
-covers so much of the pair space that incrementality would be slower
-(``DENSE_EDIT_RECOMPUTE_FRACTION``).
+One production engine evaluates the formulas: the **batched** kernel
+(:func:`edge_criticality_batch`) stacks chunks of edges into ``(chunk, I,
+O)`` tensors, the criticality analogue of the :mod:`repro.core.batch`
+propagation kernels, with the shared input/output delay-matrix moments
+hoisted out of the per-edge loop.  :func:`edge_criticality_matrix` is the
+one-edge-at-a-time **scalar reference** it is verified against; only tests
+and benchmarks call it.  Both execute the same floating-point expressions
+(the probability tail is the single shared
+:func:`repro.core.batch.tightness_from_moments` kernel), so they agree to
+BLAS round-off; the parity contract asserted by the property suite is
+1e-9.  :func:`update_edge_criticalities` refreshes a result after an
+all-pairs update and switches its exact incremental update to a batched
+full recompute when an edit burst's change cross covers so much of the
+pair space that incrementality would be slower
+(``DENSE_EDIT_RECOMPUTE_FRACTION``).  Every entry point needs the dense
+all-pairs tensors, which past the all-pairs memory budget do not exist.
 """
 
 from __future__ import annotations
@@ -44,12 +40,18 @@ import numpy as np
 
 from repro.core.batch import tightness_from_moments
 from repro.core.gaussian import normal_cdf
-from repro.timing.allpairs import AllPairsTiming, AllPairsUpdate
+from repro.errors import ModelExtractionError
+from repro.timing.allpairs import (
+    ALLPAIRS_BUDGET_ENV,
+    AllPairsTiming,
+    AllPairsUpdate,
+    allpairs_budget_floats,
+    dense_tensor_floats,
+)
+from repro.timing.arrays import _graph_arrays
 from repro.timing.graph import TimingEdge, TimingGraph
-from repro.timing.propagation import AUTO_BATCH_MIN_EDGES
 
 __all__ = [
-    "AUTO_BATCH_MIN_CRITICALITY_EDGES",
     "CRITICALITY_CHUNK_PAIRS",
     "CRITICALITY_CHUNK_PAIRS_ENV",
     "DENSE_EDIT_RECOMPUTE_FRACTION",
@@ -66,23 +68,16 @@ __all__ = [
 _MEAN_EPSILON = 1e-9
 _THETA_EPSILON = 1e-12
 
-# Relative degeneracy floor shared by both engines (see
+# Relative degeneracy floor shared by the batched kernel and the scalar
+# reference (see
 # :func:`repro.core.batch.tightness_from_moments`): ``theta_sq`` below
 # ``1e-12 * (var(d_e) + var(M))`` — i.e. the edge's path decorrelated from
 # the pair maximum by less than one part in 1e6 sigma — is treated as an
 # exact tie.  Without the relative floor, the catastrophic cancellation in
 # ``var_a + var_b - 2 cov`` makes the tie classification depend on einsum
-# accumulation order, and the scalar and batched engines disagree by O(1)
-# on fully-critical edges.
+# accumulation order, and the batched kernel and the scalar reference
+# disagree by O(1) on fully-critical edges.
 THETA_RELATIVE_EPSILON = 1e-12
-
-# The criticality crossover sits far below the propagation engine's: where
-# a levelized propagation amortises one NumPy call over a level's edges,
-# the scalar criticality reference pays ~20 array operations on the full
-# (I, O) pair space *per edge*, so stacking even a few dozen edges already
-# wins.  The constant mirrors AUTO_BATCH_MIN_EDGES so the two heuristics
-# stay coupled (retuning one rescales the other).
-AUTO_BATCH_MIN_CRITICALITY_EDGES = max(8, AUTO_BATCH_MIN_EDGES // 16)
 
 # Edge chunks are sized so one (chunk, I, O) float64 tensor stays around
 # 4 MB: the kernel streams ~15 elementwise passes over a handful of
@@ -150,32 +145,13 @@ def auto_chunk_edges(
 
 # The incremental update switches to a batched full recompute when the
 # estimated changed cross covers at least this fraction of the total
-# (edges x pairs) space.  The batched kernel's per-pair constant is >= 4-5x
-# below the scalar cross blocks' (the cold benchmark asserts 5x on c7552),
-# so at 25% coverage the full recompute is already comfortably cheaper.
+# (edges x pairs) space, where re-evaluating the cross in restricted
+# passes no longer pays off against one full batched pass.
 DENSE_EDIT_RECOMPUTE_FRACTION = 0.25
-
-_ENGINES = ("auto", "batch", "scalar")
 
 # Idle scratch-buffer budget per analysis (see _analysis_work): enough for
 # the handful of pair-space shapes one edit burst touches, evicted LRU.
 _SCRATCH_BUDGET_BYTES = 128 * 1024 * 1024
-
-
-def _resolve_engine(num_edges: int, engine: str) -> str:
-    """Resolve ``engine`` to ``"batch"`` or ``"scalar"``."""
-    if engine not in _ENGINES:
-        raise ValueError(
-            "unknown criticality engine %r (expected one of %s)"
-            % (engine, ", ".join(_ENGINES))
-        )
-    if engine == "auto":
-        return (
-            "batch"
-            if num_edges >= AUTO_BATCH_MIN_CRITICALITY_EDGES
-            else "scalar"
-        )
-    return engine
 
 
 @dataclass
@@ -197,11 +173,11 @@ class CriticalityResult:
         without it, which makes the incremental update fall back to a full
         recompute.
     engine:
-        Which evaluation path produced the result: ``"scalar"``,
-        ``"batch"`` or ``"incremental"`` (the exact cross update of
-        :func:`update_edge_criticalities`).  Diagnostic metadata — excluded
-        from equality and from serialization — that the dense-edit tests
-        use to assert the auto-switch actually fired.
+        Which evaluation path produced the result: ``"batch"`` (a full
+        pass of the batched kernel) or ``"incremental"`` (the exact cross
+        update of :func:`update_edge_criticalities`).  Diagnostic metadata
+        — excluded from equality and from serialization — that the
+        dense-edit tests use to assert the auto-switch actually fired.
     """
 
     max_criticality: Dict[int, float]
@@ -227,10 +203,8 @@ class CriticalityResult:
         }
 
 
-def _empty_pair_space_result(
-    graph: TimingGraph, engine: Optional[str]
-) -> CriticalityResult:
-    """The result for a graph whose input/output pair space is empty.
+def _empty_pair_space_result(edges: Iterable[TimingEdge]) -> CriticalityResult:
+    """The result of ``edges`` when the input/output pair space is empty.
 
     With no designated inputs or no designated outputs there is no
     input-to-output pair, so no edge lies on any input-to-output path and
@@ -238,11 +212,28 @@ def _empty_pair_space_result(
     instead of raising keeps histogram/threshold consumers total on
     degenerate modules.
     """
+    edges = list(edges)
     return CriticalityResult(
-        {edge.edge_id: 0.0 for edge in graph.edges},
-        {edge.edge_id: (-1, -1) for edge in graph.edges},
-        engine=engine,
+        {edge.edge_id: 0.0 for edge in edges},
+        {edge.edge_id: (-1, -1) for edge in edges},
+        engine="batch",
     )
+
+
+def _require_dense(analysis: AllPairsTiming) -> None:
+    """Raise unless ``analysis`` holds the per-vertex tensors (not blocked)."""
+    if analysis.arrival_mean is None:
+        arrays = analysis.arrays
+        footprint = dense_tensor_floats(
+            arrays.num_vertices, analysis.num_inputs, analysis.num_outputs,
+            arrays.num_corr,
+        )
+        raise ModelExtractionError(
+            "edge criticality of %r needs the dense all-pairs tensors (%d "
+            "floats; budget %d floats, %s), not a blocked analysis"
+            % (arrays.graph.name, footprint, allpairs_budget_floats(),
+               ALLPAIRS_BUDGET_ENV)
+        )
 
 
 def edge_criticality_matrix(
@@ -252,26 +243,10 @@ def edge_criticality_matrix(
 
     Returns an ``(I, O)`` array; pairs with no path through the edge (or no
     path at all) have criticality 0.  This is the scalar reference the
-    batched engine is verified against.
+    batched kernel is verified against, to 1e-9: BLAS blocks the two
+    kernels' contractions differently.
     """
-    return _criticality_block(analysis, edge, None, None)
-
-
-def _criticality_block(
-    analysis: AllPairsTiming,
-    edge: TimingEdge,
-    rows: Optional[np.ndarray],
-    cols: Optional[np.ndarray],
-) -> np.ndarray:
-    """``c_ij`` of one edge restricted to input ``rows`` x output ``cols``.
-
-    ``None`` selects the full axis.  Every entry is computed with the same
-    expressions as the full-matrix evaluation, so a sub-block matches the
-    corresponding slice of the full matrix to floating-point round-off
-    (the BLAS/einsum contractions may block sliced operands differently,
-    so agreement is at the ulp level, not bitwise — which is why the
-    incremental update's parity contract is 1e-9, not bit-identity).
-    """
+    _require_dense(analysis)
     arrays = analysis.arrays
     edge_row = arrays.edge_rows[edge.edge_id]
     source_row = int(arrays.edge_source[edge_row])
@@ -288,27 +263,6 @@ def _criticality_block(
     r_corr = analysis.to_output_corr[sink_row]
     r_randvar = analysis.to_output_randvar[sink_row]
     r_valid = analysis.to_output_valid[sink_row]
-
-    m_corr_full = analysis.matrix_corr
-    m_randvar_full = analysis.matrix_randvar
-    m_mean_full = analysis.matrix_mean
-    m_valid_full = analysis.matrix_valid
-    if rows is not None:
-        a_mean, a_corr, a_randvar, a_valid = (
-            a_mean[rows], a_corr[rows], a_randvar[rows], a_valid[rows],
-        )
-        m_corr_full = m_corr_full[rows]
-        m_randvar_full = m_randvar_full[rows]
-        m_mean_full = m_mean_full[rows]
-        m_valid_full = m_valid_full[rows]
-    if cols is not None:
-        r_mean, r_corr, r_randvar, r_valid = (
-            r_mean[cols], r_corr[cols], r_randvar[cols], r_valid[cols],
-        )
-        m_corr_full = m_corr_full[:, cols]
-        m_randvar_full = m_randvar_full[:, cols]
-        m_mean_full = m_mean_full[:, cols]
-        m_valid_full = m_valid_full[:, cols]
 
     # d_e statistics for every pair (i, j).
     de_mean = a_mean[:, np.newaxis] + r_mean[np.newaxis, :]
@@ -336,14 +290,14 @@ def _criticality_block(
     # criticality 1 (shared bound) while balanced parallel paths correctly
     # split the criticality (independent bound), and edge removal errs on
     # the conservative side.
-    m_corr = m_corr_full
-    m_randvar = m_randvar_full
+    m_corr = analysis.matrix_corr
+    m_randvar = analysis.matrix_randvar
     cov_correlated = np.einsum("ik,ijk->ij", a_corr, m_corr) + np.einsum(
         "jk,ijk->ij", r_corr, m_corr
     )
     shared_randvar = np.minimum(de_randvar, m_randvar)
 
-    m_mean = m_mean_full
+    m_mean = analysis.matrix_mean
     m_var = np.einsum("ijk,ijk->ij", m_corr, m_corr) + m_randvar
     mean_tolerance = _MEAN_EPSILON * np.maximum(1.0, np.abs(m_mean))
 
@@ -355,24 +309,26 @@ def _criticality_block(
         )
         criticality = np.maximum(criticality, probability)
 
-    pair_valid = a_valid[:, np.newaxis] & r_valid[np.newaxis, :] & m_valid_full
+    pair_valid = (
+        a_valid[:, np.newaxis] & r_valid[np.newaxis, :] & analysis.matrix_valid
+    )
     return np.where(pair_valid, criticality, 0.0)
 
 
 # ----------------------------------------------------------------------
-# The batched (edge-chunked) engine
+# The batched (edge-chunked) kernel
 # ----------------------------------------------------------------------
 @dataclass
 class _HoistedMoments:
     """Edge-invariant delay-matrix terms, computed once for all chunks.
 
     The scalar reference recomputes ``m_var`` and ``mean_tolerance`` for
-    every edge, which is part of what the batched engine saves.  The two
+    every edge, which is part of what the batched kernel saves.  The two
     contiguous transposed copies of the matrix coefficients feed the
     batched BLAS contractions of :func:`_chunk_terms` without a per-chunk
     re-layout.  When built restricted (``input_rows``/``output_cols``),
-    every term is the corresponding sub-rectangle of the full pair space —
-    the batched analogue of :func:`_criticality_block`'s slicing.
+    every term is the corresponding sub-rectangle of the full pair space,
+    which is what the incremental updater's cross passes evaluate.
     """
 
     m_mean: np.ndarray  # (I, O) mean of M
@@ -609,8 +565,8 @@ def _chunk_terms(
         var_sum_at_tie = var_sum.reshape(-1)[flat_tie]
 
     # Degeneracy floor (see tightness_from_moments): absolute epsilon
-    # widened relative to the variance scale, so both engines classify
-    # analytically-tied operands identically.
+    # widened relative to the variance scale, so the kernel and the scalar
+    # reference classify analytically-tied operands identically.
     floor = _view(work, "floor", shape)
     np.multiply(var_sum, THETA_RELATIVE_EPSILON, out=floor)
     np.maximum(floor, _THETA_EPSILON * _THETA_EPSILON, out=floor)
@@ -671,11 +627,12 @@ def edge_criticality_tensor(
 ) -> np.ndarray:
     """Criticality matrices of several edges stacked into an ``(E, I, O)``.
 
-    The materialised form of the batched engine, row ``e`` matching
+    The materialised form of the batched kernel, row ``e`` matching
     ``edge_criticality_matrix(analysis, edges[e])`` to 1e-9.  Memory is the
     caller's responsibility (``E * I * O`` doubles per temporary) — use
     :func:`edge_criticality_batch` for the memory-bounded driver.
     """
+    _require_dense(analysis)
     edge_list = list(edges)
     if not edge_list:
         return np.zeros(
@@ -695,7 +652,7 @@ def edge_criticality_batch(
     edges: Optional[Iterable[TimingEdge]] = None,
     chunk_pairs: Optional[int] = None,
 ) -> CriticalityResult:
-    """Maximum criticality of ``edges`` through the edge-chunked engine.
+    """Maximum criticality of ``edges`` through the edge-chunked kernel.
 
     ``edges`` defaults to every edge of the analysed graph.  Edges are
     processed in chunks sized by :func:`auto_chunk_edges` so the chunk's
@@ -704,27 +661,24 @@ def edge_criticality_batch(
     :func:`criticality_chunk_pairs` budget), bounding peak memory
     independently of the module's pair-space and correlation widths (and
     keeping the chunk working set cache resident); the shared
-    delay-matrix moments are computed once for all chunks.  The per-edge maximum is reduced in ``z``-space (one normal-CDF
-    evaluation per edge, see :func:`_chunk_terms`), so values match the
-    scalar reference's pair-space maximum exactly up to the 1e-9 BLAS
-    round-off contract; the reported argmax pair always attains the
-    maximum but may differ from the scalar argmax between tied pairs.  On
-    an empty edge set or an empty pair space the result is returned
-    empty/zero instead of raising from an empty-array reduction.
+    delay-matrix moments are computed once for all chunks.  The per-edge
+    maximum is reduced in ``z``-space (one normal-CDF evaluation per edge,
+    see :func:`_chunk_terms`), so values match the scalar reference's
+    pair-space maximum exactly up to the 1e-9 BLAS round-off contract; the
+    reported argmax pair always attains the maximum but may differ from
+    the scalar argmax between tied pairs.  On an empty edge set or an
+    empty pair space the result is returned empty/zero instead of raising
+    from an empty-array reduction.
     """
+    _require_dense(analysis)
     if edges is None:
         edges = analysis.arrays.graph.edges
     edge_list = list(edges)
     if not edge_list:
         return CriticalityResult({}, {}, engine="batch")
 
-    num_pairs = analysis.num_inputs * analysis.num_outputs
-    if num_pairs == 0:
-        return CriticalityResult(
-            {edge.edge_id: 0.0 for edge in edge_list},
-            {edge.edge_id: (-1, -1) for edge in edge_list},
-            engine="batch",
-        )
+    if analysis.num_inputs * analysis.num_outputs == 0:
+        return _empty_pair_space_result(edge_list)
 
     if chunk_pairs is None:
         chunk_pairs = criticality_chunk_pairs()
@@ -756,7 +710,7 @@ def _batched_edge_max(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-edge maximum criticality over a (restricted) pair space, batched.
 
-    The chunked driver shared by the cold batch engine and the incremental
+    The chunked driver shared by the cold batched pass and the incremental
     updater's cross re-evaluation.  Returns ``(values, best)``: the
     maximum of every edge row of ``rows_all`` and the flat index of an
     attaining pair in the (restricted) pair space.  ``moments`` must have
@@ -803,51 +757,28 @@ def _batched_edge_max(
 
 
 # ----------------------------------------------------------------------
-# The driver with engine selection
+# The drivers
 # ----------------------------------------------------------------------
 def compute_edge_criticalities(
     graph: TimingGraph,
     analysis: Optional[AllPairsTiming] = None,
-    engine: str = "auto",
 ) -> CriticalityResult:
     """Maximum criticality ``c_m`` of every edge of ``graph``.
 
     ``analysis`` may be supplied to reuse an existing all-pairs analysis;
-    otherwise one is computed.  ``engine`` selects the evaluation path:
-    ``"scalar"`` (the per-edge reference), ``"batch"`` (the edge-chunked
-    kernels) or ``"auto"`` (the default — batch from
-    ``AUTO_BATCH_MIN_CRITICALITY_EDGES`` edges up).  Both engines agree to
-    1e-9.  A graph without designated inputs or outputs has an empty pair
-    space and yields an all-zero result instead of raising.
+    otherwise one is computed.  The edges are evaluated by the batched
+    kernel (:func:`edge_criticality_batch`).  An analysis of another graph
+    or of an older revision raises :class:`~repro.errors.TimingGraphError`,
+    and a matrix-only (blocked) one :class:`~repro.errors.ModelExtractionError`.
+    A graph without designated inputs or outputs has an empty pair space
+    and yields an all-zero result instead of raising.
     """
-    resolved = _resolve_engine(graph.num_edges, engine)
     if analysis is None:
         if not graph.inputs or not graph.outputs:
-            return _empty_pair_space_result(graph, resolved)
+            return _empty_pair_space_result(graph.edges)
         analysis = AllPairsTiming.analyze(graph)
-    if analysis.num_inputs == 0 or analysis.num_outputs == 0:
-        return _empty_pair_space_result(graph, resolved)
-    if resolved == "batch":
-        return edge_criticality_batch(analysis, graph.edges)
-    max_criticality: Dict[int, float] = {}
-    argmax_pairs: Dict[int, Tuple[int, int]] = {}
-    for edge in graph.edges:
-        value, pair = _edge_max_with_argmax(analysis, edge)
-        max_criticality[edge.edge_id] = value
-        argmax_pairs[edge.edge_id] = pair
-    return CriticalityResult(max_criticality, argmax_pairs, engine="scalar")
-
-
-def _edge_max_with_argmax(
-    analysis: AllPairsTiming, edge: TimingEdge
-) -> Tuple[float, Tuple[int, int]]:
-    """Maximum criticality of one edge plus one pair attaining it."""
-    matrix = edge_criticality_matrix(analysis, edge)
-    if not matrix.size:
-        return 0.0, (-1, -1)
-    flat = int(np.argmax(matrix))
-    i, j = np.unravel_index(flat, matrix.shape)
-    return float(matrix[i, j]), (int(i), int(j))
+    _graph_arrays(graph, analysis.arrays, "analysis")
+    return edge_criticality_batch(analysis, graph.edges)
 
 
 def _estimated_cross_fraction(
@@ -889,7 +820,6 @@ def update_edge_criticalities(
     analysis: AllPairsTiming,
     previous: CriticalityResult,
     update: AllPairsUpdate,
-    engine: str = "auto",
 ) -> CriticalityResult:
     """Incrementally refreshed criticalities after one all-pairs update.
 
@@ -916,24 +846,28 @@ def update_edge_criticalities(
     the space the exact update is slower than simply recomputing everything
     with the batched kernels — so that is what happens (the returned
     result reports ``engine == "batch"``), guaranteeing a dense edit is
-    never slower than a cold batched recompute.  Edges that do need a full
-    per-edge re-evaluation on the incremental path are likewise evaluated
-    through one :func:`edge_criticality_batch` call when the resolved
-    engine is ``"batch"``.
+    never slower than a cold batched recompute.  On the incremental path,
+    edges sharing a changed cross are re-evaluated together by restricted
+    batched passes, and edges that need a full re-evaluation by one
+    :func:`edge_criticality_batch` call.
 
     Results match :func:`compute_edge_criticalities` on the refreshed
     analysis to floating-point round-off (carried-over entries are
     bit-identical; a dense-edit switch *is* a from-scratch batched
-    recompute, so it matches one exactly; re-evaluated cross blocks agree
-    to the ulp level, see :func:`_criticality_block`).  A ``"full"``
-    update (or a ``previous`` without argmax bookkeeping) falls back to
-    the full recompute.
+    recompute, so it matches one exactly; the restricted cross passes
+    contract sub-rectangles of the operands, which BLAS may block
+    differently, so they agree to the ulp level).  A ``"full"`` update
+    (or a ``previous`` without argmax bookkeeping) falls back to the full
+    recompute.  ``analysis`` is checked as in
+    :func:`compute_edge_criticalities`.
 
     The caller is responsible for continuity: ``previous`` must have been
     computed (or updated) against the session state *immediately before*
     ``update`` — :class:`repro.model.extraction.ExtractionSession` enforces
     this with the update serial.
     """
+    _graph_arrays(graph, analysis.arrays, "analysis")
+    _require_dense(analysis)
     if update.mode == "noop":
         return previous
     if (
@@ -942,9 +876,8 @@ def update_edge_criticalities(
         or update.to_output_changed is None
         or previous.argmax_pairs is None
     ):
-        return compute_edge_criticalities(graph, analysis, engine=engine)
+        return compute_edge_criticalities(graph, analysis)
 
-    resolved = _resolve_engine(graph.num_edges, engine)
     arrays = analysis.arrays
     arrival_changed = update.arrival_changed
     to_output_changed = update.to_output_changed
@@ -964,24 +897,20 @@ def update_edge_criticalities(
     )
     m_has_changes = bool(m_cols_changed.any())
 
-    if resolved == "batch" and graph.num_edges:
-        m_extra_rows = (
-            int(m_rows_changed.sum()) if cover_m_with_rows and m_has_changes else 0
-        )
-        m_extra_cols = (
-            int(m_cols_changed.sum())
-            if not cover_m_with_rows and m_has_changes
-            else 0
-        )
-        fraction = _estimated_cross_fraction(
-            analysis, update, m_extra_rows, m_extra_cols
-        )
-        if fraction >= DENSE_EDIT_RECOMPUTE_FRACTION:
-            # The edit moved the pair space almost everywhere: the exact
-            # cross update would re-evaluate most of it at the scalar
-            # blocks' per-pair cost, so a from-scratch batched recompute
-            # is strictly cheaper.
-            return compute_edge_criticalities(graph, analysis, engine="batch")
+    m_extra_rows = (
+        int(m_rows_changed.sum()) if cover_m_with_rows and m_has_changes else 0
+    )
+    m_extra_cols = (
+        int(m_cols_changed.sum()) if not cover_m_with_rows and m_has_changes else 0
+    )
+    fraction = _estimated_cross_fraction(
+        analysis, update, m_extra_rows, m_extra_cols
+    )
+    if fraction >= DENSE_EDIT_RECOMPUTE_FRACTION:
+        # The edit moved the pair space almost everywhere: a from-scratch
+        # batched recompute is cheaper than re-evaluating most of it
+        # cross by cross.
+        return compute_edge_criticalities(graph, analysis)
 
     a_any = arrival_changed.any(axis=1)  # per-vertex row summaries
     r_any = to_output_changed.any(axis=1)
@@ -1035,40 +964,14 @@ def update_edge_criticalities(
             full_edges.append(edge)
             continue
 
-        if resolved == "batch":
-            # Edges sharing a changed cross (typically everything outside
-            # the edit's cone plus per-cone-level groups) are re-evaluated
-            # together through the restricted batched kernel below — this
-            # is what keeps the exact sparse update fast now that the cold
-            # baseline is itself batched.
-            key = dirty_rows.tobytes() + dirty_cols.tobytes()
-            group = cross_groups.setdefault(key, [])
-            if not group:
-                cross_patterns[key] = (rows_idx, cols_idx)
-            group.append(edge)
-            continue
-
-        value, pair = previous_value, previous_pair
-        if rows_idx.size:
-            block = _criticality_block(analysis, edge, rows_idx, None)
-            flat = int(np.argmax(block))
-            i, j = np.unravel_index(flat, block.shape)
-            if block[i, j] > value:
-                value = float(block[i, j])
-                pair = (int(rows_idx[i]), int(j))
-        if cols_idx.size:
-            # The dirty rows already covered their full extent, so the
-            # column block only needs the complementary rows.
-            rest_rows = np.nonzero(~dirty_rows)[0]
-            if rest_rows.size:
-                block = _criticality_block(analysis, edge, rest_rows, cols_idx)
-                flat = int(np.argmax(block))
-                i, j = np.unravel_index(flat, block.shape)
-                if block[i, j] > value:
-                    value = float(block[i, j])
-                    pair = (int(rest_rows[i]), int(cols_idx[j]))
-        max_criticality[edge_id] = value
-        argmax_pairs[edge_id] = pair
+        # Edges sharing a changed cross (typically everything outside the
+        # edit's cone plus per-cone-level groups) are re-evaluated
+        # together through the restricted batched kernel below.
+        key = dirty_rows.tobytes() + dirty_cols.tobytes()
+        group = cross_groups.setdefault(key, [])
+        if not group:
+            cross_patterns[key] = (rows_idx, cols_idx)
+        group.append(edge)
 
     # Groups differing only on the other axis share a restriction (e.g. a
     # single-input cone leaves one dirty-rows pattern while dirty columns
@@ -1113,11 +1016,11 @@ def update_edge_criticalities(
                             flat % num_outputs,
                         )
         if cols_idx.size:
-            # All inputs x dirty output columns (a superset of the
-            # complementary-rows block the scalar path evaluates —
-            # unchanged pairs re-evaluate to values bounded by the stored
-            # maximum, so the strict merge stays exact), filtered to the
-            # edges whose sink reaches a dirty output.
+            # All inputs x dirty output columns (the dirty rows are
+            # evaluated twice — unchanged pairs re-evaluate to values
+            # bounded by the stored maximum, so the strict merge stays
+            # exact), filtered to the edges whose sink reaches a dirty
+            # output.
             reaching = analysis.to_output_valid[
                 np.ix_(arrays.edge_sink[group_rows], cols_idx)
             ].any(axis=1)
@@ -1149,14 +1052,8 @@ def update_edge_criticalities(
 
     if full_edges:
         # Edges needing a full (I, O) re-evaluation go through the batched
-        # kernel in one chunked pass when the engine allows it.
-        if resolved == "batch":
-            full_result = edge_criticality_batch(analysis, full_edges)
-            max_criticality.update(full_result.max_criticality)
-            argmax_pairs.update(full_result.argmax_pairs)
-        else:
-            for edge in full_edges:
-                value, pair = _edge_max_with_argmax(analysis, edge)
-                max_criticality[edge.edge_id] = value
-                argmax_pairs[edge.edge_id] = pair
+        # kernel in one chunked pass.
+        full_result = edge_criticality_batch(analysis, full_edges)
+        max_criticality.update(full_result.max_criticality)
+        argmax_pairs.update(full_result.argmax_pairs)
     return CriticalityResult(max_criticality, argmax_pairs, engine="incremental")

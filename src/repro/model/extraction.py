@@ -119,20 +119,14 @@ class ExtractionSession:
         graph: TimingGraph,
         variation: VariationModel,
         name: Optional[str] = None,
-        engine: str = "auto",
     ) -> None:
         _validate_module(graph, variation)
         self._graph = graph
         self._variation = variation
         self._name = name
-        # Criticality evaluation engine ("auto" | "batch" | "scalar"),
-        # forwarded to every (re)computation the session performs; "auto"
-        # picks by edge count and lets dense edit bursts switch the
-        # incremental update to a batched full recompute.
-        self._engine = engine
         self._allpairs = AllPairsSession(graph)
         self._criticalities = compute_edge_criticalities(
-            graph, self._allpairs.state, engine=engine
+            graph, self._allpairs.state
         )
         self._serial = self._allpairs.serial
         # Why a warm start fell back to a cold rebuild (None for cold
@@ -148,7 +142,6 @@ class ExtractionSession:
         criticalities: CriticalityResult,
         serial: int,
         name: Optional[str] = None,
-        engine: str = "auto",
     ) -> "ExtractionSession":
         """Reattach a session from restored state without recomputing.
 
@@ -162,7 +155,6 @@ class ExtractionSession:
         session._graph = graph
         session._variation = variation
         session._name = name
-        session._engine = engine
         session._allpairs = allpairs
         session._criticalities = criticalities
         session._serial = int(serial)
@@ -230,15 +222,14 @@ class ExtractionSession:
             return update  # nothing happened since the criticality sync
         if update.serial == self._serial + 1 and update.mode == "incremental":
             self._criticalities = update_edge_criticalities(
-                self._graph, self._allpairs.state, self._criticalities, update,
-                engine=self._engine,
+                self._graph, self._allpairs.state, self._criticalities, update
             )
         else:
             # A full pass, or updates this session did not observe (someone
             # else refreshed the shared all-pairs session): the change
             # masks no longer describe everything since our last sync.
             self._criticalities = compute_edge_criticalities(
-                self._graph, self._allpairs.state, engine=self._engine
+                self._graph, self._allpairs.state
             )
         self._serial = update.serial
         return update

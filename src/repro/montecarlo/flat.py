@@ -15,25 +15,19 @@ bit-identical across chunkings and across any sharding of the sample axis
 (see :mod:`repro.parallel`).  Per-pair moments accumulate per block in
 ascending block order for the same reason.
 
-Two propagation engines share the public API, mirroring the levelized /
-object split of :mod:`repro.timing.propagation`:
-
-* the **levelized engine** (default for non-trivial graphs) walks the
-  Kahn level schedules of :class:`~repro.timing.arrays.GraphArrays`: per
-  level it gathers every fanin edge's source-arrival and delay block in
-  one shot and reduces them into the sink rows with a sorted-segment
-  ``np.maximum.reduceat`` — no per-vertex Python work at all.  The same
-  kernel generalises to a third *source* axis, so
-  :func:`simulate_io_delays` computes the per-input longest paths of a
-  group of ``g`` inputs in one ``(V, g, chunk)`` pass, every group
-  sharing one sampled delay matrix, instead of ``|I|`` full propagations
-  per chunk (``g`` is sized to the chunk budget, see
-  :func:`_io_group_size`);
-* the **object-level engine** (``engine="object"``) is the original
-  per-vertex loop over ``fanin_edges``, kept as the readable reference
-  and as the parity baseline (both engines produce bit-identical samples
-  for the same seed — ``max`` and ``+`` are exact, so the fold order does
-  not matter).
+Longest paths run on one production kernel at every graph size: the
+**levelized** kernel walks the Kahn level schedules of
+:class:`~repro.timing.arrays.GraphArrays` and folds each level's fanin
+edges as whole prefix rounds over a pre-permuted sampled delay matrix —
+no per-vertex Python work at all.  The same kernel generalises to a third
+*source* axis, so :func:`simulate_io_delays` computes the per-input
+longest paths of a group of ``g`` inputs in one ``(V, g, chunk)`` pass,
+every group sharing one sampled delay matrix, instead of ``|I|`` full
+propagations per chunk (``g`` is sized to the chunk budget, see
+:func:`_io_group_size`).  :func:`_longest_paths_object`, the original
+per-vertex loop over ``fanin_edges``, stays as the readable bitwise
+reference the tests check the kernel against (``max`` and ``+`` are
+exact, so the fold order does not matter).
 
 On top of the one-shot simulators, :class:`MonteCarloSession` keeps the
 sampled ``(E, S)`` edge-delay matrix alive as a cache keyed to the graph's
@@ -55,10 +49,8 @@ import numpy as np
 from repro.errors import TimingGraphError
 from repro.timing.arrays import GraphArrays, _graph_arrays
 from repro.timing.graph import TimingGraph
-from repro.timing.propagation import AUTO_BATCH_MIN_EDGES
 
 __all__ = [
-    "AUTO_LEVELIZED_MIN_EDGES",
     "MC_ARRIVALS_CACHE_MAX_FLOATS",
     "MC_CHUNK_BUDGET_FLOATS",
     "MC_SAMPLE_BLOCK",
@@ -73,12 +65,6 @@ __all__ = [
 ]
 
 _NEG_INF = -np.inf
-
-#: Below this edge count the object-level loop is selected by ``"auto"``:
-#: the levelized engine's fixed per-level call overhead needs a few dozen
-#: edges per level to amortise (same shape of heuristic as the propagation
-#: and criticality engines, scaled to the Monte Carlo kernels' costs).
-AUTO_LEVELIZED_MIN_EDGES = AUTO_BATCH_MIN_EDGES // 16
 
 #: Working-set budget (in float64 elements) of one sample chunk: the
 #: sampled delay block ``(E, chunk)`` plus, per source, the arrival block
@@ -193,15 +179,6 @@ def _resolve_chunk_size(
     return auto_chunk_size(
         arrays.edge_mean.shape[0], arrays.num_vertices, num_sources, num_samples
     )
-
-
-def _resolve_engine(engine: str, num_edges: int) -> str:
-    """Resolve ``engine`` to ``"levelized"`` or ``"object"``."""
-    if engine == "auto":
-        return "levelized" if num_edges >= AUTO_LEVELIZED_MIN_EDGES else "object"
-    if engine not in ("levelized", "object"):
-        raise ValueError("unknown Monte Carlo engine %r" % engine)
-    return engine
 
 
 @dataclass
@@ -365,10 +342,6 @@ def _longest_paths_object(
             candidate = source_arrival + delays[edge_row]
             np.maximum(arrivals[vertex_row], candidate, out=arrivals[vertex_row])
     return arrivals
-
-
-# Backwards-compatible alias of the reference kernel.
-_longest_paths = _longest_paths_object
 
 
 def _level_fanin(
@@ -574,7 +547,6 @@ def _simulate_delay_range(
     start: int,
     stop: int,
     chunk_size: int,
-    levelized: bool = True,
 ) -> np.ndarray:
     """Circuit-delay samples ``[start, stop)`` of a ``num_samples`` run.
 
@@ -590,10 +562,7 @@ def _simulate_delay_range(
     while done < stop:
         chunk = min(chunk_size, stop - done)
         delays = _sample_delay_range(arrays, seed, num_samples, done, done + chunk)
-        if levelized:
-            arrivals = _longest_paths_levelized(arrays, delays, input_rows)
-        else:
-            arrivals = _longest_paths_object(arrays, delays, input_rows)
+        arrivals = _longest_paths_levelized(arrays, delays, input_rows)
         samples[done - start : done - start + chunk] = arrivals[output_rows].max(
             axis=0
         )
@@ -601,21 +570,11 @@ def _simulate_delay_range(
     return samples
 
 
-def _check_shardable_engine(engine: str) -> None:
-    """The object-level reference cannot be sharded (workers see no graph)."""
-    if engine == "object":
-        raise ValueError(
-            "engine='object' cannot run with workers > 1; use the levelized "
-            "engine (bit-identical) or drop the worker count"
-        )
-
-
 def simulate_graph_delay(
     graph: TimingGraph,
     num_samples: int = 10000,
     seed: int = 0,
     chunk_size: Optional[int] = None,
-    engine: str = "auto",
     workers: Optional[int] = None,
     executor=None,
     arrays: Optional[GraphArrays] = None,
@@ -625,11 +584,10 @@ def simulate_graph_delay(
     The delay of one sample is the maximum, over all designated outputs, of
     the longest path from any designated input with that sample's edge
     delays.  ``chunk_size=None`` auto-sizes the sample chunks from the
-    graph size (see :func:`auto_chunk_size`); ``engine`` selects the
-    levelized kernel, the object-level reference loop or a size-based
-    choice (``"auto"``).  Sampling is counter-based per block, so the
-    samples depend only on ``(seed, num_samples)`` — both engines, every
-    chunk size and every worker count produce bit-identical samples.
+    graph size (see :func:`auto_chunk_size`).  Sampling is counter-based
+    per block, so the samples depend only on ``(seed, num_samples)`` —
+    every chunk size and every worker count produce bit-identical
+    samples.
 
     ``workers`` (or the ``REPRO_WORKERS`` environment variable, or an
     explicit :class:`~repro.parallel.pool.ShardedExecutor` via
@@ -661,7 +619,6 @@ def simulate_graph_delay(
         executor = None  # graceful serial fallback (bit-identical)
     map_report = None
     if executor is not None:
-        _check_shardable_engine(engine)
         from repro.parallel.shard import partition_samples
 
         ranges = partition_samples(num_samples, executor.workers, MC_SAMPLE_BLOCK)
@@ -673,9 +630,8 @@ def simulate_graph_delay(
         )
         samples = np.concatenate(parts)
     else:
-        levelized = _resolve_engine(engine, graph.num_edges) == "levelized"
         samples = _simulate_delay_range(
-            arrays, seed, num_samples, 0, num_samples, chunk_size, levelized
+            arrays, seed, num_samples, 0, num_samples, chunk_size
         )
     elapsed = time.perf_counter() - start
     return MonteCarloResult(
@@ -725,7 +681,6 @@ def _io_block_moments(
     stop: int,
     chunk_size: int,
     group_size: int,
-    levelized: bool = True,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-block IO moment partials of samples ``[start, stop)``.
 
@@ -743,8 +698,7 @@ def _io_block_moments(
     ``group_size`` inputs, one ``(V, group_size, chunk)`` multi-source pass
     per group, so the arrival block stays within the budget the group was
     sized for.  Per-input propagations are independent, so every group
-    size yields the same partials bit for bit.  The object-level reference
-    propagates one input at a time.
+    size yields the same partials bit for bit.
     """
     input_rows = arrays.input_rows
     output_rows = arrays.output_rows
@@ -757,16 +711,9 @@ def _io_block_moments(
         chunk = min(chunk_size, stop - done)
         first_block = (done - start) // MC_SAMPLE_BLOCK
         delays = _sample_delay_range(arrays, seed, num_samples, done, done + chunk)
-        if levelized:
-            passes = _multi_source_groups(arrays, delays, input_rows, group_size)
-        else:
-            passes = (
-                (low, low + 1, _longest_paths_object(
-                    arrays, delays, input_rows[low : low + 1]
-                )[:, np.newaxis, :])
-                for low in range(num_inputs)
-            )
-        for low, high, arrivals in passes:
+        for low, high, arrivals in _multi_source_groups(
+            arrays, delays, input_rows, group_size
+        ):
             output_arrivals = arrivals[output_rows].transpose(1, 0, 2)  # (g, O, chunk)
             finite = np.where(np.isfinite(output_arrivals), output_arrivals, 0.0)
             for position, offset in enumerate(range(0, chunk, MC_SAMPLE_BLOCK)):
@@ -784,7 +731,6 @@ def simulate_io_delays(
     num_samples: int = 10000,
     seed: int = 0,
     chunk_size: Optional[int] = None,
-    engine: str = "auto",
     workers: Optional[int] = None,
     executor=None,
     arrays: Optional[GraphArrays] = None,
@@ -792,20 +738,18 @@ def simulate_io_delays(
     """Monte Carlo mean and sigma of every input-to-output delay.
 
     This is the reference used for the ``merr``/``verr`` columns of Table I.
-    The levelized engine propagates consecutive groups of inputs, one
+    The levelized kernel propagates consecutive groups of inputs, one
     ``(V, g, chunk)`` pass per group sharing a single sampled delay matrix,
     with ``g`` the largest group whose working set fits the chunk budget
-    (at least one input); the object-level reference (``engine="object"``)
-    runs the original one-propagation-per-input loop.  Sampling is
-    counter-based per block and moments accumulate per block in ascending
-    order, so the statistics are bit-identical across engines, chunk
-    sizes, group sizes and worker counts for the same
-    ``(seed, num_samples)``.  The ``valid`` mask is derived structurally
-    from per-input reachability, so a pair is NaN exactly when no path
-    connects it.  ``chunk_size=None`` auto-sizes the chunks for one input
-    group; ``workers`` / ``executor`` shard block ranges exactly like
-    :func:`simulate_graph_delay`, every shard using the caller's group
-    size; so do prebuilt ``arrays``, which must be current.
+    (at least one input).  Sampling is counter-based per block and moments
+    accumulate per block in ascending order, so the statistics are
+    bit-identical across chunk sizes, group sizes and worker counts for
+    the same ``(seed, num_samples)``.  The ``valid`` mask is derived
+    structurally from per-input reachability, so a pair is NaN exactly
+    when no path connects it.  ``chunk_size=None`` auto-sizes the chunks
+    for one input group; ``workers`` / ``executor`` shard block ranges
+    exactly like :func:`simulate_graph_delay`, every shard using the
+    caller's group size; so do prebuilt ``arrays``, which must be current.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
@@ -831,7 +775,6 @@ def simulate_io_delays(
 
     map_report = None
     if executor is not None:
-        _check_shardable_engine(engine)
         from repro.parallel.shard import partition_samples
 
         ranges = partition_samples(num_samples, executor.workers, MC_SAMPLE_BLOCK)
@@ -846,10 +789,8 @@ def simulate_io_delays(
         sums_stack = np.concatenate(stacks[0])
         square_stack = np.concatenate(stacks[1])
     else:
-        levelized = _resolve_engine(engine, graph.num_edges) == "levelized"
         sums_stack, square_stack = _io_block_moments(
-            arrays, seed, num_samples, 0, num_samples, chunk_size, group_size,
-            levelized,
+            arrays, seed, num_samples, 0, num_samples, chunk_size, group_size
         )
 
     # Sequential per-block accumulation in ascending block order: the exact

@@ -150,7 +150,6 @@ def monte_carlo_hierarchical(
     seed: int = 0,
     chunk_size: Optional[int] = None,
     library: Optional[Library] = None,
-    engine: str = "auto",
     workers: Optional[int] = None,
     executor=None,
 ) -> MonteCarloResult:
@@ -158,8 +157,8 @@ def monte_carlo_hierarchical(
 
     The simulator draws every edge delay jointly from the flattened graph's
     :class:`CanonicalBatch` view (see :func:`flat_edge_batch`) and
-    propagates with the levelized Monte Carlo engine (``engine``/
-    ``chunk_size``/``workers``/``executor`` forward to
+    propagates with the levelized Monte Carlo kernel (``chunk_size``/
+    ``workers``/``executor`` forward to
     :func:`simulate_graph_delay`; ``chunk_size=None`` auto-sizes from the
     flattened graph, a worker count shards block-aligned sample ranges
     across the process pool with bit-identical results).  For warm
@@ -172,7 +171,6 @@ def monte_carlo_hierarchical(
         num_samples,
         seed,
         chunk_size,
-        engine=engine,
         workers=workers,
         executor=executor,
     )

@@ -97,7 +97,7 @@ def _mc_delay_range(arrays, payload):
 
     seed, num_samples, start, stop, chunk_size = payload
     return _simulate_delay_range(
-        arrays, seed, num_samples, start, stop, chunk_size, levelized=True
+        arrays, seed, num_samples, start, stop, chunk_size
     )
 
 
@@ -114,8 +114,7 @@ def _mc_io_blocks(arrays, payload):
 
     seed, num_samples, start, stop, chunk_size, group_size = payload
     return _io_block_moments(
-        arrays, seed, num_samples, start, stop, chunk_size, group_size,
-        levelized=True,
+        arrays, seed, num_samples, start, stop, chunk_size, group_size
     )
 
 

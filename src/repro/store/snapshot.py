@@ -381,7 +381,6 @@ def save_extraction_session(session, path: Union[str, Path]) -> Path:
             "allpairs": ap_meta,
             "serial": int(session._serial),
             "name": session._name,
-            "engine": session._engine,
             "has_argmax": has_argmax,
             "variation": variation_to_dict(session.variation),
         },
@@ -437,7 +436,6 @@ def load_extraction_session(
             criticalities,
             int(session_data["serial"]),
             name=session_data.get("name"),
-            engine=str(session_data.get("engine", "auto")),
         )
 
     def cold(target, session_data):
@@ -445,7 +443,6 @@ def load_extraction_session(
             target,
             variation_from_dict(session_data["variation"]),
             name=session_data.get("name"),
-            engine=str(session_data.get("engine", "auto")),
         )
 
     def default_cold(target):

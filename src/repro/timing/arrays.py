@@ -603,26 +603,30 @@ class GraphArrays:
         return levels
 
 
-def _graph_arrays(graph: TimingGraph, arrays: Optional[GraphArrays]) -> GraphArrays:
+def _graph_arrays(
+    graph: TimingGraph, arrays: Optional[GraphArrays], argument: str = "arrays"
+) -> GraphArrays:
     """The caller's prebuilt ``arrays`` if they are current, else a fresh build.
 
     Prebuilt arrays are never refreshed here — they may belong to a
     session — so arrays of another graph, or of an older revision of this
     one, raise :class:`~repro.errors.TimingGraphError` instead of being
-    analysed with stale delays.
+    analysed with stale delays; the message names the caller's ``argument``.
     """
     if arrays is None:
         return GraphArrays.from_graph(graph)
     if arrays.graph is not graph or arrays.revision != graph.revision:
         raise TimingGraphError(
-            "stale arrays: built from %s at revision %d, but %r is at "
-            "revision %d; refresh them or drop arrays="
+            "stale %s=: built from %s at revision %d, but %r is at "
+            "revision %d; refresh or rebuild it, or drop %s="
             % (
+                argument,
                 "this graph" if arrays.graph is graph
                 else "graph %r" % arrays.graph.name,
                 arrays.revision,
                 graph.name,
                 graph.revision,
+                argument,
             )
         )
     return arrays

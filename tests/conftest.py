@@ -228,3 +228,95 @@ def io_group(monkeypatch):
         return size
 
     return force
+
+
+# ----------------------------------------------------------------------
+# Reference oracles of the production kernels
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="session")
+def criticality_reference():
+    """Per-edge maxima of the scalar reference ``edge_criticality_matrix``.
+
+    Returns ``reference(graph, analysis) -> CriticalityResult``: every
+    edge's maximum over its ``(I, O)`` criticality matrix and one pair
+    attaining it — the oracle the batched kernel, the incremental updater
+    and the extraction session are checked against (to 1e-9).
+    """
+    from repro.model.criticality import CriticalityResult, edge_criticality_matrix
+
+    def reference(graph, analysis):
+        values, pairs = {}, {}
+        for edge in graph.edges:
+            matrix = edge_criticality_matrix(analysis, edge)
+            i, j = np.unravel_index(int(np.argmax(matrix)), matrix.shape)
+            values[edge.edge_id] = float(matrix[i, j])
+            pairs[edge.edge_id] = (int(i), int(j))
+        return CriticalityResult(values, pairs)
+
+    return reference
+
+
+@pytest.fixture(scope="session")
+def mc_reference():
+    """Object-level Monte Carlo oracle on the production sampler's delays.
+
+    Returns a namespace with ``graph_delay(graph, num_samples, seed)`` (the
+    circuit-delay samples) and ``io_delays(graph, num_samples, seed)`` (an
+    ``IoDelayStatistics``).  Both propagate the delays of
+    ``_sample_delay_range`` with the per-vertex ``_longest_paths_object``
+    loop, one input at a time for the io statistics, and reduce the io
+    moments per sample block in ascending block order as the production
+    simulators do — so the levelized kernels must match them bit for bit.
+    Validity comes from the sampled arrivals, not from reachability.
+    """
+    from types import SimpleNamespace
+
+    from repro.montecarlo.flat import (
+        MC_SAMPLE_BLOCK,
+        IoDelayStatistics,
+        _longest_paths_object,
+        _sample_delay_range,
+    )
+    from repro.timing.arrays import GraphArrays
+
+    def _delays(graph, num_samples, seed):
+        arrays = GraphArrays.from_graph(graph)
+        return arrays, _sample_delay_range(arrays, seed, num_samples, 0, num_samples)
+
+    def graph_delay(graph, num_samples, seed):
+        arrays, delays = _delays(graph, num_samples, seed)
+        arrivals = _longest_paths_object(arrays, delays, arrays.input_rows)
+        return arrivals[arrays.output_rows].max(axis=0)
+
+    def io_delays(graph, num_samples, seed):
+        arrays, delays = _delays(graph, num_samples, seed)
+        input_rows = arrays.input_rows
+        # (I, O, S) output arrivals, one object-level propagation per input.
+        arrivals = np.stack([
+            _longest_paths_object(arrays, delays, input_rows[k : k + 1])[
+                arrays.output_rows
+            ]
+            for k in range(input_rows.shape[0])
+        ])
+        valid = np.isfinite(arrivals).all(axis=2)
+        finite = np.where(valid[:, :, np.newaxis], arrivals, 0.0)
+        sums = np.zeros(valid.shape)
+        square_sums = np.zeros(valid.shape)
+        for low in range(0, num_samples, MC_SAMPLE_BLOCK):
+            block = finite[:, :, low : low + MC_SAMPLE_BLOCK]
+            sums += block.sum(axis=2)
+            square_sums += (block * block).sum(axis=2)
+        means = sums / float(num_samples)
+        variances = np.maximum(square_sums / float(num_samples) - means * means, 0.0)
+        stds = np.sqrt(variances) * np.sqrt(num_samples / max(num_samples - 1, 1))
+        return IoDelayStatistics(
+            inputs=graph.inputs,
+            outputs=graph.outputs,
+            means=np.where(valid, means, np.nan),
+            stds=np.where(valid, stds, np.nan),
+            valid=valid,
+            num_samples=num_samples,
+            elapsed_seconds=0.0,
+        )
+
+    return SimpleNamespace(graph_delay=graph_delay, io_delays=io_delays)

@@ -85,7 +85,7 @@ def test_c7552_mc_sweep_recovers_bit_identically(
 ):
     arrays = GraphArrays.from_graph(c7552_graph)
     reference = simulate_graph_delay(
-        c7552_graph, num_samples=MC_SAMPLES, engine="levelized", arrays=arrays
+        c7552_graph, num_samples=MC_SAMPLES, arrays=arrays
     )
     assert reference.map_report is None  # undisturbed serial baseline
 
@@ -94,7 +94,6 @@ def test_c7552_mc_sweep_recovers_bit_identically(
     result = simulate_graph_delay(
         c7552_graph,
         num_samples=MC_SAMPLES,
-        engine="levelized",
         executor=executor,
         arrays=arrays,
     )
@@ -124,14 +123,12 @@ def test_mc_sweep_recovers(
     monkeypatch, chaos_executor_factory, fuse_file, parity_module, kind
 ):
     graph, _variation = parity_module
-    reference = simulate_graph_delay(
-        graph, num_samples=MC_SAMPLES, engine="levelized"
-    )
+    reference = simulate_graph_delay(graph, num_samples=MC_SAMPLES)
 
     _arm(monkeypatch, fuse_file, kind, timeout="6")
     executor = chaos_executor_factory()
     result = simulate_graph_delay(
-        graph, num_samples=MC_SAMPLES, engine="levelized", executor=executor
+        graph, num_samples=MC_SAMPLES, executor=executor
     )
     assert np.array_equal(result.samples, reference.samples)
     _assert_disturbed(result.map_report, fuse_file, kind)

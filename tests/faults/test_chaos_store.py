@@ -145,9 +145,7 @@ def test_sharded_c7552_sweep_survives_an_armed_store_plan(tmp_path):
     variation = default_variation_for(netlist, placement)
     graph = build_timing_graph(netlist, library, placement, variation)
 
-    serial = simulate_graph_delay(
-        graph, num_samples=MC_SAMPLES, engine="levelized"
-    )
+    serial = simulate_graph_delay(graph, num_samples=MC_SAMPLES)
 
     executor = ShardedExecutor(workers=2, engine="auto")
     if executor.engine != "process":
@@ -159,7 +157,6 @@ def test_sharded_c7552_sweep_survives_an_armed_store_plan(tmp_path):
             sharded = simulate_graph_delay(
                 graph,
                 num_samples=MC_SAMPLES,
-                engine="levelized",
                 executor=executor,
             )
             session = MonteCarloSession(graph, num_samples=MC_SAMPLES, seed=0)

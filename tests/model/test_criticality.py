@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from repro.core.canonical import CanonicalForm
+from repro.errors import ModelExtractionError, TimingGraphError
 from repro.model.criticality import (
     CriticalityResult,
     compute_edge_criticalities,
+    edge_criticality_batch,
     edge_criticality_matrix,
+    edge_criticality_tensor,
+    update_edge_criticalities,
 )
-from repro.timing.allpairs import AllPairsTiming
+from repro.model.extraction import extract_timing_model
+from repro.timing.allpairs import AllPairsSession, AllPairsTiming
 from repro.timing.graph import TimingGraph
 
 
@@ -126,3 +131,93 @@ class TestCriticalityResult:
             for i in range(len(analysis.inputs)):
                 if analysis.matrix_valid[i, j]:
                     assert best[i, j] > 0.2
+
+
+@pytest.fixture(scope="module")
+def c432_module():
+    """Pristine ``(graph, variation)`` of the c432 surrogate (copy to edit)."""
+    from repro.liberty.library import standard_library
+    from repro.netlist.iscas85 import iscas85_surrogate
+    from repro.placement.placer import place_netlist
+    from repro.timing.builder import build_timing_graph, default_variation_for
+
+    netlist = iscas85_surrogate("c432")
+    library = standard_library()
+    placement = place_netlist(netlist, library)
+    variation = default_variation_for(netlist, placement)
+    return build_timing_graph(netlist, library, placement, variation), variation
+
+
+class TestAnalysisChecks:
+    """Regressions: a prebuilt ``analysis=`` that does not describe the graph
+    as it is now, or that lacks the dense tensors, raises a typed error
+    instead of yielding wrong criticalities or an ``AttributeError``."""
+
+    @pytest.mark.parametrize("edit", ["retime", "remove", "foreign"])
+    def test_stale_or_foreign_analysis_raises(self, c432_module, edit):
+        pristine, variation = c432_module
+        graph = pristine.copy()
+        analysis = AllPairsTiming.analyze(graph)
+        if edit == "foreign":
+            graph = pristine.copy()  # same delays, another graph
+        session = AllPairsSession(graph)
+        previous = compute_edge_criticalities(graph, session.state)
+        if edit == "retime":
+            for edge in graph.edges[:200]:
+                graph.replace_edge_delay(edge, edge.delay.scale(1.3))
+        elif edit == "remove":
+            graph.remove_edge(graph.edges[len(graph.edges) // 2])
+        update = session.refresh()
+
+        with pytest.raises(TimingGraphError) as excinfo:
+            compute_edge_criticalities(graph, analysis)
+        message = str(excinfo.value)
+        assert "analysis=" in message
+        if edit == "foreign":
+            assert "graph %r" % pristine.name in message
+        else:
+            assert "revision %d" % analysis.arrays.revision in message
+            assert "revision %d" % graph.revision in message
+        with pytest.raises(TimingGraphError):
+            update_edge_criticalities(graph, analysis, previous, update)
+        with pytest.raises(TimingGraphError):
+            extract_timing_model(graph, variation, analysis=analysis)
+        # The current analysis is accepted and matches the session's.
+        fresh = compute_edge_criticalities(graph, AllPairsTiming.analyze(graph))
+        updated = update_edge_criticalities(graph, session.state, previous, update)
+        assert fresh.max_criticality == pytest.approx(updated.max_criticality, abs=1e-9)
+
+    def test_blocked_analysis_raises_model_extraction_error(
+        self, c432_module, monkeypatch
+    ):
+        pristine, variation = c432_module
+        graph = pristine.copy()
+        session = AllPairsSession(graph)  # sessions are always dense
+        previous = compute_edge_criticalities(graph, session.state)
+        graph.replace_edge_delay(graph.edges[0], graph.edges[0].delay.scale(1.1))
+        update = session.refresh()
+
+        monkeypatch.setenv("REPRO_ALLPAIRS_BUDGET_FLOATS", "1000")
+        blocked = AllPairsTiming.analyze(graph)
+        assert blocked.engine == "blocked"
+        calls = {
+            "compute": lambda: compute_edge_criticalities(graph),
+            "compute(analysis)": lambda: compute_edge_criticalities(graph, blocked),
+            "update": lambda: update_edge_criticalities(
+                graph, blocked, previous, update
+            ),
+            "extract": lambda: extract_timing_model(graph, variation),
+            "batch": lambda: edge_criticality_batch(blocked),
+            "tensor": lambda: edge_criticality_tensor(blocked, graph.edges[:2]),
+            "matrix": lambda: edge_criticality_matrix(blocked, graph.edges[0]),
+        }
+        arrays = blocked.arrays
+        footprint = arrays.num_vertices * (
+            len(graph.inputs) + len(graph.outputs)
+        ) * (arrays.num_corr + 2)
+        for name, call in calls.items():
+            with pytest.raises(ModelExtractionError) as excinfo:
+                call()
+            message = str(excinfo.value)
+            assert "%d floats" % footprint in message, name
+            assert "1000 floats" in message, name

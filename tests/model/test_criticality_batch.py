@@ -1,13 +1,17 @@
-"""Property-based parity suite of the batched criticality engine.
+"""Property-based parity suite of the batched criticality kernel.
 
-The edge-chunked engine of :mod:`repro.model.criticality` shares its
-floating-point expressions with the one-edge-at-a-time scalar reference,
-so on *any* module the two must agree to 1e-9 — asserted here on
+The edge-chunked kernel of :mod:`repro.model.criticality` shares its
+floating-point expressions with the one-edge-at-a-time scalar reference
+:func:`edge_criticality_matrix`, so on *any* module every edge's maximum
+must agree with the maximum of its reference matrix (the
+``criticality_reference`` fixture) to 1e-9 — asserted here on
 hypothesis-randomized layered DAGs, including the degenerate corners the
 shared tie rule exists for (zero-variance delays, exactly tied maxima,
 single-input/single-output modules), and after randomized retime bursts
 driven through the incremental updater.
 """
+
+import inspect
 
 import numpy as np
 import pytest
@@ -16,7 +20,6 @@ from hypothesis import strategies as st
 
 from repro.core.canonical import CanonicalForm
 from repro.model.criticality import (
-    AUTO_BATCH_MIN_CRITICALITY_EDGES,
     compute_edge_criticalities,
     edge_criticality_batch,
     edge_criticality_matrix,
@@ -43,9 +46,10 @@ def _build_graph(
     Every non-input vertex receives 1-3 fanin edges from topologically
     earlier non-output vertices, so each output is reachable while some
     inputs (and internal vertices) may dangle — which exercises the
-    validity masking of both engines.  ``zero_variance`` makes every delay
-    deterministic (the all-degenerate corner); ``with_tie`` duplicates one
-    edge so a pair maximum is attained identically twice.
+    validity masking of the kernel and the reference.  ``zero_variance``
+    makes every delay deterministic (the all-degenerate corner);
+    ``with_tie`` duplicates one edge so a pair maximum is attained
+    identically twice.
     """
     rng = np.random.default_rng(seed)
     graph = TimingGraph("prop%d" % seed, NUM_LOCALS)
@@ -114,18 +118,22 @@ class TestRandomizedParity:
     )
     @settings(max_examples=40, deadline=None)
     def test_batch_matches_scalar(
-        self, seed, num_inputs, num_outputs, num_internal, zero_variance, with_tie
+        self,
+        criticality_reference,
+        seed,
+        num_inputs,
+        num_outputs,
+        num_internal,
+        zero_variance,
+        with_tie,
     ):
         graph = _build_graph(
             seed, num_inputs, num_outputs, num_internal, zero_variance, with_tie
         )
         analysis = AllPairsTiming.analyze(graph)
-        scalar = compute_edge_criticalities(graph, analysis, engine="scalar")
-        batch = compute_edge_criticalities(graph, analysis, engine="batch")
-        assert scalar.engine == "scalar"
+        batch = compute_edge_criticalities(graph, analysis)
         assert batch.engine == "batch"
-        _assert_results_close(scalar, batch)
-        _assert_argmax_attains(graph, analysis, scalar)
+        _assert_results_close(criticality_reference(graph, analysis), batch)
         _assert_argmax_attains(graph, analysis, batch)
 
     @given(
@@ -170,7 +178,9 @@ class TestRandomizedParity:
         ),
     )
     @settings(max_examples=25, deadline=None)
-    def test_retime_burst_incremental_parity(self, seed, num_internal, burst):
+    def test_retime_burst_incremental_parity(
+        self, criticality_reference, seed, num_internal, burst
+    ):
         graph = _build_graph(seed, 3, 2, num_internal)
         session = AllPairsSession(graph)
         result = compute_edge_criticalities(graph, session.state)
@@ -181,34 +191,42 @@ class TestRandomizedParity:
             result = update_edge_criticalities(
                 graph, session.state, result, update
             )
-        reference = compute_edge_criticalities(
-            graph, AllPairsTiming.analyze(graph), engine="scalar"
-        )
+        reference = criticality_reference(graph, AllPairsTiming.analyze(graph))
         _assert_results_close(reference, result)
 
     @given(seed=st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=15, deadline=None)
-    def test_single_input_single_output(self, seed):
+    def test_single_input_single_output(self, criticality_reference, seed):
         graph = _build_graph(seed, 1, 1, 4)
         analysis = AllPairsTiming.analyze(graph)
-        scalar = compute_edge_criticalities(graph, analysis, engine="scalar")
-        batch = compute_edge_criticalities(graph, analysis, engine="batch")
-        _assert_results_close(scalar, batch)
+        _assert_results_close(
+            criticality_reference(graph, analysis),
+            compute_edge_criticalities(graph, analysis),
+        )
 
 
 class TestAcceptanceCircuits:
-    def test_batch_matches_scalar_on_parity_modules(self, parity_module):
+    def test_batch_matches_scalar_on_parity_modules(
+        self, parity_module, criticality_reference
+    ):
         # The real c17, a 4x4 array multiplier and the c432 surrogate.
         graph = parity_module[0]
         analysis = AllPairsTiming.analyze(graph)
-        scalar = compute_edge_criticalities(graph, analysis, engine="scalar")
-        batch = compute_edge_criticalities(graph, analysis, engine="batch")
-        _assert_results_close(scalar, batch)
+        batch = compute_edge_criticalities(graph, analysis)
+        _assert_results_close(criticality_reference(graph, analysis), batch)
         _assert_argmax_attains(graph, analysis, batch)
 
 
+def _production_and_reference(graph, analysis, reference):
+    """The batched result and the reference maxima, in that order."""
+    return (
+        compute_edge_criticalities(graph, analysis),
+        reference(graph, analysis),
+    )
+
+
 class TestDegenerateEdges:
-    def test_zero_variance_chain_is_exactly_one(self):
+    def test_zero_variance_chain_is_exactly_one(self, criticality_reference):
         """Deterministic delays: the whole chain ties at criticality 1.0."""
         graph = TimingGraph("chain", NUM_LOCALS)
         graph.mark_input("a")
@@ -217,13 +235,12 @@ class TestDegenerateEdges:
         graph.add_edge("a", "m", constant)
         graph.add_edge("m", "z", constant)
         analysis = AllPairsTiming.analyze(graph)
-        for engine in ("scalar", "batch"):
-            result = compute_edge_criticalities(graph, analysis, engine=engine)
-            assert all(
-                value == 1.0 for value in result.max_criticality.values()
-            ), engine
+        for result in _production_and_reference(
+            graph, analysis, criticality_reference
+        ):
+            assert all(value == 1.0 for value in result.max_criticality.values())
 
-    def test_tied_parallel_paths_both_fully_critical(self):
+    def test_tied_parallel_paths_both_fully_critical(self, criticality_reference):
         """Two identical deterministic branches: both tie at exactly 1.0."""
         graph = TimingGraph("tied", NUM_LOCALS)
         graph.mark_input("a")
@@ -233,14 +250,13 @@ class TestDegenerateEdges:
             graph.add_edge("a", branch, constant)
             graph.add_edge(branch, "z", constant)
         analysis = AllPairsTiming.analyze(graph)
-        for engine in ("scalar", "batch"):
-            result = compute_edge_criticalities(graph, analysis, engine=engine)
-            assert all(
-                value == 1.0 for value in result.max_criticality.values()
-            ), engine
+        for result in _production_and_reference(
+            graph, analysis, criticality_reference
+        ):
+            assert all(value == 1.0 for value in result.max_criticality.values())
 
-    def test_dangling_edge_has_zero_criticality(self):
-        """An edge on no input-to-output path scores 0 in both engines."""
+    def test_dangling_edge_has_zero_criticality(self, criticality_reference):
+        """An edge on no input-to-output path scores 0, as in the reference."""
         graph = TimingGraph("dangle", NUM_LOCALS)
         graph.mark_input("a")
         graph.mark_output("z")
@@ -248,8 +264,9 @@ class TestDegenerateEdges:
         graph.add_edge("a", "z", form)
         graph.add_edge("orphan", "leaf", form)  # reaches no output
         analysis = AllPairsTiming.analyze(graph)
-        for engine in ("scalar", "batch"):
-            result = compute_edge_criticalities(graph, analysis, engine=engine)
+        for result in _production_and_reference(
+            graph, analysis, criticality_reference
+        ):
             dangling = [
                 edge.edge_id
                 for edge in graph.edges
@@ -261,27 +278,7 @@ class TestDegenerateEdges:
             assert result.argmax_pairs[dangling[0]] != (-1, -1)
 
 
-class TestEngineSelection:
-    def test_auto_uses_scalar_below_threshold(self):
-        graph = _build_graph(3, 2, 2, 3)
-        assert graph.num_edges < AUTO_BATCH_MIN_CRITICALITY_EDGES
-        result = compute_edge_criticalities(graph)
-        assert result.engine == "scalar"
-
-    def test_auto_uses_batch_above_threshold(self):
-        graph = _build_graph(5, 4, 3, 40)
-        while graph.num_edges < AUTO_BATCH_MIN_CRITICALITY_EDGES:
-            graph.add_edge(
-                "i0", "v0", CanonicalForm(1.0, 0.1, [0.0] * NUM_LOCALS, 0.1)
-            )
-        result = compute_edge_criticalities(graph)
-        assert result.engine == "batch"
-
-    def test_unknown_engine_raises(self):
-        graph = _build_graph(1, 1, 1, 1)
-        with pytest.raises(ValueError):
-            compute_edge_criticalities(graph, engine="vectorised")
-
+class TestChunking:
     def test_chunking_is_invariant(self):
         """Any chunk size yields the same result as one big chunk."""
         graph = _build_graph(11, 3, 3, 10)
@@ -297,6 +294,53 @@ class TestEngineSelection:
         analysis = AllPairsTiming.analyze(graph)
         with pytest.raises(ValueError):
             edge_criticality_batch(analysis, chunk_pairs=0)
+
+
+@pytest.fixture(scope="module", params=["c17", "mult2"])
+def small_module(request, library):
+    """Real modules under 48 edges, where a scalar pass used to run."""
+    if request.param == "c17":
+        return request.getfixturevalue("c17_graph")
+    from repro.netlist.multiplier import array_multiplier
+    from repro.placement.placer import place_netlist
+    from repro.timing.builder import build_timing_graph, default_variation_for
+
+    netlist = array_multiplier(2)
+    placement = place_netlist(netlist, library)
+    variation = default_variation_for(netlist, placement)
+    return build_timing_graph(netlist, library, placement, variation)
+
+
+class TestSmallModules:
+    def test_small_module_matches_reference(
+        self, small_module, criticality_reference
+    ):
+        graph = small_module
+        assert graph.num_edges < 48
+        analysis = AllPairsTiming.analyze(graph)
+        batch = compute_edge_criticalities(graph, analysis)
+        assert batch.engine == "batch"
+        reference = criticality_reference(graph, analysis)
+        _assert_results_close(reference, batch)
+        _assert_argmax_attains(graph, analysis, batch)
+        # Extraction keeps the same edges at the paper's threshold.
+        for edge_id, value in reference.max_criticality.items():
+            assert (batch.max_criticality[edge_id] < 0.05) == (value < 0.05)
+
+    def test_entry_points_take_no_engine(self):
+        from repro.experiments.ablation import run_threshold_sweep
+        from repro.model.extraction import ExtractionSession
+
+        for entry in (
+            compute_edge_criticalities,
+            update_edge_criticalities,
+            ExtractionSession,
+            ExtractionSession.from_snapshot,
+            run_threshold_sweep,
+        ):
+            parameters = inspect.signature(entry).parameters
+            assert "engine" not in parameters, entry
+            assert "criticality_engine" not in parameters, entry
 
 
 @pytest.fixture(scope="module")
@@ -346,9 +390,7 @@ class TestDenseEditSwitch:
         )
         assert updated.engine == "batch"  # the auto-switch fired
 
-        reference = compute_edge_criticalities(
-            graph, session.state, engine="batch"
-        )
+        reference = compute_edge_criticalities(graph, session.state)
         assert updated.max_criticality == reference.max_criticality
         assert updated.argmax_pairs == reference.argmax_pairs
 
@@ -365,9 +407,7 @@ class TestDenseEditSwitch:
         )
         assert updated.engine == "incremental"
 
-        reference = compute_edge_criticalities(
-            graph, session.state, engine="scalar"
-        )
+        reference = compute_edge_criticalities(graph, session.state)
         _assert_results_close(reference, updated)
 
 

@@ -21,6 +21,7 @@ from repro.model.extraction import (
     extract_timing_model,
     sweep_thresholds,
 )
+from repro.timing.allpairs import AllPairsTiming
 from repro.timing.graph import TimingGraph
 
 SWEEP_THRESHOLDS = (0.01, 0.05, 0.1)
@@ -176,27 +177,39 @@ class TestValidation:
             session.extract(-0.1)
 
 
-class TestCriticalityEngineForwarding:
-    """The session forwards its criticality engine to every evaluation."""
+class TestReferenceCriticalities:
+    """The session extracts the model of the scalar reference maxima."""
 
-    def test_forced_engines_extract_identical_models(self, edit_module):
+    def test_session_extracts_the_reference_model(
+        self, edit_module, criticality_reference
+    ):
         graph, variation = edit_module
-        scalar_model = ExtractionSession(graph, variation, engine="scalar").extract(0.05)
-        batch_model = ExtractionSession(graph, variation, engine="batch").extract(0.05)
-        _assert_models_identical(batch_model, scalar_model, "engine parity")
+        session = ExtractionSession(graph, variation)
+        reference = criticality_reference(graph, session.analysis)
+        for edge_id, value in reference.max_criticality.items():
+            assert abs(session.criticalities.max_criticality[edge_id] - value) <= 1e-9
+        reference_model = extract_timing_model(
+            graph, variation, 0.05, criticalities=reference
+        )
+        _assert_models_identical(session.extract(0.05), reference_model, "reference")
 
-    def test_forced_engine_survives_refresh(self, edit_module):
+    def test_refreshed_session_matches_the_reference(
+        self, edit_module, criticality_reference
+    ):
         graph, variation = edit_module
-        session = ExtractionSession(graph, variation, engine="scalar")
-        assert session.criticalities.engine == "scalar"
+        session = ExtractionSession(graph, variation)
+        session.extract(0.05)  # warm start
         edge = graph.edges[len(graph.edges) // 2]
         graph.replace_edge_delay(edge, edge.delay.scale(1.15))
-        session.refresh()
-        # A scalar session never reports a batched evaluation, even after
-        # an edit dense enough to trip the auto-switch.
-        assert session.criticalities.engine in ("scalar", "incremental")
-
-    def test_unknown_engine_rejected_at_attach(self, edit_module):
-        graph, variation = edit_module
-        with pytest.raises(ValueError):
-            ExtractionSession(graph, variation, engine="vectorised")
+        refreshed = session.criticalities
+        assert refreshed.engine in ("batch", "incremental")
+        # The reference runs on a cold analysis of the edited graph, so it
+        # shares nothing with the session's refreshed tensors.
+        reference = criticality_reference(graph, AllPairsTiming.analyze(graph))
+        assert refreshed.max_criticality.keys() == reference.max_criticality.keys()
+        for edge_id, value in reference.max_criticality.items():
+            assert abs(refreshed.max_criticality[edge_id] - value) <= 1e-9, edge_id
+        reference_model = extract_timing_model(
+            graph, variation, 0.05, criticalities=reference
+        )
+        _assert_models_identical(session.extract(0.05), reference_model, "refreshed")

@@ -1,15 +1,19 @@
-"""Property-based parity suite of the levelized Monte Carlo engine.
+"""Property-based parity suite of the levelized Monte Carlo kernels.
 
 The level-scheduled kernels replace only the *order* in which per-sample
 longest-path candidates are folded — ``+`` and ``max`` are exact, so on
-*any* graph the levelized engines must produce **bit-identical** samples to
-the object-level reference for the same seed and chunk size.  Asserted
+*any* graph the simulators must produce **bit-identical** results to the
+object-level reference ``_longest_paths_object`` run on the same
+``_sample_delay_range`` delays (the ``mc_reference`` fixture).  Asserted
 here on hypothesis-randomized layered DAGs (including dangling inputs,
 unreachable vertices and single-IO corners), on the multi-source
 ``(V, g, chunk)`` kernel against the one-propagation-per-input reference
 for every input-group size, and on the empty-IO / unreachable / stale-
 arrays regressions.
 """
+
+import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -19,13 +23,11 @@ from hypothesis import strategies as st
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
 from repro.montecarlo.flat import (
-    AUTO_LEVELIZED_MIN_EDGES,
     MC_MAX_CHUNK,
     MC_MIN_CHUNK,
     MC_SAMPLE_BLOCK,
     _longest_paths_object,
     _multi_source_groups,
-    _resolve_engine,
     auto_chunk_size,
     simulate_graph_delay,
     simulate_io_delays,
@@ -42,7 +44,7 @@ def _build_graph(seed, num_inputs, num_outputs, num_internal):
     Every non-input vertex receives 1-3 fanin edges from topologically
     earlier non-output vertices, so each output is reachable while some
     inputs (and internal vertices) may dangle — which exercises the
-    ``-inf`` masking and the structural validity masks of both engines.
+    ``-inf`` masking and the structural validity masks of the kernels.
     """
     rng = np.random.default_rng(seed)
     graph = TimingGraph("mc%d" % seed, NUM_LOCALS)
@@ -86,16 +88,12 @@ class TestRandomizedParity:
     )
     @settings(max_examples=25, deadline=None)
     def test_graph_delay_engines_bit_identical(
-        self, seed, num_inputs, num_outputs, num_internal, chunk
+        self, mc_reference, seed, num_inputs, num_outputs, num_internal, chunk
     ):
         graph = _build_graph(seed, num_inputs, num_outputs, num_internal)
-        levelized = simulate_graph_delay(
-            graph, 50, seed=seed, chunk_size=chunk, engine="levelized"
-        )
-        reference = simulate_graph_delay(
-            graph, 50, seed=seed, chunk_size=chunk, engine="object"
-        )
-        assert np.array_equal(levelized.samples, reference.samples)
+        levelized = simulate_graph_delay(graph, 50, seed=seed, chunk_size=chunk)
+        reference = mc_reference.graph_delay(graph, 50, seed)
+        assert np.array_equal(levelized.samples, reference)
 
     @given(
         seed=st.integers(min_value=0, max_value=10 ** 6),
@@ -105,11 +103,11 @@ class TestRandomizedParity:
     )
     @settings(max_examples=25, deadline=None)
     def test_io_delay_engines_bit_identical(
-        self, seed, num_inputs, num_outputs, num_internal
+        self, mc_reference, seed, num_inputs, num_outputs, num_internal
     ):
         graph = _build_graph(seed, num_inputs, num_outputs, num_internal)
-        levelized = simulate_io_delays(graph, 40, seed=seed, engine="levelized")
-        reference = simulate_io_delays(graph, 40, seed=seed, engine="object")
+        levelized = simulate_io_delays(graph, 40, seed=seed)
+        reference = mc_reference.io_delays(graph, 40, seed)
         _assert_io_identical(levelized, reference)
 
     @given(
@@ -140,43 +138,33 @@ class TestRandomizedParity:
 class TestAcceptanceCircuits:
     @pytest.mark.parametrize("group", ["one", "ragged", "whole"])
     def test_engines_bit_identical_on_parity_modules(
-        self, parity_module, io_group, group
+        self, parity_module, io_group, mc_reference, group
     ):
         graph = parity_module[0]
-        levelized = simulate_graph_delay(graph, 200, seed=9, engine="levelized")
-        reference = simulate_graph_delay(graph, 200, seed=9, engine="object")
-        assert np.array_equal(levelized.samples, reference.samples)
+        levelized = simulate_graph_delay(graph, 200, seed=9)
+        assert np.array_equal(
+            levelized.samples, mc_reference.graph_delay(graph, 200, 9)
+        )
         # Input groups of any size reproduce the whole-axis pass exactly,
         # auto-chunked or not, and so does the per-input object loop.
         io_group(graph, "whole", 300)
-        whole = simulate_io_delays(graph, 300, seed=9, engine="levelized")
+        whole = simulate_io_delays(graph, 300, seed=9)
+        _assert_io_identical(mc_reference.io_delays(graph, 300, 9), whole)
         io_group(graph, group, 300)
-        _assert_io_identical(
-            simulate_io_delays(graph, 300, seed=9, engine="levelized"), whole
-        )
-        _assert_io_identical(
-            simulate_io_delays(graph, 300, seed=9, engine="object"), whole
-        )
+        _assert_io_identical(simulate_io_delays(graph, 300, seed=9), whole)
         io_group(graph, group, 300, chunk_size=256)
         _assert_io_identical(
-            simulate_io_delays(
-                graph, 300, seed=9, engine="levelized", chunk_size=256
-            ),
-            whole,
+            simulate_io_delays(graph, 300, seed=9, chunk_size=256), whole
         )
 
     def test_prebuilt_arrays_reuse_is_bit_identical(self, parity_module):
         graph = parity_module[0]
         arrays = GraphArrays.from_graph(graph)
-        rebuilt = simulate_graph_delay(graph, 200, seed=9, engine="levelized")
-        reused = simulate_graph_delay(
-            graph, 200, seed=9, engine="levelized", arrays=arrays
-        )
+        rebuilt = simulate_graph_delay(graph, 200, seed=9)
+        reused = simulate_graph_delay(graph, 200, seed=9, arrays=arrays)
         assert np.array_equal(rebuilt.samples, reused.samples)
-        rebuilt_io = simulate_io_delays(graph, 60, seed=9, engine="levelized")
-        reused_io = simulate_io_delays(
-            graph, 60, seed=9, engine="levelized", arrays=arrays
-        )
+        rebuilt_io = simulate_io_delays(graph, 60, seed=9)
+        reused_io = simulate_io_delays(graph, 60, seed=9, arrays=arrays)
         _assert_io_identical(rebuilt_io, reused_io)
 
 
@@ -185,24 +173,14 @@ class TestRegressions:
         graph = TimingGraph("no_io")
         graph.add_edge("a", "b", CanonicalForm.constant(1.0))
         with pytest.raises(TimingGraphError):
-            simulate_graph_delay(graph, 10, engine="levelized")
+            simulate_graph_delay(graph, 10)
         with pytest.raises(TimingGraphError):
-            simulate_io_delays(graph, 10, engine="levelized")
+            simulate_io_delays(graph, 10)
         graph.mark_input("a")  # outputs still missing
         with pytest.raises(TimingGraphError):
-            simulate_graph_delay(graph, 10, engine="levelized")
+            simulate_graph_delay(graph, 10)
 
-    def test_unknown_engine_rejected(self, adder_graph):
-        with pytest.raises(ValueError):
-            simulate_graph_delay(adder_graph, 10, engine="turbo")
-
-    def test_auto_selects_by_edge_count(self):
-        assert _resolve_engine("auto", AUTO_LEVELIZED_MIN_EDGES) == "levelized"
-        assert _resolve_engine("auto", AUTO_LEVELIZED_MIN_EDGES - 1) == "object"
-        assert _resolve_engine("levelized", 1) == "levelized"
-        assert _resolve_engine("object", 10 ** 6) == "object"
-
-    def test_unreachable_vertices_stay_masked(self):
+    def test_unreachable_vertices_stay_masked(self, mc_reference):
         """Dangling inputs and unreachable outputs must not poison stats."""
         graph = TimingGraph("partial")
         graph.mark_input("a")
@@ -212,14 +190,15 @@ class TestRegressions:
         graph.add_edge("a", "m", CanonicalForm.constant(3.0))
         graph.add_edge("m", "y", CanonicalForm.constant(4.0))
         graph.add_vertex("orphan")
-        for engine in ("levelized", "object"):
-            stats = simulate_io_delays(graph, 32, seed=1, engine=engine)
+        reference = mc_reference.io_delays(graph, 32, 1)
+        for stats in (simulate_io_delays(graph, 32, seed=1), reference):
             assert stats.valid.tolist() == [[True, False], [False, False]]
             assert stats.mean("a", "y") == pytest.approx(7.0)
             assert np.isnan(stats.mean("b", "y"))
             assert np.isnan(stats.mean("a", "z"))
-            result = simulate_graph_delay(graph, 32, seed=1, engine=engine)
-            assert np.all(result.samples == pytest.approx(7.0))
+        result = simulate_graph_delay(graph, 32, seed=1)
+        for samples in (result.samples, mc_reference.graph_delay(graph, 32, 1)):
+            assert np.all(samples == pytest.approx(7.0))
 
     def test_io_statistics_reject_unknown_names(self):
         graph = TimingGraph("tiny_io")
@@ -260,15 +239,48 @@ class TestRegressions:
         else:
             _assert_io_identical(fresh, refreshed)
 
-    def test_input_that_is_also_output(self):
+    def test_input_that_is_also_output(self, mc_reference):
         graph = TimingGraph("through")
         graph.mark_input("a")
         graph.mark_output("a")
         graph.mark_output("z")
         graph.add_edge("a", "z", CanonicalForm.constant(5.0))
-        for engine in ("levelized", "object"):
-            result = simulate_graph_delay(graph, 16, seed=2, engine=engine)
-            assert np.all(result.samples == pytest.approx(5.0))
+        result = simulate_graph_delay(graph, 16, seed=2)
+        for samples in (result.samples, mc_reference.graph_delay(graph, 16, 2)):
+            assert np.all(samples == pytest.approx(5.0))
+
+    def test_small_multiplier_matches_object_reference(self, library, mc_reference):
+        """A module under 48 edges, where the object loop used to run."""
+        from repro.netlist.multiplier import array_multiplier
+        from repro.placement.placer import place_netlist
+        from repro.timing.builder import build_timing_graph, default_variation_for
+
+        netlist = array_multiplier(2)
+        placement = place_netlist(netlist, library)
+        variation = default_variation_for(netlist, placement)
+        graph = build_timing_graph(netlist, library, placement, variation)
+        assert graph.num_edges < 48
+        result = simulate_graph_delay(graph, 1000, seed=1)
+        assert np.array_equal(result.samples, mc_reference.graph_delay(graph, 1000, 1))
+        _assert_io_identical(
+            simulate_io_delays(graph, 1000, seed=1),
+            mc_reference.io_delays(graph, 1000, 1),
+        )
+
+    def test_entry_points_take_no_engine(self):
+        from repro.analysis.yield_analysis import monte_carlo_yield_curve
+        from repro.experiments.config import ExperimentConfig
+        from repro.montecarlo.hierarchical import monte_carlo_hierarchical
+
+        for entry in (
+            simulate_graph_delay,
+            simulate_io_delays,
+            monte_carlo_hierarchical,
+            monte_carlo_yield_curve,
+        ):
+            assert "engine" not in inspect.signature(entry).parameters, entry
+        fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        assert "monte_carlo_engine" not in fields
 
 
 class TestAutoChunkSize:

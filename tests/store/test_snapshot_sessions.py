@@ -35,6 +35,7 @@ from repro.store import (
     save_incremental_timer,
     save_montecarlo_session,
 )
+from repro.store.format import read_entry, write_entry
 from repro.timing.allpairs import AllPairsSession
 from repro.timing.graph import TimingGraph
 from repro.timing.incremental import IncrementalTimer
@@ -343,6 +344,31 @@ class TestExtractionSession:
         assert loaded.criticalities.argmax_pairs == (
             session.criticalities.argmax_pairs
         )
+
+
+    def test_entry_with_an_engine_key_loads_warm(
+        self, tmp_path, random_graph_and_variation
+    ):
+        # Entries written while sessions still took a criticality engine
+        # carry "engine" in their session meta; loading ignores the key.
+        graph, variation = random_graph_and_variation
+        session = ExtractionSession(graph, variation)
+        path = save_extraction_session(session, tmp_path / "x.npz")
+        entry = read_entry(path)
+        assert "engine" not in entry.meta["session"]
+        meta = dict(entry.meta, session=dict(entry.meta["session"], engine="scalar"))
+        write_entry(
+            path, entry.kind, entry.graph_id, entry.revision, entry.columns, meta=meta
+        )
+        _retime(graph, 7, 1.5)
+        reference = session.extract(0.1)
+        loaded = load_extraction_session(path, graph=graph)
+        assert loaded.store_fallback_reason is None
+        rebuilt = loaded.extract(0.1)
+        assert rebuilt.stats == reference.stats
+        assert [(e.source, e.sink, e.delay) for e in rebuilt.graph.edges] == [
+            (e.source, e.sink, e.delay) for e in reference.graph.edges
+        ]
 
 
 # ----------------------------------------------------------------------
