@@ -68,11 +68,16 @@ def _peak_rss_kb() -> int:
 
 
 def _propagation_throughput(graph, arrays) -> float:
-    """Levelized forward-pass throughput in edges per second."""
+    """Levelized forward-pass throughput in edges per second.
+
+    ``arrays`` is the graph's view, held by the caller so the timed pass
+    reuses it.
+    """
     arrays.forward_levels()  # schedule built outside the timed region
     start = time.perf_counter()
-    times = propagate_arrival_times_batch(graph, None, arrays)
+    times = propagate_arrival_times_batch(graph)
     elapsed = time.perf_counter() - start
+    assert times.arrays is arrays
     assert times.valid.all()
     return arrays.edge_ids.size / elapsed
 
@@ -97,14 +102,16 @@ def _allpairs_block_throughput(graph) -> float:
 def _montecarlo_throughput(graph, arrays) -> float:
     """Flat Monte Carlo throughput in edge-samples per second.
 
-    Reuses the prebuilt ``arrays`` (like the propagation measurement), so
-    the figure tracks sampling + levelized propagation rather than the
-    per-call ``GraphArrays`` rebuild — at 10^6 edges the rebuild alone
-    costs several times the measured work and used to swamp this number.
+    Runs while the caller holds the graph's view ``arrays`` (like the
+    propagation measurement), so the figure tracks sampling + levelized
+    propagation rather than the ``GraphArrays`` rebuild — at 10^6 edges
+    the rebuild alone costs several times the measured work and used to
+    swamp this number.
     """
     start = time.perf_counter()
-    result = simulate_graph_delay(graph, MC_BENCH_SAMPLES, seed=9, arrays=arrays)
+    result = simulate_graph_delay(graph, MC_BENCH_SAMPLES, seed=9)
     elapsed = time.perf_counter() - start
+    assert GraphArrays.of(graph) is arrays
     assert result.samples.shape == (MC_BENCH_SAMPLES,)
     return graph.num_edges * MC_BENCH_SAMPLES / elapsed
 
@@ -116,7 +123,7 @@ def _reference_throughput() -> float:
     placement = place_netlist(netlist, library)
     variation = default_variation_for(netlist, placement)
     graph = build_timing_graph(netlist, library, placement, variation)
-    arrays = GraphArrays.from_graph(graph)
+    arrays = GraphArrays.of(graph)
     return _propagation_throughput(graph, arrays)
 
 
@@ -136,7 +143,7 @@ def test_scaling_curve():
     for size in sizes:
         netlist = design_for_edge_count("pipeline", size, seed=13)
         graph = synthetic_timing_graph(netlist, seed=13)
-        arrays = GraphArrays.from_graph(graph)
+        arrays = GraphArrays.of(graph)
         assert abs(arrays.edge_ids.size - size) <= 0.1 * size
 
         propagation = _propagation_throughput(graph, arrays)

@@ -48,7 +48,7 @@ from repro.timing.allpairs import (
     allpairs_budget_floats,
     dense_tensor_floats,
 )
-from repro.timing.arrays import _graph_arrays
+from repro.timing.arrays import _require_current
 from repro.timing.graph import TimingEdge, TimingGraph
 
 __all__ = [
@@ -777,7 +777,7 @@ def compute_edge_criticalities(
         if not graph.inputs or not graph.outputs:
             return _empty_pair_space_result(graph.edges)
         analysis = AllPairsTiming.analyze(graph)
-    _graph_arrays(graph, analysis.arrays, "analysis")
+    _require_current(graph, analysis.arrays, "analysis")
     return edge_criticality_batch(analysis, graph.edges)
 
 
@@ -866,7 +866,7 @@ def update_edge_criticalities(
     ``update`` — :class:`repro.model.extraction.ExtractionSession` enforces
     this with the update serial.
     """
-    _graph_arrays(graph, analysis.arrays, "analysis")
+    _require_current(graph, analysis.arrays, "analysis")
     _require_dense(analysis)
     if update.mode == "noop":
         return previous

@@ -136,10 +136,11 @@ class TimingModel:
 
     # ------------------------------------------------------------------
     def analysis(self) -> AllPairsTiming:
-        """All-pairs input/output analysis of the *model* graph (cached)."""
-        if self._analysis is None:
-            self._analysis = AllPairsTiming.analyze(self._graph)
-        return self._analysis
+        """All-pairs analysis of the *model* graph (cached until it is edited)."""
+        analysis = self._analysis
+        if analysis is None or analysis.arrays.revision != self._graph.revision:
+            analysis = self._analysis = AllPairsTiming.analyze(self._graph)
+        return analysis
 
     def delay_matrix_means(self) -> np.ndarray:
         """Mean input/output delay matrix of the model (NaN where no path)."""

@@ -16,10 +16,12 @@ bit-identical across chunkings and across any sharding of the sample axis
 ascending block order for the same reason.
 
 Longest paths run on one production kernel at every graph size: the
-**levelized** kernel walks the Kahn level schedules of
-:class:`~repro.timing.arrays.GraphArrays` and folds each level's fanin
-edges as whole prefix rounds over a pre-permuted sampled delay matrix —
-no per-vertex Python work at all.  The same kernel generalises to a third
+**levelized** kernel walks the Kahn level schedules of the graph's shared
+:meth:`~repro.timing.arrays.GraphArrays.of` view and folds each level's
+fanin edges as whole prefix rounds over a pre-permuted sampled delay
+matrix — no per-vertex Python work at all.  Corner STA
+(:mod:`repro.timing.sta`) propagates its corner delays through the same
+kernel as a single sample.  The kernel generalises to a third
 *source* axis, so :func:`simulate_io_delays` computes the per-input
 longest paths of a group of ``g`` inputs in one ``(V, g, chunk)`` pass,
 every group sharing one sampled delay matrix, instead of ``|I|`` full
@@ -47,7 +49,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.errors import TimingGraphError
-from repro.timing.arrays import GraphArrays, _graph_arrays
+from repro.timing.arrays import GraphArrays
 from repro.timing.graph import TimingGraph
 
 __all__ = [
@@ -383,10 +385,11 @@ class _ForwardSchedule:
 def _forward_schedule(arrays: GraphArrays) -> _ForwardSchedule:
     """The fold schedule of ``arrays`` (cached on the levelized schedules).
 
-    Keyed to the identity of the cached ``forward_levels()`` list, which
-    :meth:`GraphArrays.refresh` invalidates on any structural window — so
-    the schedule follows the arrays through incremental maintenance for
-    free.
+    Built once per view and shared by the Monte Carlo runs and the corner
+    STA that read it.  Keyed to the identity of the cached
+    ``forward_levels()`` list, which :meth:`GraphArrays.refresh`
+    invalidates on any structural window — so the schedule follows a
+    session's arrays through incremental maintenance for free.
     """
     levels = arrays.forward_levels()
     cached = getattr(arrays, "_mc_forward_schedule", None)
@@ -577,7 +580,6 @@ def simulate_graph_delay(
     chunk_size: Optional[int] = None,
     workers: Optional[int] = None,
     executor=None,
-    arrays: Optional[GraphArrays] = None,
 ) -> MonteCarloResult:
     """Monte Carlo distribution of the graph's input-to-output delay.
 
@@ -596,13 +598,10 @@ def simulate_graph_delay(
     is unavailable or only one worker resolves, the run falls back to this
     serial path with identical results.
 
-    Passing prebuilt ``arrays`` (the :func:`propagate_arrival_times_batch`
-    pattern) skips the per-call :meth:`GraphArrays.from_graph` rebuild —
+    The run reads the graph's view (:meth:`GraphArrays.of`): a caller that
+    holds it across repeated runs of an unedited graph skips the rebuild —
     at million-edge scale that rebuild plus the levelized schedule costs
-    several times the sampling-and-propagation work itself, so repeated
-    callers should build once and reuse.  Arrays of another graph or of
-    an older revision raise :class:`~repro.errors.TimingGraphError`; call
-    :meth:`GraphArrays.refresh` after editing the graph.
+    several times the sampling-and-propagation work itself.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
@@ -612,7 +611,7 @@ def simulate_graph_delay(
     from repro.parallel.pool import maybe_executor
 
     start = time.perf_counter()
-    arrays = _graph_arrays(graph, arrays)
+    arrays = GraphArrays.of(graph)
     chunk_size = _resolve_chunk_size(chunk_size, arrays, 1, num_samples)
     executor = maybe_executor(workers, executor)
     if executor is not None and executor.engine != "process":
@@ -733,7 +732,6 @@ def simulate_io_delays(
     chunk_size: Optional[int] = None,
     workers: Optional[int] = None,
     executor=None,
-    arrays: Optional[GraphArrays] = None,
 ) -> IoDelayStatistics:
     """Monte Carlo mean and sigma of every input-to-output delay.
 
@@ -749,7 +747,7 @@ def simulate_io_delays(
     when no path connects it.  ``chunk_size=None`` auto-sizes the chunks
     for one input group; ``workers`` / ``executor`` shard block ranges
     exactly like :func:`simulate_graph_delay`, every shard using the
-    caller's group size; so do prebuilt ``arrays``, which must be current.
+    caller's group size.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
@@ -759,7 +757,7 @@ def simulate_io_delays(
     from repro.parallel.pool import maybe_executor
 
     start = time.perf_counter()
-    arrays = _graph_arrays(graph, arrays)
+    arrays = GraphArrays.of(graph)
     num_inputs = len(graph.inputs)
     num_outputs = len(graph.outputs)
     input_rows = arrays.input_rows

@@ -141,7 +141,7 @@ def flat_edge_batch(
     statistics directly.
     """
     graph = build_flat_timing_graph(design, library, grid_size)
-    return GraphArrays.from_graph(graph).edge_batch
+    return GraphArrays.of(graph).edge_batch
 
 
 def monte_carlo_hierarchical(

@@ -253,7 +253,6 @@ def load_incremental_timer(
                 for name, values in session_data["input_arrivals"].items()
             },
             required_time=_form_from_list(session_data["required_time"]),
-            convergence_tolerance=float(session_data["tolerance"]),
         )
 
     return _load_session(

@@ -2,9 +2,11 @@
 
 The timing graph follows the paper's definition (Section II): a vertex per
 pin/net, a directed edge per pin-to-pin delay, and edge weights that are
-canonical linear forms.  All engines share the structure-of-arrays view of
-:mod:`repro.timing.arrays` and the batched Clark kernels of
-:mod:`repro.core.batch`:
+canonical linear forms.  All engines share the batched Clark kernels of
+:mod:`repro.core.batch` and the structure-of-arrays view of
+:mod:`repro.timing.arrays`: one-shot analyses take the graph and read its
+shared view (:meth:`~repro.timing.arrays.GraphArrays.of`, one per graph
+and revision), while sessions patch a private view in place.  The engines:
 
 * :mod:`repro.timing.propagation` — block-based SSTA for module-level and
   design-level arrival/required/slack propagation; a batched levelized
@@ -14,11 +16,11 @@ canonical linear forms.  All engines share the structure-of-arrays view of
   module, the arrival times from *every* input, the path delays to *every*
   output and the all-pairs input/output delay matrix needed by the
   criticality-based model extraction;
-* :mod:`repro.timing.sta` — a deterministic corner STA baseline, levelized
-  over the same array view;
+* :mod:`repro.timing.sta` — a deterministic corner STA baseline that runs
+  the levelized Monte Carlo longest-path kernel over the same array view;
 * :mod:`repro.timing.incremental` — revisioned incremental analysis: the
-  graph journals its mutations, :class:`~repro.timing.arrays.GraphArrays`
-  replays them into the shared array cache, and an
+  graph journals its mutations, a session's private
+  :class:`~repro.timing.arrays.GraphArrays` view replays them, and an
   :class:`~repro.timing.incremental.IncrementalTimer` session repropagates
   only the dirty cone of each edit, serving rapid what-if queries.
 """

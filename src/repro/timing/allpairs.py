@@ -18,8 +18,8 @@ inputs (outputs) with numpy, following Sapatnekar's all-pairs propagation
 Canonical forms are stored column-wise in the shared structure-of-arrays
 layout of :mod:`repro.core.batch`: component 0 of the ``corr`` arrays is the
 global coefficient, components ``1..K`` are the local PCA coefficients, and
-the private random part is tracked as a variance.  The graph view
-(:class:`~repro.timing.arrays.GraphArrays`), the levelized fold and the
+the private random part is tracked as a variance.  The graph's view
+(:meth:`~repro.timing.arrays.GraphArrays.of`), the levelized fold and the
 batched Clark kernels are the same ones the levelized SSTA propagation
 uses; ``GraphArrays`` and :func:`~repro.core.batch.clark_max_arrays` are
 re-exported here for backwards compatibility.
@@ -66,8 +66,8 @@ import numpy as np
 from repro.core.batch import FoldWorkspace, clark_max_arrays
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
-from repro.timing.arrays import GraphArrays
-from repro.timing.graph import GraphDelta, TimingGraph
+from repro.timing.arrays import GraphArrays, _merge_dirty
+from repro.timing.graph import TimingGraph
 from repro.timing.propagation import _fold_levels, _fold_rounds
 
 __all__ = [
@@ -216,7 +216,7 @@ class AllPairsTiming:
         ``block_columns`` overrides the blocked engine's column-block width
         (defaults to an automatic budget-derived size).
         """
-        arrays = GraphArrays.from_graph(graph)
+        arrays = GraphArrays.of(graph)
         if engine not in ("auto", "dense", "blocked"):
             raise ValueError("unknown all-pairs engine %r" % engine)
         if engine == "auto":
@@ -504,16 +504,16 @@ class AllPairsSession:
     per-output delay tensors from scratch on every call, a session attaches
     to one graph, runs the full propagation once, and afterwards keeps the
     tensors alive as a cache keyed to the graph's revision: every
-    :meth:`refresh` replays the coalesced change journal through the shared
-    :class:`~repro.timing.arrays.GraphArrays` cache (delay-only retimes are
-    patched in place, structural windows migrate the tensors through the
-    refresh row map), seeds a dirty frontier from the edited edges and
-    recomputes **only the affected cone** — level by level, folding the
-    dirty subset of each level across all inputs (or outputs) at once with
-    the shared fold and exactly the candidate order of the from-scratch
-    engine, so the refreshed tensors are bit-identical to a fresh
-    :meth:`AllPairsTiming.analyze` (asserted by the randomized edit-sequence
-    tests).
+    :meth:`refresh` replays the coalesced change journal through the
+    session's private :class:`~repro.timing.arrays.GraphArrays` view
+    (delay-only retimes are patched in place, structural windows migrate
+    the tensors through the refresh row map), seeds a dirty frontier from
+    the edited edges and recomputes **only the affected cone** — level by
+    level, folding the dirty subset of each level across all inputs (or
+    outputs) at once with the shared fold and exactly the candidate order
+    of the from-scratch engine, so the refreshed tensors are bit-identical
+    to a fresh :meth:`AllPairsTiming.analyze` (asserted by the randomized
+    edit-sequence tests).
 
     Only an input/output designation change or a journal overflow forces a
     full recompute: the tensor dimensions are keyed to the I/O sets, which
@@ -742,7 +742,7 @@ class AllPairsSession:
             self._migrate(refresh.row_map)
 
         if delta is not None and not delta.empty:
-            fwd_dirty, bwd_dirty = self._dirty_from_delta(delta)
+            fwd_dirty, bwd_dirty = self._arrays.dirty_frontiers(delta)
             self._dirty_fwd = _merge_dirty(self._dirty_fwd, fwd_dirty)
             self._dirty_bwd = _merge_dirty(self._dirty_bwd, bwd_dirty)
             for edge_id in delta.retimed_edges:
@@ -871,34 +871,6 @@ class AllPairsSession:
             for position, name in enumerate(analysis.outputs)
             if name in index
         }
-
-    def _dirty_from_delta(self, delta: GraphDelta) -> Tuple[np.ndarray, np.ndarray]:
-        """Seed dirty frontiers: sinks forward, sources backward."""
-        arrays = self._arrays
-        index = arrays.vertex_index
-        fwd_dirty = np.zeros(arrays.num_vertices, dtype=bool)
-        bwd_dirty = np.zeros(arrays.num_vertices, dtype=bool)
-        for edge_id in delta.retimed_edges:
-            edge = self._graph.edge(edge_id)
-            fwd_dirty[index[edge.sink]] = True
-            bwd_dirty[index[edge.source]] = True
-        for edge_id in delta.added_edges:
-            edge = self._graph.edge(edge_id)
-            fwd_dirty[index[edge.sink]] = True
-            bwd_dirty[index[edge.source]] = True
-        for _edge_id, source, sink in delta.removed_edges:
-            row = index.get(sink)
-            if row is not None:
-                fwd_dirty[row] = True
-            row = index.get(source)
-            if row is not None:
-                bwd_dirty[row] = True
-        for name in delta.added_vertices:
-            row = index.get(name)
-            if row is not None:
-                fwd_dirty[row] = True
-                bwd_dirty[row] = True
-        return fwd_dirty, bwd_dirty
 
     # ------------------------------------------------------------------
     # Dirty-cone sweeps (levelized, all inputs/outputs at once)
@@ -1043,14 +1015,3 @@ class AllPairsSession:
             self.revision,
             self._serial,
         )
-
-
-def _merge_dirty(
-    pending: Optional[np.ndarray], dirty: np.ndarray
-) -> Optional[np.ndarray]:
-    if not dirty.any():
-        return pending
-    if pending is None:
-        return dirty
-    pending |= dirty
-    return pending

@@ -19,17 +19,20 @@ the vertices are sorted by descending degree, so the vertices participating
 in round ``r`` are always a prefix — engines fold contiguous array slices
 instead of masked gathers.
 
-The view is an **incrementally maintainable cache**: it records the graph
-revision it was built at and :meth:`GraphArrays.refresh` replays the graph's
-change journal.  Pure delay retimes are patched into the edge arrays in
-place (the levelized schedules stay valid); structural edits rebuild the
-edge arrays and invalidate the schedules while reporting how vertex rows
-moved so per-vertex engine state can be migrated; only a journal overflow
-forces the blind full rebuild.
+Every one-shot analysis reads the graph's view, :meth:`GraphArrays.of`:
+one per graph and revision, shared while anyone holds it and rebuilt,
+never patched, after an edit.  Sessions keep a private view current with
+:meth:`GraphArrays.refresh`, which replays the graph's change journal.
+Pure delay retimes are patched into the edge arrays in place (the
+levelized schedules stay valid); structural edits rebuild the edge arrays
+and invalidate the schedules while reporting how vertex rows moved so
+per-vertex engine state can be migrated; only a journal overflow forces
+the blind full rebuild.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
@@ -40,6 +43,10 @@ from repro.errors import TimingGraphError
 from repro.timing.graph import GraphDelta, TimingGraph
 
 __all__ = ["ArraysRefresh", "GraphArrays", "PropagationLevel"]
+
+#: graph -> weakref of its :meth:`GraphArrays.of` view.  Weak on both sides:
+#: no graph keeps its view alive, gains an attribute or joins a cycle.
+_VIEWS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -123,6 +130,19 @@ class GraphArrays:
         )
         self._rebuild()
         return self
+
+    @classmethod
+    def of(cls, graph: TimingGraph) -> "GraphArrays":
+        """The graph's view at its current revision, shared by every analysis.
+
+        Reused while anyone holds it; rebuilt, never patched, after an edit.
+        """
+        ref = _VIEWS.get(graph)
+        arrays = None if ref is None else ref()
+        if arrays is None or arrays.revision != graph.revision:
+            arrays = cls.from_graph(graph)
+            _VIEWS[graph] = weakref.ref(arrays)
+        return arrays
 
     def _rebuild(self) -> None:
         """Recompute every array from the graph; invalidates all caches."""
@@ -321,6 +341,34 @@ class GraphArrays:
         self._in_adjacency = None
         return row_map
 
+    def dirty_frontiers(self, delta: GraphDelta) -> Tuple[np.ndarray, np.ndarray]:
+        """``(forward, backward)`` dirty-vertex masks of a replayed window.
+
+        Marks each edited edge's sink (forward) and source (backward) and
+        every added vertex in both; vanished endpoints are skipped.
+        """
+        index = self.vertex_index
+        graph = self.graph
+        fwd_dirty = np.zeros(self.num_vertices, dtype=bool)
+        bwd_dirty = np.zeros(self.num_vertices, dtype=bool)
+        for edge_id in delta.retimed_edges + delta.added_edges:
+            edge = graph.edge(edge_id)
+            fwd_dirty[index[edge.sink]] = True
+            bwd_dirty[index[edge.source]] = True
+        for _edge_id, source, sink in delta.removed_edges:
+            row = index.get(sink)
+            if row is not None:
+                fwd_dirty[row] = True
+            row = index.get(source)
+            if row is not None:
+                bwd_dirty[row] = True
+        for name in delta.added_vertices:
+            row = index.get(name)
+            if row is not None:
+                fwd_dirty[row] = True
+                bwd_dirty[row] = True
+        return fwd_dirty, bwd_dirty
+
     # ------------------------------------------------------------------
     # Columnar snapshots (the repro.store persistence layer)
     # ------------------------------------------------------------------
@@ -431,11 +479,7 @@ class GraphArrays:
         the memory-budget knobs reason about.
         """
         report = {
-            name: int(getattr(self, name).nbytes)
-            for name in (
-                "edge_ids", "edge_source", "edge_sink",
-                "edge_mean", "edge_corr", "edge_randvar",
-            )
+            name: int(getattr(self, name).nbytes) for name in self._SNAPSHOT_FIELDS
         }
         for key, levels in (
             ("forward_levels", self._forward_levels),
@@ -603,18 +647,14 @@ class GraphArrays:
         return levels
 
 
-def _graph_arrays(
-    graph: TimingGraph, arrays: Optional[GraphArrays], argument: str = "arrays"
-) -> GraphArrays:
-    """The caller's prebuilt ``arrays`` if they are current, else a fresh build.
+def _require_current(
+    graph: TimingGraph, arrays: GraphArrays, argument: str
+) -> None:
+    """Raise unless ``arrays`` is a view of ``graph`` at its current revision.
 
-    Prebuilt arrays are never refreshed here — they may belong to a
-    session — so arrays of another graph, or of an older revision of this
-    one, raise :class:`~repro.errors.TimingGraphError` instead of being
-    analysed with stale delays; the message names the caller's ``argument``.
+    Guards the view of a caller's prebuilt ``<argument>=`` (never refreshed
+    here: it may be a session's) with :class:`~repro.errors.TimingGraphError`.
     """
-    if arrays is None:
-        return GraphArrays.from_graph(graph)
     if arrays.graph is not graph or arrays.revision != graph.revision:
         raise TimingGraphError(
             "stale %s=: built from %s at revision %d, but %r is at "
@@ -629,4 +669,15 @@ def _graph_arrays(
                 argument,
             )
         )
-    return arrays
+
+
+def _merge_dirty(
+    pending: Optional[np.ndarray], dirty: np.ndarray
+) -> Optional[np.ndarray]:
+    """Or a session's new dirty mask into its pending one (``None``: empty)."""
+    if not dirty.any():
+        return pending
+    if pending is None:
+        return dirty
+    pending |= dirty
+    return pending

@@ -4,8 +4,8 @@ An :class:`IncrementalTimer` is a query-serving session attached to one
 :class:`~repro.timing.graph.TimingGraph`.  It runs one full batched pass
 (arrivals forward, required times backward) and afterwards keeps the result
 alive across graph edits: every :meth:`IncrementalTimer.update` reads the
-graph's coalesced change journal, patches the shared
-:class:`~repro.timing.arrays.GraphArrays` cache, seeds a dirty-vertex
+graph's coalesced change journal, patches the session's private
+:class:`~repro.timing.arrays.GraphArrays` view, seeds a dirty-vertex
 frontier from the edited edges, and repropagates **only the affected cone**
 with the same levelized batch kernels as the full engine — processing, per
 topological level, just the dirty subset of its vertices and stopping a
@@ -36,17 +36,17 @@ import numpy as np
 from repro.core.batch import CanonicalBatch, merge_max_with_validity, pad_corr, tightness_arrays
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
-from repro.timing.arrays import GraphArrays
-from repro.timing.graph import GraphDelta, TimingGraph
+from repro.timing.arrays import GraphArrays, _merge_dirty
+from repro.timing.graph import TimingGraph
 from scipy.special import ndtr
 
 from repro.core.gaussian import DEGENERATE_THETA
 from repro.timing.propagation import (
     AUTO_BATCH_MIN_EDGES,
+    _arrival_times,
     _fold_rounds,
+    _required_times,
     _seed_form,
-    propagate_arrival_times_batch,
-    propagate_required_times_batch,
 )
 
 __all__ = ["IncrementalTimer", "SCALAR_SWEEP_MAX_LEVEL_EDGES", "UpdateStats"]
@@ -230,13 +230,6 @@ class IncrementalTimer:
         The timing constraint applied at every output for the backward
         pass (defaults to a deterministic zero, matching
         :func:`~repro.timing.propagation.propagate_required_times`).
-    convergence_tolerance:
-        Early-termination threshold of the dirty-cone sweep.  ``0.0`` (the
-        default) stops a branch only when a recomputed time is *exactly*
-        the cached one, which preserves bit-level parity with a full
-        repropagation; a positive value also stops when every component is
-        within the relative tolerance, trading bounded drift for smaller
-        cones on near-neutral edits.
     """
 
     def __init__(
@@ -244,10 +237,7 @@ class IncrementalTimer:
         graph: TimingGraph,
         input_arrivals: Optional[Mapping[str, CanonicalForm]] = None,
         required_time: Optional[CanonicalForm] = None,
-        convergence_tolerance: float = 0.0,
     ) -> None:
-        if convergence_tolerance < 0.0:
-            raise ValueError("convergence_tolerance must be non-negative")
         self._graph = graph
         self._input_arrivals: Dict[str, CanonicalForm] = dict(input_arrivals or {})
         for name, form in self._input_arrivals.items():
@@ -256,7 +246,6 @@ class IncrementalTimer:
             required_time = CanonicalForm.constant(0.0, graph.num_locals)
         _require_finite(required_time, "required time")
         self._required_time = required_time
-        self._tolerance = float(convergence_tolerance)
 
         graph.enable_journal()  # sessions sync incrementally from here on
         self._arrays = GraphArrays.from_graph(graph)
@@ -347,7 +336,6 @@ class IncrementalTimer:
                 columns["%s.%s" % (tag, name)] = getattr(state, name)
         meta = {
             "width": int(self._width),
-            "tolerance": float(self._tolerance),
             "required_time": _form_to_list(self._required_time),
             "input_arrivals": {
                 name: _form_to_list(form)
@@ -393,7 +381,6 @@ class IncrementalTimer:
             for name, values in meta["input_arrivals"].items()
         }
         self._required_time = _form_from_list(meta["required_time"])
-        self._tolerance = float(meta["tolerance"])
         graph.enable_journal()
         self._arrays = arrays
         self._width = int(meta["width"])
@@ -527,9 +514,9 @@ class IncrementalTimer:
                 )
             self._build_seeds()
 
-        fwd_dirty, bwd_dirty = self._dirty_from_delta(delta)
-        self._pending_fwd = self._merge_pending(self._pending_fwd, fwd_dirty)
-        self._pending_bwd = self._merge_pending(self._pending_bwd, bwd_dirty)
+        fwd_dirty, bwd_dirty = self._arrays.dirty_frontiers(delta)
+        self._pending_fwd = _merge_dirty(self._pending_fwd, fwd_dirty)
+        self._pending_bwd = _merge_dirty(self._pending_bwd, bwd_dirty)
         return False
 
     def _record_full_stats(self) -> None:
@@ -539,17 +526,6 @@ class IncrementalTimer:
             self._arrays.num_vertices,
             self._arrays.num_vertices,
         )
-
-    @staticmethod
-    def _merge_pending(
-        pending: Optional[np.ndarray], dirty: np.ndarray
-    ) -> Optional[np.ndarray]:
-        if not dirty.any():
-            return pending
-        if pending is None:
-            return dirty
-        pending |= dirty
-        return pending
 
     @staticmethod
     def _migrate_pending(
@@ -600,14 +576,11 @@ class IncrementalTimer:
             state.seed_corr = pad_corr(state.seed_corr, width)
 
     def _full_pass(self) -> None:
-        graph = self._graph
         arrays = self._arrays
         width = self._width
         num_vertices = arrays.num_vertices
 
-        arrival = propagate_arrival_times_batch(
-            graph, self._input_arrivals, arrays=arrays
-        )
+        arrival = _arrival_times(arrays, self._input_arrivals)
         fwd = _PassState(num_vertices, width)
         fwd.mean = arrival.mean
         fwd.corr = pad_corr(arrival.corr, width)
@@ -623,10 +596,8 @@ class IncrementalTimer:
         graph = self._graph
         arrays = self._arrays
         width = self._width
-        required = propagate_required_times_batch(
-            graph,
-            {name: self._required_time for name in graph.outputs},
-            arrays=arrays,
+        required = _required_times(
+            arrays, {name: self._required_time for name in graph.outputs}
         )
         # Stored in fold space (negated), so incremental folds can continue
         # where the full pass left off; queries negate on materialisation.
@@ -662,36 +633,6 @@ class IncrementalTimer:
                     bwd.seed_valid, index[name], self._required_time,
                     negate=True,
                 )
-
-    def _dirty_from_delta(
-        self, delta: GraphDelta
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Seed dirty frontiers: sinks forward, sources backward."""
-        arrays = self._arrays
-        index = arrays.vertex_index
-        fwd_dirty = np.zeros(arrays.num_vertices, dtype=bool)
-        bwd_dirty = np.zeros(arrays.num_vertices, dtype=bool)
-        for edge_id in delta.retimed_edges:
-            edge = self._graph.edge(edge_id)
-            fwd_dirty[index[edge.sink]] = True
-            bwd_dirty[index[edge.source]] = True
-        for edge_id in delta.added_edges:
-            edge = self._graph.edge(edge_id)
-            fwd_dirty[index[edge.sink]] = True
-            bwd_dirty[index[edge.source]] = True
-        for _edge_id, source, sink in delta.removed_edges:
-            row = index.get(sink)
-            if row is not None:
-                fwd_dirty[row] = True
-            row = index.get(source)
-            if row is not None:
-                bwd_dirty[row] = True
-        for name in delta.added_vertices:
-            row = index.get(name)
-            if row is not None:
-                fwd_dirty[row] = True
-                bwd_dirty[row] = True
-        return fwd_dirty, bwd_dirty
 
     # ------------------------------------------------------------------
     # Dirty-cone levelized sweeps
@@ -923,11 +864,10 @@ class IncrementalTimer:
     ) -> np.ndarray:
         """Row-by-row variant of :meth:`_write_back` for tiny level subsets.
 
-        Identical change semantics (exact comparison at tolerance 0, the
-        relative test otherwise); per-row scalar compares beat the fancy-
-        indexed array expressions when only a handful of rows were folded.
+        Identical change semantics (exact comparison); per-row scalar
+        compares beat the fancy-indexed array expressions when only a
+        handful of rows were folded.
         """
-        tolerance = self._tolerance
         changed = []
         for position in range(rows.shape[0]):
             row = int(rows[position])
@@ -936,31 +876,12 @@ class IncrementalTimer:
             if old_valid == valid:
                 if not valid:
                     continue
-                if tolerance == 0.0:
-                    if (
-                        state.mean[row] == new_mean[position]
-                        and state.randvar[row] == new_randvar[position]
-                        and bool(
-                            np.array_equal(state.corr[row], new_corr[position])
-                        )
-                    ):
-                        continue
-                else:
-                    old_mean = float(state.mean[row])
-                    old_randvar = float(state.randvar[row])
-                    if (
-                        abs(old_mean - new_mean[position])
-                        <= tolerance * (1.0 + abs(old_mean))
-                        and abs(old_randvar - new_randvar[position])
-                        <= tolerance * (1.0 + abs(old_randvar))
-                        and not bool(
-                            np.any(
-                                np.abs(state.corr[row] - new_corr[position])
-                                > tolerance * (1.0 + np.abs(state.corr[row]))
-                            )
-                        )
-                    ):
-                        continue
+                if (
+                    state.mean[row] == new_mean[position]
+                    and state.randvar[row] == new_randvar[position]
+                    and bool(np.array_equal(state.corr[row], new_corr[position]))
+                ):
+                    continue
             state.mean[row] = new_mean[position]
             state.corr[row] = new_corr[position]
             state.randvar[row] = new_randvar[position]
@@ -981,26 +902,11 @@ class IncrementalTimer:
         old_mean = state.mean[rows]
         old_randvar = state.randvar[rows]
         old_valid = state.valid[rows]
-        tolerance = self._tolerance
-        if tolerance == 0.0:
-            num_diff = (
-                (old_mean != new_mean)
-                | (old_randvar != new_randvar)
-                | np.any(state.corr[rows] != new_corr, axis=1)
-            )
-        else:
-            old_corr = state.corr[rows]
-            num_diff = (
-                (np.abs(old_mean - new_mean) > tolerance * (1.0 + np.abs(old_mean)))
-                | (
-                    np.abs(old_randvar - new_randvar)
-                    > tolerance * (1.0 + np.abs(old_randvar))
-                )
-                | np.any(
-                    np.abs(old_corr - new_corr) > tolerance * (1.0 + np.abs(old_corr)),
-                    axis=1,
-                )
-            )
+        num_diff = (
+            (old_mean != new_mean)
+            | (old_randvar != new_randvar)
+            | np.any(state.corr[rows] != new_corr, axis=1)
+        )
         changed_mask = (old_valid != new_valid) | (old_valid & new_valid & num_diff)
         changed = rows[changed_mask]
         if changed.size:

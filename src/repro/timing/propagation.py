@@ -12,7 +12,8 @@ Two engines share the public API:
 * the **batched levelized engine** (default) keeps all per-vertex times in
   the structure-of-arrays layout of :class:`~repro.core.batch.CanonicalBatch`
   and processes each topological level's fanin (or fanout) edges with one
-  batched Clark reduction per fold round — no per-edge Python arithmetic;
+  batched Clark reduction per fold round — no per-edge Python arithmetic —
+  on the graph's shared :meth:`~repro.timing.arrays.GraphArrays.of` view;
 * the **object-level engine** (``engine="object"``) is the original
   per-edge loop over immutable :class:`~repro.core.canonical.CanonicalForm`
   operations, kept as the readable reference implementation and as the
@@ -39,7 +40,7 @@ from repro.core.batch import (
 from repro.core.canonical import CanonicalForm
 from repro.core.ops import statistical_max, statistical_min
 from repro.errors import TimingGraphError
-from repro.timing.arrays import GraphArrays, _graph_arrays
+from repro.timing.arrays import GraphArrays
 from repro.timing.graph import TimingGraph
 
 __all__ = [
@@ -342,19 +343,22 @@ def _use_batch(graph: TimingGraph, engine: str, seeds) -> bool:
 def propagate_arrival_times_batch(
     graph: TimingGraph,
     input_arrivals: Optional[Mapping[str, CanonicalForm]] = None,
-    arrays: Optional[GraphArrays] = None,
 ) -> VertexTimes:
     """Levelized batched arrival-time propagation.
 
     Functionally identical to the object-level engine (same candidate fold
     order per vertex) but processes each topological level's fanin edges as
-    batched Clark reductions.  ``arrays`` may be passed to reuse a
-    previously built :class:`GraphArrays` view of ``graph``; arrays of
-    another graph or of an older revision raise
-    :class:`~repro.errors.TimingGraphError` (call
-    :meth:`GraphArrays.refresh` after editing the graph).
+    batched Clark reductions over the graph's view
+    (:meth:`GraphArrays.of`).
     """
-    arrays = _graph_arrays(graph, arrays)
+    return _arrival_times(GraphArrays.of(graph), input_arrivals)
+
+
+def _arrival_times(
+    arrays: GraphArrays, input_arrivals: Optional[Mapping[str, CanonicalForm]]
+) -> VertexTimes:
+    """The arrival pass on a given view (a session's private one, say)."""
+    graph = arrays.graph
     input_arrivals = dict(input_arrivals or {})
     seeds = {
         name: input_arrivals[name] for name in graph.inputs if name in input_arrivals
@@ -461,12 +465,9 @@ def circuit_delay(
 # ----------------------------------------------------------------------
 # Backward propagation
 # ----------------------------------------------------------------------
-def longest_path_to_outputs_batch(
-    graph: TimingGraph,
-    arrays: Optional[GraphArrays] = None,
-) -> VertexTimes:
+def longest_path_to_outputs_batch(graph: TimingGraph) -> VertexTimes:
     """Levelized batched maximum delay from every vertex to any output."""
-    arrays = _graph_arrays(graph, arrays)
+    arrays = GraphArrays.of(graph)
     mean, corr, randvar, valid = _empty_state(arrays, arrays.num_corr)
     valid[arrays.output_rows] = True  # deterministic zero at every output
 
@@ -512,7 +513,6 @@ def propagate_required_times_batch(
     graph: TimingGraph,
     required_at_outputs: Optional[Mapping[str, CanonicalForm]] = None,
     default_required: Optional[CanonicalForm] = None,
-    arrays: Optional[GraphArrays] = None,
 ) -> VertexTimes:
     """Levelized batched backward required-time propagation.
 
@@ -522,7 +522,18 @@ def propagate_required_times_batch(
     becomes ``state(sink) + delay``, and the result is negated back at the
     end.  Candidate order matches the object-level engine exactly.
     """
-    arrays = _graph_arrays(graph, arrays)
+    return _required_times(
+        GraphArrays.of(graph), required_at_outputs, default_required
+    )
+
+
+def _required_times(
+    arrays: GraphArrays,
+    required_at_outputs: Optional[Mapping[str, CanonicalForm]] = None,
+    default_required: Optional[CanonicalForm] = None,
+) -> VertexTimes:
+    """The required-time pass on a given view (a session's private one, say)."""
+    graph = arrays.graph
     required_at_outputs = dict(required_at_outputs or {})
     if default_required is None:
         default_required = CanonicalForm.constant(0.0, graph.num_locals)
@@ -601,18 +612,17 @@ def compute_slacks_batch(
     graph: TimingGraph,
     required_time: CanonicalForm,
     input_arrivals: Optional[Mapping[str, CanonicalForm]] = None,
-    arrays: Optional[GraphArrays] = None,
 ) -> VertexTimes:
     """Batched statistical slack at every vertex reachable in both passes.
 
-    One forward and one backward levelized pass over a shared
-    :class:`GraphArrays` view, then a single vectorized subtraction
-    ``required - arrival`` (private variances add) across all vertices.
+    One forward and one backward levelized pass over the graph's view,
+    then a single vectorized subtraction ``required - arrival`` (private
+    variances add) across all vertices.
     """
-    arrays = _graph_arrays(graph, arrays)
-    arrival = propagate_arrival_times_batch(graph, input_arrivals, arrays=arrays)
-    required = propagate_required_times_batch(
-        graph, {vertex: required_time for vertex in graph.outputs}, arrays=arrays
+    arrays = GraphArrays.of(graph)
+    arrival = _arrival_times(arrays, input_arrivals)
+    required = _required_times(
+        arrays, {vertex: required_time for vertex in graph.outputs}
     )
     width = max(arrival.corr.shape[1], required.corr.shape[1])
     mean = required.mean - arrival.mean

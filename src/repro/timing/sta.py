@@ -7,12 +7,13 @@ analysis at the nominal, worst (+n sigma) and best (-n sigma) corners of a
 statistical timing graph so examples and benchmarks can quantify that
 pessimism against the SSTA distribution.
 
-The longest-path recursion runs on the shared
-:class:`~repro.timing.arrays.GraphArrays` view with its levelized schedule:
-per-edge corner delays are computed in one vectorized expression
+The longest-path recursion runs on the graph's shared
+:class:`~repro.timing.arrays.GraphArrays` view (or a session's): per-edge
+corner delays are computed in one vectorized expression
 (``mean + sigma_offset * std`` straight from the edge coefficient arrays)
-and each level folds with plain ``np.maximum`` — the deterministic
-degenerate case of the batched Clark engine.
+and propagated as a single "sample" by the levelized Monte Carlo
+longest-path kernel — ``max`` and ``+`` are exact, so a corner is the
+deterministic degenerate case of a Monte Carlo sample.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import TYPE_CHECKING, Optional
 import numpy as np
 
 from repro.errors import TimingGraphError
-from repro.timing.arrays import GraphArrays, _graph_arrays
+from repro.timing.arrays import GraphArrays
 from repro.timing.graph import TimingGraph
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -70,23 +71,15 @@ def longest_path_from_arrays(arrays: GraphArrays, sigma_offset: float = 0.0) -> 
     sharded executor evaluate corners in worker processes that never see
     the graph object.
     """
+    from repro.montecarlo.flat import _longest_paths_levelized
+
     edge_delay = arrays.edge_mean + sigma_offset * np.sqrt(
         np.einsum("ek,ek->e", arrays.edge_corr, arrays.edge_corr)
         + arrays.edge_randvar
     )
-
-    arrival = np.full(arrays.num_vertices, -np.inf)
-    arrival[arrays.input_rows] = 0.0
-    for level in arrays.forward_levels():
-        rows = level.vertex_rows
-        acc = arrival[rows]
-        for round_index in range(level.edge_matrix.shape[1]):
-            count = level.round_counts[round_index]
-            edge_rows = level.edge_matrix[:count, round_index]
-            candidate = arrival[arrays.edge_source[edge_rows]] + edge_delay[edge_rows]
-            np.maximum(acc[:count], candidate, out=acc[:count])
-        arrival[rows] = acc
-
+    arrival = _longest_paths_levelized(
+        arrays, edge_delay[:, np.newaxis], arrays.input_rows
+    )[:, 0]
     output_rows = arrays.output_rows
     best = float(arrival[output_rows].max()) if output_rows.size else -np.inf
     if not np.isfinite(best):
@@ -96,19 +89,9 @@ def longest_path_from_arrays(arrays: GraphArrays, sigma_offset: float = 0.0) -> 
     return best
 
 
-def deterministic_longest_path(
-    graph: TimingGraph,
-    sigma_offset: float = 0.0,
-    arrays: Optional[GraphArrays] = None,
-) -> float:
-    """Longest input-to-output path with every delay at ``mean + sigma_offset * std``.
-
-    ``arrays`` may be passed to reuse a previously built array view (e.g.
-    across the three corners of :func:`corner_sta`); arrays of another
-    graph or of an older revision raise
-    :class:`~repro.errors.TimingGraphError`.
-    """
-    return longest_path_from_arrays(_graph_arrays(graph, arrays), sigma_offset)
+def deterministic_longest_path(graph: TimingGraph, sigma_offset: float = 0.0) -> float:
+    """Longest input-to-output path with every delay at ``mean + sigma_offset * std``."""
+    return longest_path_from_arrays(GraphArrays.of(graph), sigma_offset)
 
 
 def _corner_arrays(
@@ -128,7 +111,7 @@ def _corner_arrays(
         return timer.arrays
     if graph is None:
         raise TimingGraphError("corner analysis needs a graph or a timer session")
-    return GraphArrays.from_graph(graph)
+    return GraphArrays.of(graph)
 
 
 def corner_sweep(

@@ -83,20 +83,16 @@ def c7552_graph():
 def test_c7552_mc_sweep_recovers_bit_identically(
     monkeypatch, chaos_executor_factory, fuse_file, c7552_graph, kind
 ):
-    arrays = GraphArrays.from_graph(c7552_graph)
-    reference = simulate_graph_delay(
-        c7552_graph, num_samples=MC_SAMPLES, arrays=arrays
-    )
+    arrays = GraphArrays.of(c7552_graph)  # held: both runs share one view
+    reference = simulate_graph_delay(c7552_graph, num_samples=MC_SAMPLES)
     assert reference.map_report is None  # undisturbed serial baseline
 
     _arm(monkeypatch, fuse_file, kind, timeout="15")
     executor = chaos_executor_factory()
     result = simulate_graph_delay(
-        c7552_graph,
-        num_samples=MC_SAMPLES,
-        executor=executor,
-        arrays=arrays,
+        c7552_graph, num_samples=MC_SAMPLES, executor=executor
     )
+    assert GraphArrays.of(c7552_graph) is arrays
     assert np.array_equal(result.samples, reference.samples)
     _assert_disturbed(result.map_report, fuse_file, kind)
 

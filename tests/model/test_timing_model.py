@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.experiments.table1 import characterize_circuit
 from repro.model.extraction import extract_timing_model
+from repro.timing.allpairs import AllPairsTiming
 
 
 @pytest.fixture
@@ -33,6 +35,18 @@ class TestTimingModel:
         assert np.all(stds[finite] > 0.0)
 
     def test_analysis_is_cached(self, model):
+        assert model.analysis() is model.analysis()
+
+    def test_analysis_follows_edits_of_the_model_graph(self, library):
+        circuit = characterize_circuit("c432", library=library)
+        model = extract_timing_model(circuit.graph, circuit.variation, threshold=0.05)
+        before = model.delay_matrix_means()
+        for edge in model.graph.edges[:40]:
+            model.graph.replace_edge_delay(edge, edge.delay.scale(2.0))
+        fresh = AllPairsTiming.analyze(model.graph)
+        assert not np.array_equal(fresh.matrix_means(), before, equal_nan=True)
+        assert np.array_equal(model.delay_matrix_means(), fresh.matrix_means(), equal_nan=True)
+        assert np.array_equal(model.delay_matrix_stds(), fresh.matrix_std(), equal_nan=True)
         assert model.analysis() is model.analysis()
 
     def test_ratios(self, model):

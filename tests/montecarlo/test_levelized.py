@@ -8,8 +8,8 @@ object-level reference ``_longest_paths_object`` run on the same
 here on hypothesis-randomized layered DAGs (including dangling inputs,
 unreachable vertices and single-IO corners), on the multi-source
 ``(V, g, chunk)`` kernel against the one-propagation-per-input reference
-for every input-group size, and on the empty-IO / unreachable / stale-
-arrays regressions.
+for every input-group size, and on the empty-IO / unreachable
+regressions.
 """
 
 import dataclasses
@@ -159,12 +159,14 @@ class TestAcceptanceCircuits:
 
     def test_prebuilt_arrays_reuse_is_bit_identical(self, parity_module):
         graph = parity_module[0]
-        arrays = GraphArrays.from_graph(graph)
         rebuilt = simulate_graph_delay(graph, 200, seed=9)
-        reused = simulate_graph_delay(graph, 200, seed=9, arrays=arrays)
-        assert np.array_equal(rebuilt.samples, reused.samples)
         rebuilt_io = simulate_io_delays(graph, 60, seed=9)
-        reused_io = simulate_io_delays(graph, 60, seed=9, arrays=arrays)
+        # A held view is reused by both simulators, schedules and all.
+        arrays = GraphArrays.of(graph)
+        reused = simulate_graph_delay(graph, 200, seed=9)
+        reused_io = simulate_io_delays(graph, 60, seed=9)
+        assert GraphArrays.of(graph) is arrays
+        assert np.array_equal(rebuilt.samples, reused.samples)
         _assert_io_identical(rebuilt_io, reused_io)
 
 
@@ -212,32 +214,6 @@ class TestRegressions:
             stats.mean("nope", "z")
         with pytest.raises(ValueError):
             stats.std("a", "nope")
-
-    @pytest.mark.parametrize(
-        "simulate", [simulate_graph_delay, simulate_io_delays]
-    )
-    def test_stale_arrays_raise(self, parity_module, simulate):
-        # Prebuilt arrays are never silently refreshed: arrays of an older
-        # revision (here: before a retime) or of another graph must raise
-        # instead of simulating the old delays.
-        graph = parity_module[0].copy()
-        stale = GraphArrays.from_graph(graph)
-        edge = graph.edges[0]
-        graph.replace_edge_delay(edge, edge.delay.scale(1.5))
-        with pytest.raises(TimingGraphError) as excinfo:
-            simulate(graph, 256, 1, arrays=stale)
-        message = str(excinfo.value)
-        assert "revision %d" % stale.revision in message
-        assert "revision %d" % graph.revision in message
-        with pytest.raises(TimingGraphError):
-            simulate(graph, 256, 1, arrays=GraphArrays.from_graph(graph.copy()))
-        stale.refresh()
-        fresh = simulate(graph, 256, 1)
-        refreshed = simulate(graph, 256, 1, arrays=stale)
-        if simulate is simulate_graph_delay:
-            assert np.array_equal(fresh.samples, refreshed.samples)
-        else:
-            _assert_io_identical(fresh, refreshed)
 
     def test_input_that_is_also_output(self, mc_reference):
         graph = TimingGraph("through")

@@ -119,7 +119,7 @@ class TestGraphColumns:
 class TestIncrementalTimer:
     def test_cold_load_rebuilds_graph_and_answers(self, tmp_path):
         graph = _diamond_graph()
-        timer = IncrementalTimer(graph, convergence_tolerance=0.0)
+        timer = IncrementalTimer(graph)
         delay = timer.circuit_delay()
         save_incremental_timer(timer, tmp_path / "t.npz")
         loaded = load_incremental_timer(tmp_path / "t.npz")
@@ -221,7 +221,6 @@ class TestIncrementalTimer:
             graph,
             input_arrivals={"a": CanonicalForm(2.0, 0.1, np.array([0.1, 0.0]), 0.05)},
             required_time=CanonicalForm(30.0, 0.0, None, 0.0),
-            convergence_tolerance=1e-12,
         )
         timer.circuit_delay()
         slacks = timer.slacks()
@@ -229,6 +228,27 @@ class TestIncrementalTimer:
         loaded = load_incremental_timer(tmp_path / "t.npz")
         assert loaded.circuit_delay() == timer.circuit_delay()
         assert loaded.slacks() == slacks
+
+    def test_entry_with_a_tolerance_key_loads_warm(self, tmp_path):
+        # Entries written while the timer still took a convergence
+        # tolerance carry "tolerance" in their session meta; loading
+        # ignores the key.
+        graph = _diamond_graph()
+        timer = IncrementalTimer(graph)
+        timer.slacks()
+        path = save_incremental_timer(timer, tmp_path / "t.npz")
+        entry = read_entry(path)
+        assert "tolerance" not in entry.meta["session"]
+        meta = dict(entry.meta, session=dict(entry.meta["session"], tolerance=1e-12))
+        write_entry(
+            path, entry.kind, entry.graph_id, entry.revision, entry.columns, meta=meta
+        )
+        loaded = load_incremental_timer(path, graph=graph)
+        assert loaded.store_fallback_reason is None
+        assert loaded.update().mode == "noop"  # warm: no full pass ran
+        _retime(graph, 0, 1.3)
+        assert loaded.circuit_delay() == timer.circuit_delay()
+        assert loaded.slacks() == timer.slacks()
 
 
 # ----------------------------------------------------------------------

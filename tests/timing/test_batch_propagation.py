@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.canonical import CanonicalForm
-from repro.errors import TimingGraphError
 from repro.liberty.library import standard_library
 from repro.netlist.iscas85 import iscas85_surrogate
 from repro.netlist.multiplier import array_multiplier
@@ -140,9 +139,9 @@ class TestBatchStructures:
         assert times.form("__does_not_exist__") is None
 
     def test_shared_arrays_reused_across_passes(self, parity_graph):
-        arrays = GraphArrays.from_graph(parity_graph)
+        arrays = GraphArrays.of(parity_graph)  # held across both passes
         constraint = CanonicalForm.constant(1000.0, parity_graph.num_locals)
-        slacks = compute_slacks_batch(parity_graph, constraint, arrays=arrays)
+        slacks = compute_slacks_batch(parity_graph, constraint)
         assert slacks.arrays is arrays
         reference = compute_slacks(parity_graph, constraint, engine="object")
         _assert_dicts_close(slacks.as_dict(), reference)
@@ -204,30 +203,18 @@ class TestCornerStaParity:
         assert report.best <= report.nominal <= report.worst
 
 
-#: Every analysis that takes prebuilt ``arrays=``, as ``(graph, arrays)``.
+#: Every analysis that reads the graph's shared view, as ``analyse(graph)``.
 ARRAYS_ENTRY_POINTS = [
+    pytest.param(propagate_arrival_times_batch, id="arrivals"),
+    pytest.param(longest_path_to_outputs_batch, id="to_outputs"),
+    pytest.param(propagate_required_times_batch, id="required"),
     pytest.param(
-        lambda graph, arrays: propagate_arrival_times_batch(graph, arrays=arrays),
-        id="arrivals",
-    ),
-    pytest.param(
-        lambda graph, arrays: longest_path_to_outputs_batch(graph, arrays=arrays),
-        id="to_outputs",
-    ),
-    pytest.param(
-        lambda graph, arrays: propagate_required_times_batch(graph, arrays=arrays),
-        id="required",
-    ),
-    pytest.param(
-        lambda graph, arrays: compute_slacks_batch(
-            graph, CanonicalForm.constant(1000.0, graph.num_locals), arrays=arrays
+        lambda graph: compute_slacks_batch(
+            graph, CanonicalForm.constant(1000.0, graph.num_locals)
         ),
         id="slacks",
     ),
-    pytest.param(
-        lambda graph, arrays: deterministic_longest_path(graph, arrays=arrays),
-        id="corner",
-    ),
+    pytest.param(deterministic_longest_path, id="corner"),
 ]
 
 
@@ -239,56 +226,19 @@ def _assert_identical(result, reference):
         np.testing.assert_array_equal(getattr(result, name), getattr(reference, name))
 
 
-@pytest.fixture(scope="module")
-def c432_graph() -> TimingGraph:
-    return _graph_for(iscas85_surrogate("c432"))
-
-
-def _retimed_copy(graph: TimingGraph):
-    """A copy of ``graph`` plus arrays built before 200 of its edges doubled."""
-    graph = graph.copy()
-    stale = GraphArrays.from_graph(graph)
-    for edge in graph.edges[:200]:
-        graph.replace_edge_delay(edge, edge.delay.scale(2.0))
-    return graph, stale
-
-
 class TestRegressions:
-    # Prebuilt arrays are never silently refreshed: arrays of an older
-    # revision (here: before a retime) or of another graph must raise
-    # instead of propagating the old delays.
-    @pytest.mark.parametrize("analyse", ARRAYS_ENTRY_POINTS)
-    def test_stale_arrays_raise(self, c432_graph, analyse):
-        graph, stale = _retimed_copy(c432_graph)
-        with pytest.raises(TimingGraphError) as excinfo:
-            analyse(graph, stale)
-        message = str(excinfo.value)
-        assert "revision %d" % stale.revision in message
-        assert "revision %d" % graph.revision in message
-
-    @pytest.mark.parametrize("analyse", ARRAYS_ENTRY_POINTS)
-    def test_foreign_arrays_raise(self, c432_graph, analyse):
-        graph = c432_graph.copy()
-        with pytest.raises(TimingGraphError):
-            analyse(graph, GraphArrays.from_graph(graph.copy()))
-
-    @pytest.mark.parametrize("analyse", ARRAYS_ENTRY_POINTS)
-    def test_refreshed_arrays_match_fresh_build(self, c432_graph, analyse):
-        graph, stale = _retimed_copy(c432_graph)
-        stale.refresh()
-        _assert_identical(analyse(graph, stale), analyse(graph, None))
-
     @pytest.mark.parametrize("analyse", ARRAYS_ENTRY_POINTS)
     def test_shared_arrays_are_read_only(self, parity_graph, analyse):
-        # One GraphArrays serves many passes (compute_slacks_batch runs two,
-        # the incremental timer keeps one for its lifetime): a pass must
-        # leave the edge arrays as it found them, so a repeat is bitwise.
-        arrays = GraphArrays.from_graph(parity_graph)
+        # One view serves every analysis of the graph while it is held
+        # (compute_slacks_batch runs two passes on it): a pass must leave
+        # the edge arrays as it found them, so a repeat is bitwise.
+        arrays = GraphArrays.of(parity_graph)
         edges = [
             getattr(arrays, name).copy()
             for name in ("edge_mean", "edge_corr", "edge_randvar")
         ]
-        first = analyse(parity_graph, arrays)
-        _assert_identical(analyse(parity_graph, arrays), first)
+        first = analyse(parity_graph)
+        _assert_identical(analyse(parity_graph), first)
+        assert GraphArrays.of(parity_graph) is arrays
         for name, before in zip(("edge_mean", "edge_corr", "edge_randvar"), edges):
             np.testing.assert_array_equal(getattr(arrays, name), before)

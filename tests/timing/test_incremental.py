@@ -103,20 +103,6 @@ class TestRandomizedEditParity:
         assert stats.revision == graph.revision
         _assert_parity(timer, graph, "burst")
 
-    def test_convergence_tolerance_stays_within_budget(self, edit_graph):
-        graph = edit_graph
-        timer = IncrementalTimer(
-            graph,
-            required_time=_constraint(graph),
-            convergence_tolerance=1e-12,
-        )
-        timer.update()
-        rng = random.Random(5)
-        for _unused in range(12):
-            edge = rng.choice(graph.edges)
-            graph.replace_edge_delay(edge, edge.delay.scale(rng.uniform(0.9, 1.1)))
-        _assert_parity(timer, graph, "tolerance")  # still within 1e-9
-
     def test_input_arrival_offsets(self, edit_graph):
         graph = edit_graph
         offsets = {

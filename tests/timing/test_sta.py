@@ -1,12 +1,23 @@
 """Tests of the deterministic corner STA baseline."""
 
+import numpy as np
 import pytest
 
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
+from repro.experiments.table1 import TABLE1_CIRCUITS, characterize_circuit
+from repro.montecarlo.flat import _longest_paths_object
+from repro.timing.arrays import GraphArrays
 from repro.timing.graph import TimingGraph
 from repro.timing.propagation import circuit_delay
-from repro.timing.sta import CornerReport, corner_sta, deterministic_longest_path
+from repro.timing.sta import (
+    CornerReport,
+    corner_sta,
+    deterministic_longest_path,
+    longest_path_from_arrays,
+)
+
+SIGMAS = (-3.0, -1.5, 0.0, 1.5, 3.0)
 
 
 @pytest.fixture
@@ -60,3 +71,19 @@ class TestCornerSta:
     def test_zero_sigma_collapses_corners(self, graph):
         report = corner_sta(graph, 0.0)
         assert report.worst == report.nominal == report.best
+
+
+@pytest.mark.parametrize("name", TABLE1_CIRCUITS)
+def test_corner_delays_match_the_object_reference_bitwise(name, library):
+    # Corner STA propagates its corner delays as Monte Carlo "samples"
+    # through the levelized kernel; max and + are exact, so every corner
+    # equals the per-vertex reference loop bit for bit.
+    arrays = GraphArrays.from_graph(characterize_circuit(name, library=library).graph)
+    std = np.sqrt(
+        np.einsum("ek,ek->e", arrays.edge_corr, arrays.edge_corr) + arrays.edge_randvar
+    )
+    delays = np.stack([arrays.edge_mean + sigma * std for sigma in SIGMAS], axis=1)
+    arrivals = _longest_paths_object(arrays, delays, arrays.input_rows)
+    reference = arrivals[arrays.output_rows].max(axis=0)
+    corners = [longest_path_from_arrays(arrays, sigma) for sigma in SIGMAS]
+    assert corners == reference.tolist()
