@@ -36,7 +36,6 @@ from repro.hier.replacement import (
     replacement_matrix,
     swap_instance_subgraph,
 )
-from repro.core.ops import statistical_max_many
 from repro.model.extraction import (
     DEFAULT_CRITICALITY_THRESHOLD,
     ExtractionSession,
@@ -47,11 +46,7 @@ from repro.netlist.netlist import Netlist
 from repro.placement.placer import Placement
 from repro.timing.graph import TimingGraph
 from repro.timing.incremental import IncrementalTimer
-from repro.timing.propagation import (
-    AUTO_BATCH_MIN_EDGES,
-    propagate_arrival_times,
-    propagate_arrival_times_batch,
-)
+from repro.timing.propagation import propagate_arrival_times_batch
 from repro.variation.pca import PCADecomposition
 from repro.variation.spatial import SpatialCorrelation
 
@@ -244,47 +239,30 @@ def analyze_hierarchical_design(
 ) -> HierarchicalResult:
     """Run the full hierarchical analysis of Fig. 5 on ``design``.
 
-    The design-level graph is propagated with the block-based SSTA engine
-    (the batched levelized engine for large designs, chosen automatically),
-    and the design delay is the balanced tree-reduction Clark maximum over
-    the reachable primary-output arrivals — both built on the shared
-    batched kernels of :mod:`repro.core.batch`.
+    The design-level graph is propagated with the block-based SSTA level
+    fold, staying in the SoA representation end to end — only the
+    primary-output forms are materialised as objects — and the design
+    delay is the balanced tree-reduction Clark maximum over the reachable
+    primary-output arrivals, both built on the shared batched kernels of
+    :mod:`repro.core.batch`.
     """
     start = time.perf_counter()
     graph, grids, pca = build_design_graph(design, mode)
 
+    times = propagate_arrival_times_batch(graph)
+    index = times.arrays.vertex_index
     output_arrivals: Dict[str, CanonicalForm] = {}
-    if graph.num_edges >= AUTO_BATCH_MIN_EDGES:
-        # Large design: stay in the SoA representation end to end — only
-        # the primary-output forms are ever materialised as objects.
-        times = propagate_arrival_times_batch(graph)
-        index = times.arrays.vertex_index
-        reachable_rows = []
-        for output in design.primary_outputs:
-            row = index.get(output)
-            if row is not None and times.valid[row]:
-                output_arrivals[output] = times.batch.form(row)
-                reachable_rows.append(row)
-        delay = (
-            times.batch.gather(reachable_rows).max_over()
-            if reachable_rows
-            else None
-        )
-    else:
-        arrivals = propagate_arrival_times(graph, engine="object")
-        for output in design.primary_outputs:
-            arrival = arrivals.get(output)
-            if arrival is not None:
-                output_arrivals[output] = arrival
-        delay = (
-            statistical_max_many(list(output_arrivals.values()))
-            if output_arrivals
-            else None
-        )
-    if delay is None:
+    reachable_rows = []
+    for output in design.primary_outputs:
+        row = index.get(output)
+        if row is not None and times.valid[row]:
+            output_arrivals[output] = times.batch.form(row)
+            reachable_rows.append(row)
+    if not reachable_rows:
         raise HierarchyError(
             "no primary output of %r is reachable from a primary input" % design.name
         )
+    delay = times.batch.gather(reachable_rows).max_over()
     elapsed = time.perf_counter() - start
 
     return HierarchicalResult(
@@ -317,7 +295,6 @@ class DesignTimer:
         design: HierarchicalDesign,
         mode: CorrelationMode = CorrelationMode.REPLACEMENT,
         required_time: Optional[CanonicalForm] = None,
-        workers: Optional[int] = None,
     ) -> None:
         graph, grids, pca, membership = _assemble_design_graph(design, mode)
         self._design = design
@@ -327,7 +304,6 @@ class DesignTimer:
         self._membership = membership
         self._timer = IncrementalTimer(graph, required_time=required_time)
         self._module_sessions: Dict[str, ExtractionSession] = {}
-        self._workers = workers
         self._mc_session = None
         self._mc_key: Optional[Tuple] = None
         self._mc_library = None  # strong ref: the session cache is keyed to it
@@ -392,25 +368,6 @@ class DesignTimer:
     def timer(self) -> IncrementalTimer:
         """The underlying incremental timing session."""
         return self._timer
-
-    @property
-    def workers(self) -> Optional[int]:
-        """Worker count of the timer's sharded analyses (``None``: serial)."""
-        return self._workers
-
-    def corner_report(self, sigma_corner: float = 3.0):
-        """Corner STA of the live design graph, sharded across workers.
-
-        The three corners run over the session's incrementally maintained
-        array view via :func:`repro.timing.sta.corner_sta_parallel`; with
-        no worker count configured (or no usable shared memory) this is
-        exactly :func:`repro.timing.sta.corner_sta` on the timer.
-        """
-        from repro.timing.sta import corner_sta_parallel
-
-        return corner_sta_parallel(
-            sigma_corner=sigma_corner, timer=self._timer, workers=self._workers
-        )
 
     # ------------------------------------------------------------------
     def swap_instance_model(

@@ -16,15 +16,10 @@ All operations mutate the graph in place and report how much they changed.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.core.ops import statistical_max_many
-from repro.errors import TimingGraphError
 from repro.timing.graph import TimingGraph
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.timing.allpairs import AllPairsSession
-    from repro.timing.incremental import IncrementalTimer
 
 __all__ = ["serial_merge", "parallel_merge", "prune_unreachable", "reduce_graph"]
 
@@ -129,12 +124,7 @@ def prune_unreachable(graph: TimingGraph) -> int:
     return removed
 
 
-def reduce_graph(
-    graph: TimingGraph,
-    max_iterations: int = 100,
-    timer: Optional["IncrementalTimer"] = None,
-    session: Optional["AllPairsSession"] = None,
-) -> TimingGraph:
+def reduce_graph(graph: TimingGraph, max_iterations: int = 100) -> TimingGraph:
     """Iterate pruning, serial and parallel merges to a fixpoint (in place).
 
     Returns the same graph object for chaining.  ``max_iterations`` is a
@@ -142,31 +132,16 @@ def reduce_graph(
     round strictly shrinks the graph.
 
     Every removal and re-wiring lands in the graph's change journal, so a
-    session attached to ``graph`` sees the entire multi-edge reduction as
-    one coalesced window.  Pass an
-    :class:`~repro.timing.incremental.IncrementalTimer` as ``timer`` to
-    synchronise it once at the fixpoint, and/or an
-    :class:`~repro.timing.allpairs.AllPairsSession` as ``session`` to drive
-    its all-pairs tensors through the run — the session is refreshed once
-    per fixpoint *round* (one coalesced update covering every merge of the
-    round, instead of a fresh analysis per merge), so the maintained
-    input/output delay matrix stays live while the graph shrinks.
+    session attached to ``graph`` (an
+    :class:`~repro.timing.incremental.IncrementalTimer` or an
+    :class:`~repro.timing.allpairs.AllPairsSession`) sees the entire
+    multi-edge reduction as one coalesced window at its next update.
     """
-    if timer is not None and timer.graph is not graph:
-        raise TimingGraphError("the timer session is attached to a different graph")
-    if session is not None and session.graph is not graph:
-        raise TimingGraphError(
-            "the all-pairs session is attached to a different graph"
-        )
     for _unused in range(max_iterations):
         changed = prune_unreachable(graph)
         changed += parallel_merge(graph)
         changed += serial_merge(graph)
         changed += parallel_merge(graph)
-        if session is not None:
-            session.refresh()  # one coalesced update per round
         if changed == 0:
             break
-    if timer is not None:
-        timer.update()
     return graph

@@ -81,7 +81,6 @@ def save_design_timer(timer: DesignTimer, path: Union[str, Path]) -> Path:
     manifest = {
         "design_name": timer.design.name,
         "mode": timer.mode.value,
-        "workers": timer.workers,
         "membership": {
             name: {
                 "edge_ids": [int(edge_id) for edge_id in entry.edge_ids],
@@ -177,7 +176,6 @@ def load_design_timer(
         for name, data in membership_data.items()
     }
     self._timer = timer_session
-    self._workers = manifest.get("workers")
     self._module_sessions = {
         str(name): load_extraction_session(
             root / _EXTRACTION_DIR / _session_filename(str(name)),

@@ -9,9 +9,9 @@ shared view (:meth:`~repro.timing.arrays.GraphArrays.of`, one per graph
 and revision), while sessions patch a private view in place.  The engines:
 
 * :mod:`repro.timing.propagation` — block-based SSTA for module-level and
-  design-level arrival/required/slack propagation; a batched levelized
-  engine by default, with the object-level per-edge loop kept as the
-  reference implementation;
+  design-level arrival/required/slack propagation: one levelized fold
+  that runs each level scalar or batched by its edge count, with
+  bit-identical results either way;
 * :mod:`repro.timing.allpairs` — a vectorized engine that computes, for a
   module, the arrival times from *every* input, the path delays to *every*
   output and the all-pairs input/output delay matrix needed by the
@@ -22,7 +22,8 @@ and revision), while sessions patch a private view in place.  The engines:
   graph journals its mutations, a session's private
   :class:`~repro.timing.arrays.GraphArrays` view replays them, and an
   :class:`~repro.timing.incremental.IncrementalTimer` session repropagates
-  only the dirty cone of each edit, serving rapid what-if queries.
+  only the dirty cone of each edit through the same per-level fold,
+  serving rapid what-if queries.
 """
 
 from repro.timing.graph import GraphChange, GraphDelta, TimingGraph, TimingEdge

@@ -14,7 +14,7 @@ the sinks (backward), and each level stores its vertices' fanin (or fanout)
 edge rows as one padded matrix.  A propagation engine then processes a
 whole level at a time: round ``r`` folds the ``r``-th fanin edge of every
 vertex of the level in a single batched Clark reduction, preserving the
-per-vertex edge order of the object-level engine exactly.  Within a level
+per-vertex edge order of the graph (and of the reference loop) exactly.  Within a level
 the vertices are sorted by descending degree, so the vertices participating
 in round ``r`` are always a prefix — engines fold contiguous array slices
 instead of masked gathers.

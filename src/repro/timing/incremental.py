@@ -1,22 +1,23 @@
 """Incremental SSTA: dirty-cone repropagation over a revisioned graph.
 
 An :class:`IncrementalTimer` is a query-serving session attached to one
-:class:`~repro.timing.graph.TimingGraph`.  It runs one full batched pass
+:class:`~repro.timing.graph.TimingGraph`.  It runs one full levelized pass
 (arrivals forward, required times backward) and afterwards keeps the result
 alive across graph edits: every :meth:`IncrementalTimer.update` reads the
 graph's coalesced change journal, patches the session's private
 :class:`~repro.timing.arrays.GraphArrays` view, seeds a dirty-vertex
 frontier from the edited edges, and repropagates **only the affected cone**
-with the same levelized batch kernels as the full engine — processing, per
-topological level, just the dirty subset of its vertices and stopping a
-branch of the sweep as soon as a recomputed time converges back to the
-cached value.
+with the one-shot passes' per-level fold
+(:func:`~repro.timing.propagation._fold_level`: scalar on narrow levels,
+batched on wide ones) — processing, per topological level, just the dirty
+subset of its vertices and stopping a branch of the sweep as soon as a
+recomputed time converges back to the cached value.
 
 Because the dirty subset preserves each level's descending-degree order,
-the per-vertex candidate fold order is identical to the full batched pass
-(and therefore to the object-level reference engine), so incremental
-results match a from-scratch repropagation to floating-point round-off —
-the property the randomized edit-sequence tests assert at 1e-9.
+the per-vertex candidate fold order is identical to the full pass, so
+incremental results match a from-scratch repropagation to floating-point
+round-off — the property the randomized edit-sequence tests assert at
+1e-9.
 
 Queries (:meth:`arrival_at`, :meth:`slack_at`, :meth:`circuit_delay`,
 :meth:`criticalities`, ...) lazily trigger ``update()``, so a consumer just
@@ -33,92 +34,21 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import CanonicalBatch, merge_max_with_validity, pad_corr, tightness_arrays
+from repro.core.batch import CanonicalBatch, FoldWorkspace, pad_corr, tightness_arrays
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
 from repro.timing.arrays import GraphArrays, _merge_dirty
 from repro.timing.graph import TimingGraph
-from scipy.special import ndtr
-
-from repro.core.gaussian import DEGENERATE_THETA
 from repro.timing.propagation import (
-    AUTO_BATCH_MIN_EDGES,
+    State,
     _arrival_times,
-    _fold_rounds,
+    _fold_level,
     _required_times,
-    _seed_form,
+    _seed_arrivals,
+    _seed_required,
 )
 
-__all__ = ["IncrementalTimer", "SCALAR_SWEEP_MAX_LEVEL_EDGES", "UpdateStats"]
-
-
-# Dirty-cone analogue of AUTO_BATCH_MIN_EDGES: the batched fold launches a
-# fixed number of numpy kernels per level regardless of how few dirty
-# vertices it actually updates, so when a level's dirty subset folds only a
-# handful of edges the scalar reference fold (the object engine's per-edge
-# loop, on single state rows) is cheaper.  The crossover derives from the
-# full-pass heuristic: AUTO_BATCH_MIN_EDGES edges spread over the order of
-# a hundred levels of a typical deep graph put the per-level break-even at
-# roughly AUTO_BATCH_MIN_EDGES / 64 folded edges (measured crossover on
-# deep chain graphs of width two to three).  This is what makes
-# mid-pipeline block swaps — dirty cones that snake through many two-to-
-# three-vertex levels — stop paying per-level numpy overhead.
-SCALAR_SWEEP_MAX_LEVEL_EDGES = max(4, AUTO_BATCH_MIN_EDGES // 64)
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _scalar_clark_merge(
-    mean_a: float,
-    corr_a: np.ndarray,
-    var_a: float,
-    randvar_a: float,
-    valid_a: bool,
-    mean_b: float,
-    corr_b: np.ndarray,
-    var_b: float,
-    randvar_b: float,
-    valid_b: bool,
-) -> Tuple[float, np.ndarray, float, float, bool]:
-    """Scalar transcription of :func:`~repro.core.batch.merge_max_with_validity`.
-
-    Operates on one canonical form per side (``corr_*`` are the fused
-    ``(width,)`` coefficient rows; ``var_*`` the precomputed total
-    variances, carried between merges so the accumulator's is not
-    re-derived per fold).  The formula sequence — including the
-    degenerate-theta cutoff, the variance clamps and the exact
-    ``ndtr``/``np.exp`` special-function implementations — mirrors the
-    batched kernel step for step: the residual private variance is a
-    cancellation-prone difference whose square root amplifies even
-    ulp-level divergence, so the scalar path must reproduce the batched
-    arithmetic bit for bit, not merely closely.  Returns
-    ``(mean, corr, var, randvar, valid)``.
-    """
-    if not valid_b:
-        return mean_a, corr_a, var_a, randvar_a, valid_a
-    if not valid_a:
-        return mean_b, corr_b, var_b, randvar_b, True
-    cov = float(np.einsum("k,k->", corr_a, corr_b))
-    theta_sq = var_a + var_b - 2.0 * cov
-    theta = math.sqrt(theta_sq) if theta_sq > 0.0 else 0.0
-    if theta <= DEGENERATE_THETA:
-        tp = 1.0 if mean_a >= mean_b else 0.0
-        phi = 0.0
-    else:
-        alpha = (mean_a - mean_b) / theta
-        tp = float(ndtr(alpha))
-        phi = float(_INV_SQRT_2PI * np.exp(-0.5 * alpha * alpha))
-    mean = tp * mean_a + (1.0 - tp) * mean_b + theta * phi
-    second = (
-        tp * (var_a + mean_a * mean_a)
-        + (1.0 - tp) * (var_b + mean_b * mean_b)
-        + (mean_a + mean_b) * theta * phi
-    )
-    variance = max(second - mean * mean, 0.0)
-    corr = tp * corr_a + (1.0 - tp) * corr_b
-    linear = float(np.einsum("k,k->", corr, corr))
-    randvar = max(variance - linear, 0.0)
-    return mean, corr, linear + randvar, randvar, True
+__all__ = ["IncrementalTimer", "UpdateStats"]
 
 
 @dataclass(frozen=True)
@@ -144,8 +74,8 @@ class _PassState:
     ``mean``/``corr``/``randvar``/``valid`` mirror the layout of
     :class:`~repro.timing.propagation.VertexTimes`; the ``seed_*`` arrays
     hold the boundary conditions (input arrivals forward, negated required
-    times at outputs backward) that the level folds merge exactly like the
-    full batched engine does.
+    times at outputs backward) that the level folds merge exactly like a
+    full pass does.
     """
 
     __slots__ = (
@@ -166,6 +96,14 @@ class _PassState:
     @property
     def width(self) -> int:
         return int(self.corr.shape[1])
+
+    @property
+    def values(self) -> State:
+        return self.mean, self.corr, self.randvar, self.valid
+
+    @property
+    def seeds(self) -> State:
+        return self.seed_mean, self.seed_corr, self.seed_randvar, self.seed_valid
 
     def migrated(self, row_map: np.ndarray, num_vertices: int) -> "_PassState":
         """State re-indexed through ``row_map`` (new rows start invalid).
@@ -209,8 +147,7 @@ def _form_from_list(values: Sequence[float]) -> CanonicalForm:
 def _require_finite(form: CanonicalForm, what: str) -> None:
     if not form.is_finite:
         raise ValueError(
-            "IncrementalTimer requires finite %s (non-finite boundary "
-            "conditions are only supported by the object-level engine)" % what
+            "IncrementalTimer requires finite %s (nominal %r)" % (what, form.nominal)
         )
 
 
@@ -268,9 +205,9 @@ class IncrementalTimer:
         self._pending_bwd: Optional[np.ndarray] = None
         self._delay_cache: Optional[Tuple[int, CanonicalForm]] = None
         self.last_update: Optional[UpdateStats] = None
-        # Cumulative engine-choice counters of the dirty sweeps (levels
-        # folded by the scalar reference engine vs the batched one) —
-        # observability for benchmarks and the engine-switch tests.
+        # Cumulative path counters of the dirty sweeps (levels folded by
+        # the scalar path vs the batched one; full passes do not count) —
+        # observability for benchmarks and the per-level rule's tests.
         self.scalar_level_folds = 0
         self.batched_level_folds = 0
         # Why a warm start fell back to a cold rebuild (None for cold
@@ -610,29 +547,17 @@ class IncrementalTimer:
         self._build_seeds()
 
     def _build_seeds(self) -> None:
-        arrays = self._arrays
-        index = arrays.vertex_index
         fwd, bwd = self._fwd, self._bwd
         if fwd is not None:
             fwd.clear_seeds()
-            for name in self._graph.inputs:
-                row = index[name]
-                form = self._input_arrivals.get(name)
-                if form is None:
-                    fwd.seed_valid[row] = True  # deterministic zero arrival
-                else:
-                    _seed_form(
-                        fwd.seed_mean, fwd.seed_corr, fwd.seed_randvar,
-                        fwd.seed_valid, row, form,
-                    )
+            _seed_arrivals(fwd.seeds, self._arrays, self._input_arrivals)
         if bwd is not None:
             bwd.clear_seeds()
-            for name in self._graph.outputs:
-                _seed_form(
-                    bwd.seed_mean, bwd.seed_corr, bwd.seed_randvar,
-                    bwd.seed_valid, index[name], self._required_time,
-                    negate=True,
-                )
+            _seed_required(
+                bwd.seeds,
+                self._arrays,
+                {name: self._required_time for name in self._graph.outputs},
+            )
 
     # ------------------------------------------------------------------
     # Dirty-cone levelized sweeps
@@ -641,12 +566,14 @@ class IncrementalTimer:
         """Repropagate the dirty cone in one direction; returns cone size.
 
         Processes, per topological level, only the dirty subset of the
-        level's vertices.  The subset inherits the level's descending-degree
-        order, so the participants of fold round ``r`` remain a contiguous
-        prefix and every fold is the same contiguous-slice batched Clark
-        reduction as in the full engine — candidate order per vertex is
-        bit-identical.  A recomputed vertex only dirties its dependents
-        when its time actually moved (early termination on convergence).
+        level's vertices through the one-shot passes' per-level fold
+        (:func:`~repro.timing.propagation._fold_level`), seeded from the
+        session's boundary conditions.  The subset inherits the level's
+        descending-degree order, so the participants of fold round ``r``
+        remain a contiguous prefix and the candidate order per vertex is
+        bit-identical to a full pass.  A recomputed vertex only dirties its
+        dependents when its time actually moved (early termination on
+        convergence).
         """
         if not dirty.any():
             return 0
@@ -654,10 +581,6 @@ class IncrementalTimer:
         state = self._bwd if backward else self._fwd
         neighbor_rows = arrays.edge_sink if backward else arrays.edge_source
         dependents = arrays.edge_source if backward else arrays.edge_sink
-        edge_mean = arrays.edge_mean
-        edge_corr = self._edge_corr_w
-        edge_randvar = arrays.edge_randvar
-        width = state.width
         processed = 0
 
         # Vertices outside every level (no folded edges): time == seed.
@@ -665,165 +588,34 @@ class IncrementalTimer:
         rows0 = np.nonzero(dirty & (degree == 0))[0]
         if rows0.size:
             changed = self._write_back(
-                state, rows0,
-                state.seed_mean[rows0], state.seed_corr[rows0],
-                state.seed_randvar[rows0], state.seed_valid[rows0],
+                state, rows0, *(seed[rows0] for seed in state.seeds)
             )
             self._mark_dependents(dirty, changed, backward, dependents)
             processed += int(rows0.size)
 
+        values, seeds = state.values, state.seeds
+        work = FoldWorkspace()
         levels = arrays.backward_levels() if backward else arrays.forward_levels()
         for level in levels:
-            rows = level.vertex_rows
-            sel = np.nonzero(dirty[rows])[0]
+            sel = np.nonzero(dirty[level.vertex_rows])[0]
             if sel.size == 0:
                 continue
-            sub_rows = rows[sel]
+            sub_rows = level.vertex_rows[sel]
             sub_matrix = level.edge_matrix[sel]
-            num = int(sel.size)
-            # The subset inherits the level's descending-degree order, so
-            # the participants of round ``r`` remain a contiguous prefix.
-            sub_counts = (sub_matrix >= 0).sum(axis=0)
-
-            if int(sub_counts.sum()) <= SCALAR_SWEEP_MAX_LEVEL_EDGES:
-                # Narrow dirty level: the per-level numpy overhead of the
-                # batched fold dominates — use the scalar reference fold
-                # (same candidate order, same kernel formulas).
+            acc, scalar = _fold_level(
+                sub_rows, sub_matrix, (sub_matrix >= 0).sum(axis=0), neighbor_rows,
+                arrays.edge_mean, self._edge_corr_w, arrays.edge_randvar,
+                values, seeds, backward, work,
+            )
+            if scalar:
                 self.scalar_level_folds += 1
-                acc_mean, acc_corr, acc_randvar, acc_valid = self._scalar_level_fold(
-                    state, sub_rows, sub_matrix, neighbor_rows,
-                    edge_mean, edge_corr, edge_randvar, backward,
-                )
-                changed = self._scalar_write_back(
-                    state, sub_rows, acc_mean, acc_corr, acc_randvar, acc_valid
-                )
-                self._mark_dependents(dirty, changed, backward, dependents)
-                processed += num
-                continue
-            self.batched_level_folds += 1
-
-            if backward:
-                # seed-first fold: boundary conditions enter before the
-                # edge candidates, as in the full backward engine (the
-                # fancy-indexed gathers are already private copies).
-                acc_mean = state.seed_mean[sub_rows]
-                acc_corr = state.seed_corr[sub_rows]
-                acc_randvar = state.seed_randvar[sub_rows]
-                acc_valid = state.seed_valid[sub_rows]
+                changed = self._scalar_write_back(state, sub_rows, *acc)
             else:
-                acc_mean = np.empty(num, dtype=float)
-                acc_corr = np.empty((num, width), dtype=float)
-                acc_randvar = np.empty(num, dtype=float)
-                acc_valid = np.empty(num, dtype=bool)
-
-            _fold_rounds(
-                sub_matrix, sub_counts, neighbor_rows,
-                edge_mean, edge_corr, edge_randvar,
-                state.mean, state.corr, state.randvar, state.valid,
-                acc_mean, acc_corr, acc_randvar, acc_valid,
-                init_round0=not backward,
-            )
-
-            if not backward and state.seed_valid[sub_rows].any():
-                # An input vertex that also has fanin merges its seed after
-                # the fold, matching the full arrival engine.
-                merged = merge_max_with_validity(
-                    acc_mean, acc_corr, acc_randvar, acc_valid,
-                    state.seed_mean[sub_rows], state.seed_corr[sub_rows],
-                    state.seed_randvar[sub_rows], state.seed_valid[sub_rows],
-                )
-                acc_mean, acc_corr, acc_randvar, acc_valid = merged
-
-            changed = self._write_back(
-                state, sub_rows, acc_mean, acc_corr, acc_randvar, acc_valid
-            )
+                self.batched_level_folds += 1
+                changed = self._write_back(state, sub_rows, *acc)
             self._mark_dependents(dirty, changed, backward, dependents)
-            processed += num
+            processed += int(sel.size)
         return processed
-
-    def _scalar_level_fold(
-        self,
-        state: _PassState,
-        sub_rows: np.ndarray,
-        sub_matrix: np.ndarray,
-        neighbor_rows: np.ndarray,
-        edge_mean: np.ndarray,
-        edge_corr: np.ndarray,
-        edge_randvar: np.ndarray,
-        backward: bool,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Object-engine fold of one level's dirty subset, vertex by vertex.
-
-        Replicates the batched fold exactly — seed-first backward, first
-        candidate initialises forward with the seed merged after — but
-        processes each vertex's edges as scalar Clark merges on single
-        state rows, skipping the per-level batched kernel launches.
-        """
-        num = sub_rows.shape[0]
-        width = state.width
-        acc_mean = np.empty(num, dtype=float)
-        acc_corr = np.empty((num, width), dtype=float)
-        acc_randvar = np.empty(num, dtype=float)
-        acc_valid = np.empty(num, dtype=bool)
-        state_mean = state.mean
-        state_corr = state.corr
-        state_randvar = state.randvar
-        state_valid = state.valid
-        for position in range(num):
-            row = int(sub_rows[position])
-            if backward:
-                mean = float(state.seed_mean[row])
-                corr = state.seed_corr[row]
-                randvar = float(state.seed_randvar[row])
-                var = float(np.einsum("k,k->", corr, corr)) + randvar
-                valid = bool(state.seed_valid[row])
-            else:
-                mean = randvar = var = 0.0
-                corr = acc_corr[position]  # placeholder, overwritten below
-                valid = False
-            first = not backward
-            for edge_row in sub_matrix[position]:
-                if edge_row < 0:
-                    break  # padding: this vertex has no further edges
-                neighbor = int(neighbor_rows[edge_row])
-                cand_mean = float(state_mean[neighbor]) + float(edge_mean[edge_row])
-                cand_corr = state_corr[neighbor] + edge_corr[edge_row]
-                cand_randvar = (
-                    float(state_randvar[neighbor]) + float(edge_randvar[edge_row])
-                )
-                cand_valid = bool(state_valid[neighbor])
-                if first:
-                    mean, corr, randvar, valid = (
-                        cand_mean, cand_corr, cand_randvar, cand_valid,
-                    )
-                    var = float(np.einsum("k,k->", corr, corr)) + randvar
-                    first = False
-                    continue
-                cand_var = (
-                    float(np.einsum("k,k->", cand_corr, cand_corr)) + cand_randvar
-                )
-                mean, corr, var, randvar, valid = _scalar_clark_merge(
-                    mean, corr, var, randvar, valid,
-                    cand_mean, cand_corr, cand_var, cand_randvar, cand_valid,
-                )
-            if not backward and state.seed_valid[row]:
-                # An input vertex that also has fanin merges its seed after
-                # the fold, matching the full arrival engine.
-                seed_corr = state.seed_corr[row]
-                seed_randvar = float(state.seed_randvar[row])
-                seed_var = (
-                    float(np.einsum("k,k->", seed_corr, seed_corr)) + seed_randvar
-                )
-                mean, corr, var, randvar, valid = _scalar_clark_merge(
-                    mean, corr, var, randvar, valid,
-                    float(state.seed_mean[row]), seed_corr, seed_var,
-                    seed_randvar, True,
-                )
-            acc_mean[position] = mean
-            acc_corr[position] = corr
-            acc_randvar[position] = randvar
-            acc_valid[position] = valid
-        return acc_mean, acc_corr, acc_randvar, acc_valid
 
     def _mark_dependents(
         self,

@@ -1,4 +1,4 @@
-"""Block-based SSTA propagation: batched levelized engine + object fallback.
+"""Block-based SSTA propagation: one levelized fold for every pass.
 
 These routines implement the classic single-traversal SSTA of Visweswariah
 et al. on a :class:`~repro.timing.graph.TimingGraph`: arrival times are
@@ -7,29 +7,38 @@ propagated from the designated inputs to every vertex with the statistical
 ``min``.  They are used both for module-level sanity analysis and for the
 design-level hierarchical propagation (Section V, step 4).
 
-Two engines share the public API:
+Every pass keeps its per-vertex times in the structure-of-arrays layout of
+:class:`~repro.core.batch.CanonicalBatch` on the graph's shared
+:meth:`~repro.timing.arrays.GraphArrays.of` view and folds the graph one
+topological level at a time.  Each level picks its path by size: a level
+that folds at most :data:`SCALAR_SWEEP_MAX_LEVEL_EDGES` edges runs a scalar
+transcription of the batched Clark kernel vertex by vertex, and a wider one
+runs one batched Clark reduction per fold round (:func:`_fold_rounds`).
+Both fold a vertex's candidates in the same order with the same formulas,
+so the choice never changes a bit of the result; it only spares deep,
+narrow graphs (ripple-carry chains) the per-level numpy overhead.  The
+:class:`~repro.timing.incremental.IncrementalTimer` sweeps its dirty cones
+through the same per-level fold.
 
-* the **batched levelized engine** (default) keeps all per-vertex times in
-  the structure-of-arrays layout of :class:`~repro.core.batch.CanonicalBatch`
-  and processes each topological level's fanin (or fanout) edges with one
-  batched Clark reduction per fold round — no per-edge Python arithmetic —
-  on the graph's shared :meth:`~repro.timing.arrays.GraphArrays.of` view;
-* the **object-level engine** (``engine="object"``) is the original
-  per-edge loop over immutable :class:`~repro.core.canonical.CanonicalForm`
-  operations, kept as the readable reference implementation and as the
-  parity baseline the batched engine is tested against (it also serves the
-  rare non-finite boundary conditions the array kernels do not model).
+Boundary conditions: a ``minus_infinity`` input arrival, the identity of
+``max``, leaves that input unseeded, so vertices reachable only from such
+masked inputs get no time.  Any other non-finite arrival, and any
+non-finite required time, raises ``ValueError`` naming the vertex.
 
-Both fold a vertex's candidate arrivals in identical order, so their
-results agree to floating-point round-off (asserted to 1e-9 in the tests).
+The dictionary functions (:func:`propagate_arrival_times`, ...) are
+``as_dict()`` views of the batched ones.  The object-level per-edge loop
+survives only as :func:`_reference_fold`, the oracle the tests and
+benchmarks compare the fold against (to 1e-9).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
+from scipy.special import ndtr
 
 from repro.core.batch import (
     CanonicalBatch,
@@ -38,13 +47,14 @@ from repro.core.batch import (
     pad_corr,
 )
 from repro.core.canonical import CanonicalForm
-from repro.core.ops import statistical_max, statistical_min
+from repro.core.gaussian import DEGENERATE_THETA
+from repro.core.ops import statistical_max
 from repro.errors import TimingGraphError
 from repro.timing.arrays import GraphArrays
 from repro.timing.graph import TimingGraph
 
 __all__ = [
-    "AUTO_BATCH_MIN_EDGES",
+    "SCALAR_SWEEP_MAX_LEVEL_EDGES",
     "VertexTimes",
     "propagate_arrival_times",
     "propagate_arrival_times_batch",
@@ -57,6 +67,21 @@ __all__ = [
     "longest_path_to_outputs_batch",
 ]
 
+#: A level (or a session's dirty subset of one) that folds at most this
+#: many edges runs the scalar fold; wider ones run the batched rounds.  The
+#: batched fold launches a fixed number of numpy kernels per level however
+#: few vertices it updates, which dominates on the two-to-three-vertex
+#: levels of deep, narrow graphs.  ``circuit_delay`` medians on a 2-CPU
+#: host: a 64-bit ripple-carry adder takes 4.8 ms against 19.8 ms
+#: all-batched and 6.1 ms for the object-level loop; c880 and c7552 have
+#: no level this narrow.
+SCALAR_SWEEP_MAX_LEVEL_EDGES = 12
+
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+#: Per-vertex SoA state ``(mean, corr, randvar, valid)``.
+State = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 
 # ----------------------------------------------------------------------
 # Batched vertex-time state
@@ -68,8 +93,7 @@ class VertexTimes:
     ``mean``/``corr``/``randvar`` hold one canonical form per graph vertex
     in the SoA layout of :mod:`repro.core.batch`; ``valid`` marks the
     vertices that actually carry a time (the others' numeric content is
-    meaningless, mirroring the absent dictionary entries of the
-    object-level engine).
+    meaningless, mirroring the absent entries of :meth:`as_dict`).
     """
 
     arrays: GraphArrays
@@ -101,9 +125,7 @@ class VertexTimes:
         }
 
 
-def _empty_state(
-    arrays: GraphArrays, width: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _empty_state(arrays: GraphArrays, width: int) -> State:
     num_vertices = arrays.num_vertices
     return (
         np.zeros(num_vertices, dtype=float),
@@ -114,14 +136,19 @@ def _empty_state(
 
 
 def _seed_form(
-    mean: np.ndarray,
-    corr: np.ndarray,
-    randvar: np.ndarray,
-    valid: np.ndarray,
+    state: State,
     row: int,
+    vertex: str,
     form: CanonicalForm,
+    what: str,
     negate: bool = False,
 ) -> None:
+    """Write ``form`` (negated for the backward fold) into ``state[row]``."""
+    if not form.is_finite:
+        raise ValueError(
+            "%s at %r is not finite (nominal %r)" % (what, vertex, form.nominal)
+        )
+    mean, corr, randvar, valid = state
     sign = -1.0 if negate else 1.0
     mean[row] = sign * form.nominal
     corr[row, :] = 0.0
@@ -131,6 +158,40 @@ def _seed_form(
     valid[row] = True
 
 
+def _seed_arrivals(
+    state: State,
+    arrays: GraphArrays,
+    input_arrivals: Mapping[str, CanonicalForm],
+) -> None:
+    """Seed every input: a deterministic zero unless ``input_arrivals`` names it.
+
+    A ``minus_infinity`` arrival, the identity of ``max``, leaves the input
+    unseeded; any other non-finite arrival raises ``ValueError``.
+    """
+    index = arrays.vertex_index
+    valid = state[3]
+    for name in arrays.graph.inputs:
+        form = input_arrivals.get(name)
+        if form is None:
+            valid[index[name]] = True  # deterministic zero arrival
+        elif form.nominal != -math.inf:
+            _seed_form(state, index[name], name, form, "input arrival")
+
+
+def _seed_required(
+    state: State,
+    arrays: GraphArrays,
+    required_at_outputs: Mapping[str, CanonicalForm],
+) -> None:
+    """Seed the negated required time of every output (all must be finite)."""
+    index = arrays.vertex_index
+    for name, form in required_at_outputs.items():
+        _seed_form(state, index[name], name, form, "required time", negate=True)
+
+
+# ----------------------------------------------------------------------
+# The levelized fold
+# ----------------------------------------------------------------------
 def _fold_rounds(
     edge_matrix: np.ndarray,
     round_counts: np.ndarray,
@@ -154,21 +215,20 @@ def _fold_rounds(
     Round ``r`` adds the neighbor time of every vertex's ``r``-th edge to
     that edge's delay and merges the candidate batch into the accumulator
     prefix ``[:round_counts[r]]`` with one masked Clark max — the same
-    left-fold order per vertex as the object-level engine.  This is the
-    single shared round body of the full levelized engines *and* the
-    incremental dirty-cone sweep: their bit-identical candidate fold order
-    (the invariant the incremental 1e-9 parity rests on) lives here and
-    nowhere else.  ``init_round0`` makes round 0 initialise the
-    accumulators (the arrival engines' ``best = candidate``); otherwise
-    round 0 merges into pre-seeded accumulators (the backward engines'
-    seed-first fold).
+    left-fold order per vertex as :func:`_scalar_level_fold` and the
+    reference loop.  This is the single shared round body of the levelized
+    passes, the incremental dirty-cone sweep and the all-pairs folds: their
+    bit-identical candidate fold order lives here and nowhere else.
+    ``init_round0`` makes round 0 initialise the accumulators (the arrival
+    fold's ``best = candidate``); otherwise round 0 merges into pre-seeded
+    accumulators (the backward folds' seed-first fold).
 
     All temporaries come from ``work`` (one is created when omitted), so a
     fold over many levels allocates each scratch buffer once instead of per
     round.  The per-vertex state may carry an extra trailing batch axis
     (``mean (V, B)``, ``corr (V, B, W)``): edge delays broadcast across the
-    blocked axis, which is how the blocked all-pairs engine folds ``B``
-    input columns per pass through this one shared body.
+    blocked axis, which is how the all-pairs engine folds ``B`` input
+    columns per pass through this one shared body.
     """
     if work is None:
         work = FoldWorkspace()
@@ -222,6 +282,210 @@ def _fold_rounds(
         acc_randvar[:count], acc_valid[:count] = merged_randvar, merged_valid
 
 
+def _scalar_clark_merge(
+    mean_a: float,
+    corr_a: np.ndarray,
+    var_a: float,
+    randvar_a: float,
+    valid_a: bool,
+    mean_b: float,
+    corr_b: np.ndarray,
+    var_b: float,
+    randvar_b: float,
+    valid_b: bool,
+) -> Tuple[float, np.ndarray, float, float, bool]:
+    """Scalar transcription of :func:`~repro.core.batch.merge_max_with_validity`.
+
+    Operates on one canonical form per side (``corr_*`` are the fused
+    ``(width,)`` coefficient rows; ``var_*`` the precomputed total
+    variances, carried between merges so the accumulator's is not
+    re-derived per fold).  The formula sequence — including the
+    degenerate-theta cutoff, the variance clamps, the exact
+    ``ndtr``/``np.exp`` special-function implementations and the masked
+    selection (``a`` only when ``a`` alone is valid, else ``b`` unless both
+    are) — mirrors the batched kernel step for step: the residual private
+    variance is a cancellation-prone difference whose square root
+    amplifies even ulp-level divergence, so the scalar path must reproduce
+    the batched arithmetic bit for bit, not merely closely.  Returns
+    ``(mean, corr, var, randvar, valid)``.
+    """
+    if not valid_a:
+        return mean_b, corr_b, var_b, randvar_b, valid_b
+    if not valid_b:
+        return mean_a, corr_a, var_a, randvar_a, True
+    cov = float(np.einsum("k,k->", corr_a, corr_b))
+    theta_sq = var_a + var_b - 2.0 * cov
+    theta = math.sqrt(theta_sq) if theta_sq > 0.0 else 0.0
+    if theta <= DEGENERATE_THETA:
+        tp = 1.0 if mean_a >= mean_b else 0.0
+        phi = 0.0
+    else:
+        alpha = (mean_a - mean_b) / theta
+        tp = float(ndtr(alpha))
+        phi = float(_INV_SQRT_2PI * np.exp(-0.5 * alpha * alpha))
+    mean = tp * mean_a + (1.0 - tp) * mean_b + theta * phi
+    second = (
+        tp * (var_a + mean_a * mean_a)
+        + (1.0 - tp) * (var_b + mean_b * mean_b)
+        + (mean_a + mean_b) * theta * phi
+    )
+    variance = max(second - mean * mean, 0.0)
+    corr = tp * corr_a + (1.0 - tp) * corr_b
+    linear = float(np.einsum("k,k->", corr, corr))
+    randvar = max(variance - linear, 0.0)
+    return mean, corr, linear + randvar, randvar, True
+
+
+def _scalar_level_fold(
+    rows: np.ndarray,
+    edge_matrix: np.ndarray,
+    neighbor_rows: np.ndarray,
+    edge_mean: np.ndarray,
+    edge_corr: np.ndarray,
+    edge_randvar: np.ndarray,
+    state: State,
+    seeds: State,
+    seed_first: bool,
+) -> State:
+    """The batched level fold, vertex by vertex with scalar Clark merges.
+
+    Replicates :func:`_fold_level`'s batched path on every valid row —
+    seed-first backward, first candidate initialises forward with a valid
+    seed merged after — on single state rows, skipping the per-level
+    batched kernel launches.
+    """
+    state_mean, state_corr, state_randvar, state_valid = state
+    seed_mean, seed_corr, seed_randvar, seed_valid = seeds
+    num = rows.shape[0]
+    acc_mean = np.empty(num, dtype=float)
+    acc_corr = np.empty((num, state_corr.shape[1]), dtype=float)
+    acc_randvar = np.empty(num, dtype=float)
+    acc_valid = np.empty(num, dtype=bool)
+    for position in range(num):
+        row = int(rows[position])
+        if seed_first:
+            mean = float(seed_mean[row])
+            corr = seed_corr[row]
+            randvar = float(seed_randvar[row])
+            var = float(np.einsum("k,k->", corr, corr)) + randvar
+            valid = bool(seed_valid[row])
+        first = not seed_first
+        for edge_row in edge_matrix[position]:
+            if edge_row < 0:
+                break  # padding: this vertex has no further edges
+            neighbor = neighbor_rows[edge_row]
+            cand_mean = float(state_mean[neighbor]) + float(edge_mean[edge_row])
+            cand_corr = state_corr[neighbor] + edge_corr[edge_row]
+            cand_randvar = float(state_randvar[neighbor]) + float(edge_randvar[edge_row])
+            cand_var = float(np.einsum("k,k->", cand_corr, cand_corr)) + cand_randvar
+            cand_valid = bool(state_valid[neighbor])
+            if first:
+                mean, corr, var, randvar, valid = (
+                    cand_mean, cand_corr, cand_var, cand_randvar, cand_valid,
+                )
+                first = False
+                continue
+            mean, corr, var, randvar, valid = _scalar_clark_merge(
+                mean, corr, var, randvar, valid,
+                cand_mean, cand_corr, cand_var, cand_randvar, cand_valid,
+            )
+        if not seed_first and seed_valid[row]:
+            # An input vertex that also has fanin merges its seed after the
+            # fold, like the batched path.
+            s_corr = seed_corr[row]
+            s_randvar = float(seed_randvar[row])
+            mean, corr, var, randvar, valid = _scalar_clark_merge(
+                mean, corr, var, randvar, valid,
+                float(seed_mean[row]), s_corr,
+                float(np.einsum("k,k->", s_corr, s_corr)) + s_randvar,
+                s_randvar, True,
+            )
+        acc_mean[position] = mean
+        acc_corr[position] = corr
+        acc_randvar[position] = randvar
+        acc_valid[position] = valid
+    return acc_mean, acc_corr, acc_randvar, acc_valid
+
+
+def _fold_level(
+    rows: np.ndarray,
+    edge_matrix: np.ndarray,
+    round_counts: np.ndarray,
+    neighbor_rows: np.ndarray,
+    edge_mean: np.ndarray,
+    edge_corr: np.ndarray,
+    edge_randvar: np.ndarray,
+    state: State,
+    seeds: State,
+    seed_first: bool,
+    work: FoldWorkspace,
+) -> Tuple[State, bool]:
+    """Fold one level (or a dirty subset of one); the state is not written.
+
+    ``rows`` are the level's vertex rows in descending-degree order with
+    their ``edge_matrix`` rows and ``round_counts``; candidates read the
+    neighbor times from ``state``.  ``seeds`` holds the boundary
+    conditions: with ``seed_first`` (backward folds) a vertex's seed enters
+    before its edge candidates, otherwise it is merged after them.  A
+    one-shot pass passes its state as the seeds — each row's seed is read
+    before that row is written.
+
+    Single-column state folds at most :data:`SCALAR_SWEEP_MAX_LEVEL_EDGES`
+    edges with :func:`_scalar_level_fold`, wider levels (and the all-pairs
+    column blocks, ``mean.ndim == 2``) with :func:`_fold_rounds`.  Returns
+    the folded ``(mean, corr, randvar, valid)`` of ``rows`` — workspace
+    views on the batched path, valid until the next fold — and whether the
+    scalar path ran.
+    """
+    mean = state[0]
+    if mean.ndim == 1 and int(round_counts.sum()) <= SCALAR_SWEEP_MAX_LEVEL_EDGES:
+        acc = _scalar_level_fold(
+            rows, edge_matrix, neighbor_rows, edge_mean, edge_corr, edge_randvar,
+            state, seeds, seed_first,
+        )
+        return acc, True
+
+    shape = (rows.shape[0],) + mean.shape[1:]
+    width = state[1].shape[-1]
+    acc = _state_views(work, "acc", shape, width)
+    if seed_first:
+        for values, into in zip(seeds, acc):
+            np.take(values, rows, axis=0, out=into)
+    # else: round 0 covers every vertex of the level (degree >= 1), so the
+    # accumulators are fully written before they are first read.
+    _fold_rounds(
+        edge_matrix, round_counts, neighbor_rows,
+        edge_mean, edge_corr, edge_randvar,
+        *state, *acc, init_round0=not seed_first, work=work,
+    )
+    if seed_first:
+        return acc, False
+    seed_valid = work.view("seed_valid", shape, dtype=bool)
+    np.take(seeds[3], rows, axis=0, out=seed_valid)
+    if not seed_valid.any():
+        return acc, False
+    # Merge a pre-seeded state (an input vertex that also has fanin) after
+    # the fold.
+    seed = _state_views(work, "seed", shape, width)
+    for values, into in zip(seeds, seed):
+        np.take(values, rows, axis=0, out=into)
+    merged = _state_views(work, "merged", shape, width)
+    merge_max_with_validity_into(*acc, *seed, *merged, work)
+    return merged, False
+
+
+def _state_views(
+    work: FoldWorkspace, prefix: str, shape: Tuple[int, ...], width: int
+) -> State:
+    """Workspace views ``(mean, corr, randvar, valid)`` for ``shape`` rows."""
+    return (
+        work.view(prefix + "_mean", shape),
+        work.view(prefix + "_corr", shape + (width,)),
+        work.view(prefix + "_randvar", shape),
+        work.view(prefix + "_valid", shape, dtype=bool),
+    )
+
+
 def _fold_levels(
     arrays: GraphArrays,
     levels,
@@ -236,105 +500,27 @@ def _fold_levels(
 ) -> None:
     """Run the levelized Clark fold over ``levels``, updating state in place.
 
-    Per level, the shared :func:`_fold_rounds` body merges the fanin (or
-    fanout) candidates round by round.  Level vertices are pre-sorted by
-    descending degree, so the participants of round ``r`` are the
-    contiguous prefix ``[:round_counts[r]]`` and every fold operates on
-    array slices.  ``seed_first`` controls whether a pre-seeded state value
-    (e.g. the required time at an output) enters the fold before the edge
-    candidates (backward engines) or is merged after them (arrival engine).
+    Each level folds through :func:`_fold_level` with the state as its own
+    seeds: a pre-seeded value (the required time at an output, an input
+    arrival) enters before the edge candidates with ``seed_first``
+    (backward passes) and is merged after them otherwise (arrivals).
 
     Accumulators and every kernel temporary live in ``work`` (created when
     omitted, pass one in to share across passes): each buffer is allocated
-    once at the widest level instead of once per level, so the fold's
-    allocation count no longer grows with graph depth.  The state may carry
-    a trailing blocked axis (see :func:`_fold_rounds`).
+    once at the widest level instead of once per level.  The state may
+    carry a trailing blocked axis (see :func:`_fold_rounds`).
     """
-    edge_mean = arrays.edge_mean
-    edge_randvar = arrays.edge_randvar
     if work is None:
         work = FoldWorkspace()
-
+    state = (mean, corr, randvar, valid)
     for level in levels:
         rows = level.vertex_rows
-        num_level = rows.shape[0]
-        acc_mean = work.view("acc_mean", (num_level,) + mean.shape[1:])
-        acc_corr = work.view("acc_corr", (num_level,) + corr.shape[1:])
-        acc_randvar = work.view("acc_randvar", (num_level,) + randvar.shape[1:])
-        acc_valid = work.view("acc_valid", (num_level,) + valid.shape[1:], dtype=bool)
-        if seed_first:
-            np.take(mean, rows, axis=0, out=acc_mean)
-            np.take(corr, rows, axis=0, out=acc_corr)
-            np.take(randvar, rows, axis=0, out=acc_randvar)
-            np.take(valid, rows, axis=0, out=acc_valid)
-        # else: round 0 covers every vertex of the level (degree >= 1), so
-        # the accumulators are fully written before they are first read.
-
-        _fold_rounds(
-            level.edge_matrix, level.round_counts, neighbor_rows,
-            edge_mean, edge_corr, edge_randvar,
-            mean, corr, randvar, valid,
-            acc_mean, acc_corr, acc_randvar, acc_valid,
-            init_round0=not seed_first, work=work,
+        acc, _scalar = _fold_level(
+            rows, level.edge_matrix, level.round_counts, neighbor_rows,
+            arrays.edge_mean, edge_corr, arrays.edge_randvar,
+            state, state, seed_first, work,
         )
-
-        if seed_first:
-            mean[rows], corr[rows] = acc_mean, acc_corr
-            randvar[rows], valid[rows] = acc_randvar, acc_valid
-            continue
-        seed_valid = work.view("seed_valid", acc_valid.shape, dtype=bool)
-        np.take(valid, rows, axis=0, out=seed_valid)
-        if seed_valid.any():
-            # Merge a pre-seeded state (an input vertex that also has fanin)
-            # after the fold, matching the object engine's final max.
-            seed_mean = work.view("seed_mean", acc_mean.shape)
-            seed_corr = work.view("seed_corr", acc_corr.shape)
-            seed_randvar = work.view("seed_randvar", acc_randvar.shape)
-            np.take(mean, rows, axis=0, out=seed_mean)
-            np.take(corr, rows, axis=0, out=seed_corr)
-            np.take(randvar, rows, axis=0, out=seed_randvar)
-            merged_mean = work.view("merged_mean", acc_mean.shape)
-            merged_corr = work.view("merged_corr", acc_corr.shape)
-            merged_randvar = work.view("merged_randvar", acc_randvar.shape)
-            merged_valid = work.view("merged_valid", acc_valid.shape, dtype=bool)
-            merge_max_with_validity_into(
-                acc_mean, acc_corr, acc_randvar, acc_valid,
-                seed_mean, seed_corr, seed_randvar, seed_valid,
-                merged_mean, merged_corr, merged_randvar, merged_valid, work,
-            )
-            mean[rows], corr[rows] = merged_mean, merged_corr
-            randvar[rows], valid[rows] = merged_randvar, merged_valid
-        else:
-            mean[rows], corr[rows] = acc_mean, acc_corr
-            randvar[rows], valid[rows] = acc_randvar, acc_valid
-
-
-def _all_finite(forms) -> bool:
-    return all(form.is_finite for form in forms)
-
-
-# Below this edge count the object-level engine tends to win: the batched
-# engine's per-level NumPy call overhead is amortised over too few vertices
-# (deep, narrow graphs such as small ripple-carry chains are the worst case).
-AUTO_BATCH_MIN_EDGES = 768
-
-
-def _use_batch(graph: TimingGraph, engine: str, seeds) -> bool:
-    """Resolve the ``engine`` argument to "use the batched engine or not".
-
-    ``"batch"`` and ``"object"`` force an engine; ``"auto"`` (the default)
-    picks the batched engine for graphs large enough to amortise its fixed
-    per-level cost.  Non-finite seed forms (e.g. ``minus_infinity`` input
-    masks) always fall back to the object engine, whose scalar operators
-    define their algebra.
-    """
-    if engine == "object":
-        return False
-    if engine not in ("batch", "auto"):
-        raise ValueError("unknown propagation engine %r" % engine)
-    if not _all_finite(seeds):
-        return False
-    return engine == "batch" or graph.num_edges >= AUTO_BATCH_MIN_EDGES
+        mean[rows], corr[rows], randvar[rows], valid[rows] = acc
 
 
 # ----------------------------------------------------------------------
@@ -344,12 +530,11 @@ def propagate_arrival_times_batch(
     graph: TimingGraph,
     input_arrivals: Optional[Mapping[str, CanonicalForm]] = None,
 ) -> VertexTimes:
-    """Levelized batched arrival-time propagation.
+    """Propagate arrival times from the graph inputs to every vertex.
 
-    Functionally identical to the object-level engine (same candidate fold
-    order per vertex) but processes each topological level's fanin edges as
-    batched Clark reductions over the graph's view
-    (:meth:`GraphArrays.of`).
+    ``input_arrivals`` optionally supplies the arrival time at each input
+    vertex (defaults to a deterministic zero; ``minus_infinity`` masks the
+    input).  Vertices unreachable from any seeded input are not ``valid``.
     """
     return _arrival_times(GraphArrays.of(graph), input_arrivals)
 
@@ -358,155 +543,76 @@ def _arrival_times(
     arrays: GraphArrays, input_arrivals: Optional[Mapping[str, CanonicalForm]]
 ) -> VertexTimes:
     """The arrival pass on a given view (a session's private one, say)."""
-    graph = arrays.graph
-    input_arrivals = dict(input_arrivals or {})
-    seeds = {
-        name: input_arrivals[name] for name in graph.inputs if name in input_arrivals
+    given = input_arrivals or {}
+    input_arrivals = {
+        name: given[name] for name in arrays.graph.inputs if name in given
     }
-
     width = max(
-        arrays.num_corr, max((f.num_locals + 1 for f in seeds.values()), default=1)
+        arrays.num_corr,
+        max((f.num_locals + 1 for f in input_arrivals.values()), default=1),
     )
-    mean, corr, randvar, valid = _empty_state(arrays, width)
-    index = arrays.vertex_index
-    for name in graph.inputs:
-        form = seeds.get(name)
-        if form is None:
-            valid[index[name]] = True  # deterministic zero arrival
-        else:
-            _seed_form(mean, corr, randvar, valid, index[name], form)
-
+    state = _empty_state(arrays, width)
+    _seed_arrivals(state, arrays, input_arrivals)
     _fold_levels(
         arrays, arrays.forward_levels(), arrays.edge_source,
-        pad_corr(arrays.edge_corr, width),
-        mean, corr, randvar, valid, seed_first=False,
+        pad_corr(arrays.edge_corr, width), *state, seed_first=False,
     )
-    return VertexTimes(arrays, mean, corr, randvar, valid)
+    return VertexTimes(arrays, *state)
 
 
 def propagate_arrival_times(
     graph: TimingGraph,
     input_arrivals: Optional[Mapping[str, CanonicalForm]] = None,
-    engine: str = "auto",
 ) -> Dict[str, CanonicalForm]:
-    """Propagate arrival times from the graph inputs to every vertex.
+    """:func:`propagate_arrival_times_batch` as a vertex-to-form dictionary.
 
-    ``input_arrivals`` optionally supplies the arrival time at each input
-    vertex (defaults to a deterministic zero).  Vertices unreachable from
-    any input get no entry in the returned mapping.  ``engine`` selects the
-    batched levelized engine (``"batch"``), the object-level reference loop
-    (``"object"``) or a size-based choice between them (``"auto"``, the
-    default); non-finite input arrivals (e.g. ``minus_infinity`` masks)
-    always use the object-level engine, whose scalar operators define their
-    algebra.
+    Vertices unreachable from any seeded input get no entry.
     """
-    input_arrivals = dict(input_arrivals or {})
-    if _use_batch(graph, engine, input_arrivals.values()):
-        return propagate_arrival_times_batch(graph, input_arrivals).as_dict()
-
-    arrivals: Dict[str, CanonicalForm] = {}
-    zero = CanonicalForm.constant(0.0, graph.num_locals)
-
-    for vertex in graph.inputs:
-        arrivals[vertex] = input_arrivals.get(vertex, zero)
-
-    for vertex in graph.topological_order():
-        fanin = graph.fanin_edges(vertex)
-        if not fanin:
-            continue
-        best: Optional[CanonicalForm] = None
-        for edge in fanin:
-            source_arrival = arrivals.get(edge.source)
-            if source_arrival is None:
-                continue
-            candidate = source_arrival.add(edge.delay)
-            best = candidate if best is None else statistical_max(best, candidate)
-        if best is not None:
-            if vertex in arrivals:
-                best = statistical_max(best, arrivals[vertex])
-            arrivals[vertex] = best
-    return arrivals
+    return propagate_arrival_times_batch(graph, input_arrivals).as_dict()
 
 
 def circuit_delay(
     graph: TimingGraph,
     input_arrivals: Optional[Mapping[str, CanonicalForm]] = None,
-    engine: str = "auto",
 ) -> CanonicalForm:
     """Statistical maximum arrival time over the graph outputs.
 
-    The batched engine reduces the reachable output arrivals with the
-    balanced tree kernel; the object engine folds them sequentially.
+    The reachable output arrivals are reduced with the balanced tree
+    kernel; :class:`~repro.errors.TimingGraphError` when none is reachable.
     """
-    input_arrivals = dict(input_arrivals or {})
-    if _use_batch(graph, engine, input_arrivals.values()):
-        times = propagate_arrival_times_batch(graph, input_arrivals)
-        rows = [row for row in times.arrays.output_rows if times.valid[row]]
-        if not rows:
-            raise TimingGraphError(
-                "no output of %r is reachable from any input" % graph.name
-            )
-        return times.batch.gather(rows).max_over()
-
-    arrivals = propagate_arrival_times(graph, input_arrivals, engine="object")
-    best: Optional[CanonicalForm] = None
-    for vertex in graph.outputs:
-        arrival = arrivals.get(vertex)
-        if arrival is None:
-            continue
-        best = arrival if best is None else statistical_max(best, arrival)
-    if best is None:
+    times = propagate_arrival_times_batch(graph, input_arrivals)
+    rows = [row for row in times.arrays.output_rows if times.valid[row]]
+    if not rows:
         raise TimingGraphError(
             "no output of %r is reachable from any input" % graph.name
         )
-    return best
+    return times.batch.gather(rows).max_over()
 
 
 # ----------------------------------------------------------------------
 # Backward propagation
 # ----------------------------------------------------------------------
 def longest_path_to_outputs_batch(graph: TimingGraph) -> VertexTimes:
-    """Levelized batched maximum delay from every vertex to any output."""
-    arrays = GraphArrays.of(graph)
-    mean, corr, randvar, valid = _empty_state(arrays, arrays.num_corr)
-    valid[arrays.output_rows] = True  # deterministic zero at every output
-
-    _fold_levels(
-        arrays, arrays.backward_levels(), arrays.edge_sink, arrays.edge_corr,
-        mean, corr, randvar, valid, seed_first=True,
-    )
-    return VertexTimes(arrays, mean, corr, randvar, valid)
-
-
-def longest_path_to_outputs(
-    graph: TimingGraph, engine: str = "auto"
-) -> Dict[str, CanonicalForm]:
     """Maximum statistical delay from every vertex to any graph output.
 
-    This is the "negative required time with the output required time set to
-    zero" used by the paper's criticality computation (eq. 15); it is the
-    backward analogue of :func:`propagate_arrival_times`.
+    This is the "negative required time with the output required time set
+    to zero" used by the paper's criticality computation (eq. 15); it is
+    the backward analogue of :func:`propagate_arrival_times_batch`.
     """
-    if _use_batch(graph, engine, ()):
-        return longest_path_to_outputs_batch(graph).as_dict()
+    arrays = GraphArrays.of(graph)
+    state = _empty_state(arrays, arrays.num_corr)
+    valid = state[3]
+    valid[arrays.output_rows] = True  # deterministic zero at every output
+    _fold_levels(
+        arrays, arrays.backward_levels(), arrays.edge_sink, arrays.edge_corr,
+        *state, seed_first=True,
+    )
+    return VertexTimes(arrays, *state)
 
-    zero = CanonicalForm.constant(0.0, graph.num_locals)
-    to_output: Dict[str, CanonicalForm] = {vertex: zero for vertex in graph.outputs}
 
-    for vertex in reversed(graph.topological_order()):
-        fanout = graph.fanout_edges(vertex)
-        if not fanout:
-            continue
-        best: Optional[CanonicalForm] = to_output.get(vertex)
-        for edge in fanout:
-            sink_delay = to_output.get(edge.sink)
-            if sink_delay is None:
-                continue
-            candidate = sink_delay.add(edge.delay)
-            best = candidate if best is None else statistical_max(best, candidate)
-        if best is not None:
-            to_output[vertex] = best
-    return to_output
+def longest_path_to_outputs(graph: TimingGraph) -> Dict[str, CanonicalForm]:
+    """:func:`longest_path_to_outputs_batch` as a vertex-to-form dictionary."""
+    return longest_path_to_outputs_batch(graph).as_dict()
 
 
 def propagate_required_times_batch(
@@ -514,13 +620,17 @@ def propagate_required_times_batch(
     required_at_outputs: Optional[Mapping[str, CanonicalForm]] = None,
     default_required: Optional[CanonicalForm] = None,
 ) -> VertexTimes:
-    """Levelized batched backward required-time propagation.
+    """Propagate required times backwards from the outputs.
 
-    Runs the backward ``min``/``sum`` recursion as a forward-style ``max``
-    fold on the *negated* state (``min(A,B) = -max(-A,-B)``): the state
-    holds ``-required``, a fanout candidate ``required(sink) - delay``
-    becomes ``state(sink) + delay``, and the result is negated back at the
-    end.  Candidate order matches the object-level engine exactly.
+    The required time at a vertex is the statistical *minimum* over its
+    fanout edges of ``required(sink) - delay``.  ``default_required``
+    (default: deterministic zero) is used for outputs without an explicit
+    entry in ``required_at_outputs``.
+
+    The ``min``/``sum`` recursion runs as a ``max`` fold on the *negated*
+    state (``min(A,B) = -max(-A,-B)``): the state holds ``-required``, a
+    fanout candidate ``required(sink) - delay`` becomes
+    ``state(sink) + delay``, and the result is negated back at the end.
     """
     return _required_times(
         GraphArrays.of(graph), required_at_outputs, default_required
@@ -545,15 +655,12 @@ def _required_times(
     width = max(
         arrays.num_corr, max((f.num_locals + 1 for f in seeds.values()), default=1)
     )
-    mean, corr, randvar, valid = _empty_state(arrays, width)
-    index = arrays.vertex_index
-    for name, form in seeds.items():
-        _seed_form(mean, corr, randvar, valid, index[name], form, negate=True)
-
+    state = _empty_state(arrays, width)
+    _seed_required(state, arrays, seeds)
+    mean, corr, randvar, valid = state
     _fold_levels(
         arrays, arrays.backward_levels(), arrays.edge_sink,
-        pad_corr(arrays.edge_corr, width),
-        mean, corr, randvar, valid, seed_first=True,
+        pad_corr(arrays.edge_corr, width), *state, seed_first=True,
     )
     np.negative(mean, out=mean)
     np.negative(corr, out=corr)
@@ -564,45 +671,11 @@ def propagate_required_times(
     graph: TimingGraph,
     required_at_outputs: Optional[Mapping[str, CanonicalForm]] = None,
     default_required: Optional[CanonicalForm] = None,
-    engine: str = "auto",
 ) -> Dict[str, CanonicalForm]:
-    """Propagate required times backwards from the outputs.
-
-    The required time at a vertex is the statistical *minimum* over its
-    fanout edges of ``required(sink) - delay``.  ``default_required``
-    (default: deterministic zero) is used for outputs without an explicit
-    entry in ``required_at_outputs``.
-    """
-    required_at_outputs = dict(required_at_outputs or {})
-    seed_forms = list(required_at_outputs.values())
-    if default_required is not None:
-        seed_forms.append(default_required)
-    if _use_batch(graph, engine, seed_forms):
-        return propagate_required_times_batch(
-            graph, required_at_outputs, default_required
-        ).as_dict()
-
-    if default_required is None:
-        default_required = CanonicalForm.constant(0.0, graph.num_locals)
-
-    required: Dict[str, CanonicalForm] = {}
-    for vertex in graph.outputs:
-        required[vertex] = required_at_outputs.get(vertex, default_required)
-
-    for vertex in reversed(graph.topological_order()):
-        fanout = graph.fanout_edges(vertex)
-        if not fanout:
-            continue
-        best: Optional[CanonicalForm] = required.get(vertex) if graph.is_output(vertex) else None
-        for edge in fanout:
-            sink_required = required.get(edge.sink)
-            if sink_required is None:
-                continue
-            candidate = sink_required.subtract(edge.delay)
-            best = candidate if best is None else statistical_min(best, candidate)
-        if best is not None:
-            required[vertex] = best
-    return required
+    """:func:`propagate_required_times_batch` as a vertex-to-form dictionary."""
+    return propagate_required_times_batch(
+        graph, required_at_outputs, default_required
+    ).as_dict()
 
 
 # ----------------------------------------------------------------------
@@ -613,11 +686,13 @@ def compute_slacks_batch(
     required_time: CanonicalForm,
     input_arrivals: Optional[Mapping[str, CanonicalForm]] = None,
 ) -> VertexTimes:
-    """Batched statistical slack at every vertex reachable in both passes.
+    """Statistical slack (required minus arrival) at every vertex.
 
+    ``required_time`` is applied at every output; slack distributions with
+    negative means indicate paths that nominally violate the constraint.
     One forward and one backward levelized pass over the graph's view,
     then a single vectorized subtraction ``required - arrival`` (private
-    variances add) across all vertices.
+    variances add); a vertex is ``valid`` when it is reachable in both.
     """
     arrays = GraphArrays.of(graph)
     arrival = _arrival_times(arrays, input_arrivals)
@@ -636,26 +711,48 @@ def compute_slacks(
     graph: TimingGraph,
     required_time: CanonicalForm,
     input_arrivals: Optional[Mapping[str, CanonicalForm]] = None,
-    engine: str = "auto",
 ) -> Dict[str, CanonicalForm]:
-    """Statistical slack (required minus arrival) at every reachable vertex.
+    """:func:`compute_slacks_batch` as a vertex-to-form dictionary."""
+    return compute_slacks_batch(graph, required_time, input_arrivals).as_dict()
 
-    ``required_time`` is applied at every output; slack distributions with
-    negative means indicate paths that nominally violate the constraint.
+
+# ----------------------------------------------------------------------
+# The reference oracle
+# ----------------------------------------------------------------------
+def _reference_fold(
+    graph: TimingGraph,
+    seeds: Mapping[str, CanonicalForm],
+    backward: bool = False,
+) -> Dict[str, CanonicalForm]:
+    """The object-level per-edge loop over immutable canonical forms.
+
+    Kept only as the oracle the levelized fold is tested and benchmarked
+    against; nothing in the library calls it.  Forward, ``seeds`` are the
+    input arrivals and each vertex folds its fanin candidates
+    ``source + delay`` with :func:`~repro.core.ops.statistical_max`, then
+    its own seed.  Backward, ``seeds`` sit at the outputs and each vertex
+    folds its seed first, then its fanout candidates ``sink + delay`` —
+    the delay to the outputs, or the negated required times when the seeds
+    are negated required times.  Non-finite seeds follow the scalar
+    operators' algebra (``minus_infinity`` is the identity of ``max``).
+    Vertices no seed reaches get no entry.
     """
-    input_arrivals = dict(input_arrivals or {})
-    seeds = list(input_arrivals.values()) + [required_time]
-    if _use_batch(graph, engine, seeds):
-        return compute_slacks_batch(graph, required_time, input_arrivals).as_dict()
-
-    arrivals = propagate_arrival_times(graph, input_arrivals, engine="object")
-    required = propagate_required_times(
-        graph, {vertex: required_time for vertex in graph.outputs}, engine="object"
-    )
-    slacks: Dict[str, CanonicalForm] = {}
-    for vertex, arrival in arrivals.items():
-        vertex_required = required.get(vertex)
-        if vertex_required is None:
+    times: Dict[str, CanonicalForm] = dict(seeds)
+    order = graph.topological_order()
+    for vertex in (reversed(order) if backward else order):
+        edges = graph.fanout_edges(vertex) if backward else graph.fanin_edges(vertex)
+        if not edges:
             continue
-        slacks[vertex] = vertex_required.subtract(arrival)
-    return slacks
+        best: Optional[CanonicalForm] = times.get(vertex) if backward else None
+        for edge in edges:
+            neighbor = times.get(edge.sink if backward else edge.source)
+            if neighbor is None:
+                continue
+            candidate = neighbor.add(edge.delay)
+            best = candidate if best is None else statistical_max(best, candidate)
+        if best is None:
+            continue
+        if not backward and vertex in times:
+            best = statistical_max(best, times[vertex])
+        times[vertex] = best
+    return times

@@ -14,6 +14,8 @@ corner delays are computed in one vectorized expression
 and propagated as a single "sample" by the levelized Monte Carlo
 longest-path kernel — ``max`` and ``+`` are exact, so a corner is the
 deterministic degenerate case of a Monte Carlo sample.
+:func:`corner_sweep` evaluates any list of sigma offsets and is the one
+entry point that shards corners across the process pool.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 __all__ = [
     "CornerReport",
     "corner_sta",
-    "corner_sta_parallel",
     "corner_sweep",
     "deterministic_longest_path",
     "longest_path_from_arrays",
@@ -171,34 +172,3 @@ def corner_sta(
         sigma_corner=sigma_corner,
     )
 
-
-def corner_sta_parallel(
-    graph: Optional[TimingGraph] = None,
-    sigma_corner: float = 3.0,
-    timer: Optional["IncrementalTimer"] = None,
-    workers: Optional[int] = None,
-    executor=None,
-) -> CornerReport:
-    """:func:`corner_sta` with the three corners sharded across workers.
-
-    Identical results to :func:`corner_sta` (each corner is one exact
-    deterministic evaluation); the pool only pays off when the per-corner
-    propagation dominates the task round-trip — large graphs, or wider
-    sweeps via :func:`corner_sweep`.  Falls back to the serial sweep when
-    the executor resolves to the serial engine.
-    """
-    if sigma_corner < 0.0:
-        raise ValueError("sigma_corner must be non-negative")
-    nominal, worst, best = corner_sweep(
-        [0.0, sigma_corner, -sigma_corner],
-        graph=graph,
-        timer=timer,
-        workers=workers,
-        executor=executor,
-    )
-    return CornerReport(
-        nominal=float(nominal),
-        worst=float(worst),
-        best=float(best),
-        sigma_corner=sigma_corner,
-    )

@@ -141,6 +141,12 @@ def c17_graph(library) -> TimingGraph:
     return _placed_graph_and_variation(_c17_netlist(), library)[0]
 
 
+@pytest.fixture(scope="session")
+def c432_graph(library) -> TimingGraph:
+    """Pristine timing graph of the c432 surrogate (tests copy() it)."""
+    return _placed_graph_and_variation(iscas85_surrogate("c432"), library)[0]
+
+
 @pytest.fixture(scope="session", params=["c17", "mult4", "c432"])
 def parity_module(request, library):
     """Pristine ``(graph, variation)`` of the incremental-parity circuits.
@@ -254,6 +260,82 @@ def criticality_reference():
         return CriticalityResult(values, pairs)
 
     return reference
+
+
+@pytest.fixture(scope="session")
+def propagation_reference():
+    """Object-level SSTA oracle of the levelized propagation passes.
+
+    Returns a namespace of dictionary functions mirroring the public
+    passes: ``arrival_times(graph, input_arrivals=None)``,
+    ``required_times(graph, required_at_outputs=None,
+    default_required=None)``, ``to_outputs(graph)``,
+    ``slacks(graph, required_time, input_arrivals=None)`` and
+    ``circuit_delay(graph, input_arrivals=None)``.  All run
+    ``_reference_fold``, the per-edge loop over immutable canonical forms
+    (required times as the max fold of their negation), and the production
+    passes must match them to 1e-9 on every vertex.  Unlike the passes, the
+    oracle carries ``minus_infinity`` masks through the scalar operators,
+    so vertices reachable only from masked inputs hold -inf forms.
+    ``circuit_delay`` folds the outputs sequentially where production
+    reduces them as a balanced tree, so it is only close, not 1e-9.
+    """
+    from types import SimpleNamespace
+
+    from repro.core.ops import statistical_max
+    from repro.timing.propagation import _reference_fold
+
+    def arrival_times(graph, input_arrivals=None):
+        zero = CanonicalForm.constant(0.0, graph.num_locals)
+        given = input_arrivals or {}
+        return _reference_fold(
+            graph, {name: given.get(name, zero) for name in graph.inputs}
+        )
+
+    def required_times(graph, required_at_outputs=None, default_required=None):
+        if default_required is None:
+            default_required = CanonicalForm.constant(0.0, graph.num_locals)
+        given = required_at_outputs or {}
+        seeds = {
+            name: given.get(name, default_required).negate()
+            for name in graph.outputs
+        }
+        negated = _reference_fold(graph, seeds, backward=True)
+        return {name: form.negate() for name, form in negated.items()}
+
+    def to_outputs(graph):
+        zero = CanonicalForm.constant(0.0, graph.num_locals)
+        return _reference_fold(
+            graph, {name: zero for name in graph.outputs}, backward=True
+        )
+
+    def slacks(graph, required_time, input_arrivals=None):
+        arrivals = arrival_times(graph, input_arrivals)
+        required = required_times(
+            graph, {name: required_time for name in graph.outputs}
+        )
+        return {
+            name: required[name].subtract(arrival)
+            for name, arrival in arrivals.items()
+            if name in required
+        }
+
+    def circuit_delay(graph, input_arrivals=None):
+        arrivals = arrival_times(graph, input_arrivals)
+        best = None
+        for name in graph.outputs:
+            arrival = arrivals.get(name)
+            if arrival is not None:
+                best = arrival if best is None else statistical_max(best, arrival)
+        return best
+
+    return SimpleNamespace(
+        arrival_times=arrival_times,
+        required_times=required_times,
+        to_outputs=to_outputs,
+        slacks=slacks,
+        circuit_delay=circuit_delay,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -20,7 +20,7 @@ from repro.montecarlo.flat import (
     simulate_io_delays,
 )
 from repro.parallel.shard import partition_samples
-from repro.timing.sta import corner_sta, corner_sta_parallel, corner_sweep
+from repro.timing.sta import corner_sta, corner_sweep
 
 DELAY_SAMPLES = 600  # spans five 128-sample blocks
 IO_SAMPLES = 384  # three blocks, still partitionable four ways
@@ -114,9 +114,11 @@ def test_io_stats_invariant_across_chunk_splits(parity_module, io_group, group):
 # ----------------------------------------------------------------------
 # Corner STA
 # ----------------------------------------------------------------------
-def test_corner_sta_parallel_matches_serial(parity_module, process_executor):
+def test_sharded_corner_sweep_matches_corner_sta(parity_module, process_executor):
     graph, _variation = parity_module
-    assert corner_sta_parallel(graph, executor=process_executor) == corner_sta(graph)
+    report = corner_sta(graph, sigma_corner=3.0)
+    sharded = corner_sweep([0.0, 3.0, -3.0], graph=graph, executor=process_executor)
+    assert sharded.tolist() == [report.nominal, report.worst, report.best]
 
 
 def test_corner_sweep_invariant_across_engines(

@@ -12,6 +12,7 @@ from repro.hier.analysis import DesignTimer
 from repro.hier.design import HierarchicalDesign, ModuleInstance
 from repro.liberty.library import standard_library
 from repro.model.extraction import extract_timing_model
+from repro.store.format import read_entry, write_entry
 from repro.timing.builder import build_timing_graph
 from repro.variation.grid import Die
 
@@ -105,6 +106,23 @@ class TestBundleParity:
         assert restored.graph.num_edges == original.graph.num_edges
         for a, b in zip(original.graph.edges, restored.graph.edges):
             assert b.delay == a.delay
+
+
+    def test_manifest_with_a_workers_key_loads(self, design_setup, saved_bundle):
+        # Bundles written while DesignTimer still took a worker count carry
+        # "workers" in their manifest; loading ignores the key.
+        _module, design, library, _graph, _alt = design_setup
+        timer, root = saved_bundle
+        path = root / "design.npz"
+        entry = read_entry(path)
+        assert "workers" not in entry.meta
+        write_entry(
+            path, entry.kind, entry.graph_id, entry.revision, entry.columns,
+            meta=dict(entry.meta, workers=2),
+        )
+        loaded = DesignTimer.load(root, design, library=library)
+        assert loaded.timer.update().mode == "noop"  # warm: no full pass ran
+        assert loaded.circuit_delay() == timer.circuit_delay()
 
 
 class TestBundleKeying:

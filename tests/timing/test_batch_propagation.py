@@ -1,17 +1,23 @@
-"""Parity tests: batched levelized propagation vs the object-level engine.
+"""Parity tests: levelized propagation vs the object-level reference loop.
 
-The batched engine folds every vertex's fanin/fanout candidates in the same
-order as the object-level reference loop, so the two must agree to
-floating-point round-off (1e-9) on every vertex — asserted here on the
-real ISCAS c17 netlist, on a generated array multiplier and on an ISCAS85
-surrogate.
+The level fold folds every vertex's fanin/fanout candidates in the same
+order as the object-level oracle (the ``propagation_reference`` fixture),
+so the two must agree to floating-point round-off (1e-9) on every vertex —
+asserted here on the real ISCAS c17 netlist, on a generated array
+multiplier and on an ISCAS85 surrogate.  The per-level choice between the
+scalar and the batched fold path must not change a single bit.
 """
+
+import math
+import re
 
 import numpy as np
 import pytest
 
 from repro.core.canonical import CanonicalForm
+from repro.errors import TimingGraphError
 from repro.liberty.library import standard_library
+from repro.netlist.generators import ripple_carry_adder
 from repro.netlist.iscas85 import iscas85_surrogate
 from repro.netlist.multiplier import array_multiplier
 from repro.netlist.netlist import Gate, Netlist
@@ -19,6 +25,7 @@ from repro.placement.placer import place_netlist
 from repro.timing.arrays import GraphArrays
 from repro.timing.builder import build_timing_graph, default_variation_for
 from repro.timing.graph import TimingGraph
+from repro.timing import propagation
 from repro.timing.propagation import (
     circuit_delay,
     compute_slacks,
@@ -70,59 +77,88 @@ def _assert_dicts_close(batch_result, object_result, rtol=1e-9, atol=1e-9):
         assert batch_form.is_close(object_result[vertex], rtol=rtol, atol=atol), vertex
 
 
-class TestArrivalParity:
-    def test_arrivals_match_object_engine(self, parity_graph):
-        batched = propagate_arrival_times(parity_graph, engine="batch")
-        reference = propagate_arrival_times(parity_graph, engine="object")
-        _assert_dicts_close(batched, reference)
+def _offsets(graph: TimingGraph):
+    return {
+        name: CanonicalForm(10.0 + 2.0 * position, 0.5, [0.25], 0.1)
+        for position, name in enumerate(graph.inputs)
+    }
 
-    def test_arrivals_with_input_offsets(self, parity_graph):
-        offsets = {
-            name: CanonicalForm(10.0 + 2.0 * position, 0.5, [0.25], 0.1)
-            for position, name in enumerate(parity_graph.inputs)
+
+#: Which inputs a mask pattern masks with ``minus_infinity``.
+MASK_PATTERNS = ["all_but_first", "every_other"]
+
+
+def _masks(graph: TimingGraph, pattern: str):
+    if pattern == "all_but_first":
+        masks = {
+            name: CanonicalForm.minus_infinity(graph.num_locals)
+            for name in graph.inputs[1:]
         }
-        batched = propagate_arrival_times(parity_graph, offsets, engine="batch")
-        reference = propagate_arrival_times(parity_graph, offsets, engine="object")
+        masks[graph.inputs[0]] = CanonicalForm.constant(0.0, graph.num_locals)
+        return masks
+    return {
+        name: CanonicalForm.minus_infinity(graph.num_locals)
+        for name in graph.inputs[1::2]
+    }
+
+
+class TestArrivalParity:
+    def test_arrivals_match_object_engine(self, parity_graph, propagation_reference):
+        batched = propagate_arrival_times(parity_graph)
+        reference = propagation_reference.arrival_times(parity_graph)
         _assert_dicts_close(batched, reference)
 
-    def test_circuit_delay_close_to_object(self, parity_graph):
+    def test_arrivals_with_input_offsets(self, parity_graph, propagation_reference):
+        offsets = _offsets(parity_graph)
+        batched = propagate_arrival_times(parity_graph, offsets)
+        reference = propagation_reference.arrival_times(parity_graph, offsets)
+        _assert_dicts_close(batched, reference)
+
+    def test_circuit_delay_close_to_object(self, parity_graph, propagation_reference):
         # The output reduction genuinely differs (balanced tree vs
         # sequential fold, and Clark's max is not associative), so the
         # comparison is loose; the arrival parity above is the strict one.
-        batched = circuit_delay(parity_graph, engine="batch")
-        reference = circuit_delay(parity_graph, engine="object")
+        batched = circuit_delay(parity_graph)
+        reference = propagation_reference.circuit_delay(parity_graph)
         assert batched.mean == pytest.approx(reference.mean, rel=1e-3)
         assert batched.std == pytest.approx(reference.std, rel=5e-2)
 
-    def test_minus_infinity_masks_fall_back(self, parity_graph):
-        # Non-finite seeds route to the object engine in every mode.
-        masks = {name: CanonicalForm.minus_infinity(parity_graph.num_locals)
-                 for name in parity_graph.inputs[1:]}
-        masks[parity_graph.inputs[0]] = CanonicalForm.constant(
-            0.0, parity_graph.num_locals
+    @pytest.mark.parametrize("pattern", MASK_PATTERNS)
+    def test_minus_infinity_masks_match_oracle(
+        self, parity_graph, propagation_reference, pattern
+    ):
+        # Masked inputs stay unseeded: every entry is finite and matches
+        # the oracle, which holds -inf forms where only masks reach.
+        masks = _masks(parity_graph, pattern)
+        times = propagate_arrival_times_batch(parity_graph, masks)
+        for name in ("mean", "corr", "randvar"):
+            assert np.isfinite(getattr(times, name)[times.valid]).all(), name
+        reference = propagation_reference.arrival_times(parity_graph, masks)
+        _assert_dicts_close(
+            times.as_dict(),
+            {name: form for name, form in reference.items() if form.is_finite},
         )
-        batched = propagate_arrival_times(parity_graph, masks, engine="batch")
-        reference = propagate_arrival_times(parity_graph, masks, engine="object")
-        _assert_dicts_close(batched, reference)
 
 
 class TestBackwardParity:
-    def test_required_times_match_object_engine(self, parity_graph):
+    def test_required_times_match_object_engine(
+        self, parity_graph, propagation_reference
+    ):
         constraint = CanonicalForm(500.0, 1.0, [0.5], 0.25)
         required = {vertex: constraint for vertex in parity_graph.outputs}
-        batched = propagate_required_times(parity_graph, required, engine="batch")
-        reference = propagate_required_times(parity_graph, required, engine="object")
+        batched = propagate_required_times(parity_graph, required)
+        reference = propagation_reference.required_times(parity_graph, required)
         _assert_dicts_close(batched, reference)
 
-    def test_longest_path_to_outputs_matches(self, parity_graph):
-        batched = longest_path_to_outputs(parity_graph, engine="batch")
-        reference = longest_path_to_outputs(parity_graph, engine="object")
+    def test_longest_path_to_outputs_matches(self, parity_graph, propagation_reference):
+        batched = longest_path_to_outputs(parity_graph)
+        reference = propagation_reference.to_outputs(parity_graph)
         _assert_dicts_close(batched, reference)
 
-    def test_slacks_match_object_engine(self, parity_graph):
+    def test_slacks_match_object_engine(self, parity_graph, propagation_reference):
         constraint = CanonicalForm.constant(1000.0, parity_graph.num_locals)
-        batched = compute_slacks(parity_graph, constraint, engine="batch")
-        reference = compute_slacks(parity_graph, constraint, engine="object")
+        batched = compute_slacks(parity_graph, constraint)
+        reference = propagation_reference.slacks(parity_graph, constraint)
         _assert_dicts_close(batched, reference)
 
 
@@ -138,12 +174,14 @@ class TestBatchStructures:
                 assert form == as_dict[vertex]
         assert times.form("__does_not_exist__") is None
 
-    def test_shared_arrays_reused_across_passes(self, parity_graph):
+    def test_shared_arrays_reused_across_passes(
+        self, parity_graph, propagation_reference
+    ):
         arrays = GraphArrays.of(parity_graph)  # held across both passes
         constraint = CanonicalForm.constant(1000.0, parity_graph.num_locals)
         slacks = compute_slacks_batch(parity_graph, constraint)
         assert slacks.arrays is arrays
-        reference = compute_slacks(parity_graph, constraint, engine="object")
+        reference = propagation_reference.slacks(parity_graph, constraint)
         _assert_dicts_close(slacks.as_dict(), reference)
 
     def test_level_schedule_is_topological(self, parity_graph):
@@ -242,3 +280,151 @@ class TestRegressions:
         assert GraphArrays.of(parity_graph) is arrays
         for name, before in zip(("edge_mean", "edge_corr", "edge_randvar"), edges):
             np.testing.assert_array_equal(getattr(arrays, name), before)
+
+
+def _reachable_from(graph: TimingGraph, sources):
+    """Vertices reachable from ``sources`` (included) along graph edges."""
+    seen = set(sources)
+    stack = list(sources)
+    while stack:
+        for edge in graph.fanout_edges(stack.pop()):
+            if edge.sink not in seen:
+                seen.add(edge.sink)
+                stack.append(edge.sink)
+    return seen
+
+
+def _reaches_an_output(graph: TimingGraph):
+    seen = set(graph.outputs)
+    stack = list(graph.outputs)
+    while stack:
+        for edge in graph.fanin_edges(stack.pop()):
+            if edge.source not in seen:
+                seen.add(edge.source)
+                stack.append(edge.source)
+    return seen
+
+
+class TestNonFiniteBoundaryConditions:
+    """``minus_infinity`` masks leave inputs unseeded; other non-finite seeds raise."""
+
+    @pytest.mark.parametrize("pattern", MASK_PATTERNS)
+    def test_masked_slacks_are_finite_and_match_oracle(
+        self, parity_graph, propagation_reference, pattern
+    ):
+        graph = parity_graph
+        masks = _masks(graph, pattern)
+        constraint = CanonicalForm.constant(1000.0, graph.num_locals)
+        slacks = compute_slacks_batch(graph, constraint, masks)
+        for name in ("mean", "corr", "randvar"):
+            assert np.isfinite(getattr(slacks, name)[slacks.valid]).all(), name
+        reference = propagation_reference.slacks(graph, constraint, masks)
+        for vertex, form in slacks.as_dict().items():
+            assert form.is_close(reference[vertex], rtol=1e-9, atol=1e-9), vertex
+
+    @pytest.mark.parametrize("pattern", MASK_PATTERNS)
+    def test_entry_iff_reachable_from_an_unmasked_input(self, parity_graph, pattern):
+        graph = parity_graph
+        masks = _masks(graph, pattern)
+        unmasked = [
+            name for name in graph.inputs
+            if name not in masks or masks[name].is_finite
+        ]
+        reachable = _reachable_from(graph, unmasked)
+        assert set(propagate_arrival_times(graph, masks)) == reachable
+        constraint = CanonicalForm.constant(1000.0, graph.num_locals)
+        assert set(compute_slacks(graph, constraint, masks)) == (
+            reachable & _reaches_an_output(graph)
+        )
+
+    def test_every_output_masked_raises(self, parity_graph):
+        graph = parity_graph
+        masks = {
+            name: CanonicalForm.minus_infinity(graph.num_locals)
+            for name in graph.inputs
+        }
+        assert propagate_arrival_times(graph, masks) == {}
+        with pytest.raises(TimingGraphError, match="no output"):
+            circuit_delay(graph, masks)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_arrival_raises(self, parity_graph, value):
+        graph = parity_graph
+        vertex = graph.inputs[-1]
+        bad = {vertex: CanonicalForm.constant(value, graph.num_locals)}
+        with pytest.raises(ValueError, match=re.escape(repr(vertex))):
+            propagate_arrival_times_batch(graph, bad)
+        with pytest.raises(ValueError, match=re.escape(repr(vertex))):
+            circuit_delay(graph, bad)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_required_time_raises(self, parity_graph, value):
+        graph = parity_graph
+        vertex = graph.outputs[-1]
+        bad = CanonicalForm.constant(value, graph.num_locals)
+        with pytest.raises(ValueError, match=re.escape(repr(vertex))):
+            propagate_required_times_batch(graph, {vertex: bad})
+        with pytest.raises(ValueError, match=re.escape(repr(graph.outputs[0]))):
+            compute_slacks_batch(graph, bad)
+
+
+@pytest.fixture(scope="module", params=["c17", "mult4", "c432", "rca64"])
+def level_rule_graph(request) -> TimingGraph:
+    """The parity circuits plus a 64-bit ripple-carry adder (deep, narrow)."""
+    netlist = {
+        "c17": c17_netlist,
+        "mult4": lambda: array_multiplier(4),
+        "c432": lambda: iscas85_surrogate("c432"),
+        "rca64": lambda: ripple_carry_adder(64),
+    }[request.param]()
+    return _graph_for(netlist)
+
+
+def _all_passes(graph: TimingGraph):
+    constraint = CanonicalForm(500.0, 1.0, [0.5], 0.25)
+    return {
+        "arrivals": propagate_arrival_times_batch(graph),
+        "offsets": propagate_arrival_times_batch(graph, _offsets(graph)),
+        "required": propagate_required_times_batch(
+            graph, {name: constraint for name in graph.outputs}
+        ),
+        "to_outputs": longest_path_to_outputs_batch(graph),
+        "slacks": compute_slacks_batch(
+            graph, CanonicalForm.constant(1000.0, graph.num_locals)
+        ),
+        "delay": circuit_delay(graph),
+    }
+
+
+class TestPerLevelRule:
+    """The scalar/batched choice per level never changes a bit."""
+
+    @pytest.mark.parametrize("limit", [0, 10**9], ids=["all_batched", "all_scalar"])
+    def test_forced_paths_equal_the_default(self, level_rule_graph, monkeypatch, limit):
+        graph = level_rule_graph
+        default = _all_passes(graph)
+        scalar_levels = []
+        fold = propagation._scalar_level_fold
+
+        def counting_fold(rows, *args):
+            scalar_levels.append(rows.shape[0])
+            return fold(rows, *args)
+
+        monkeypatch.setattr(propagation, "SCALAR_SWEEP_MAX_LEVEL_EDGES", limit)
+        monkeypatch.setattr(propagation, "_scalar_level_fold", counting_fold)
+        forced = _all_passes(graph)
+        arrays = GraphArrays.of(graph)
+        if limit == 0:
+            assert not scalar_levels
+        else:
+            # Every level of all six passes ran scalar.
+            levels = len(arrays.forward_levels()) + len(arrays.backward_levels())
+            assert len(scalar_levels) == 3 * levels + len(arrays.forward_levels())
+        for name, result in default.items():
+            if name == "delay":
+                assert forced[name] == result
+                continue
+            for field in ("mean", "corr", "randvar", "valid"):
+                assert np.array_equal(
+                    getattr(forced[name], field), getattr(result, field)
+                ), (name, field)

@@ -21,8 +21,10 @@ from repro.model.reduction import reduce_graph
 from repro.timing.graph import TimingGraph
 from repro.timing.incremental import IncrementalTimer
 from repro.timing.propagation import (
+    SCALAR_SWEEP_MAX_LEVEL_EDGES,
     compute_slacks_batch,
     propagate_arrival_times_batch,
+    propagate_required_times_batch,
 )
 from repro.timing.sta import corner_sta
 
@@ -267,7 +269,9 @@ class TestStaleSessionsAndJournal:
         graph = c17_graph.copy()
         timer = IncrementalTimer(graph, required_time=_constraint(graph))
         timer.update()
-        reduce_graph(graph, timer=timer)
+        reduce_graph(graph)
+        stats = timer.update()  # the whole fixpoint is one coalesced window
+        assert stats.mode == "incremental"
         assert timer.revision == graph.revision
         _assert_parity(timer, graph, "reduction")
 
@@ -287,13 +291,6 @@ class TestStaleSessionsAndJournal:
         graph.replace_edge_delay(edge, edge.delay.scale(1.1))
         assert graph.changes_since(base).retimed_edges == (edge.edge_id,)
         timer.update()
-
-    def test_reduction_rejects_foreign_timer(self):
-        graph = _small_diamond()
-        other = _small_diamond()
-        timer = IncrementalTimer(other)
-        with pytest.raises(TimingGraphError):
-            reduce_graph(graph, timer=timer)
 
 
 class TestCornerStaSessionReuse:
@@ -343,7 +340,7 @@ class TestCornerStaSessionReuse:
 
 
 class TestObjectEngineDirtySweep:
-    """The scalar reference fold takes over on narrow dirty levels."""
+    """The scalar path of the per-level fold takes over on narrow dirty levels."""
 
     @staticmethod
     def _deep_chain(stages: int = 60, width: int = 2) -> TimingGraph:
@@ -365,17 +362,15 @@ class TestObjectEngineDirtySweep:
         return graph
 
     def test_scalar_engine_selected_on_deep_narrow_cones(self):
-        from repro.timing.incremental import SCALAR_SWEEP_MAX_LEVEL_EDGES
-
         graph = self._deep_chain()
         timer = IncrementalTimer(graph, required_time=_constraint(graph))
         timer.update()
-        assert timer.scalar_level_folds == 0  # the first pass is batched
+        assert timer.scalar_level_folds == 0  # full passes are not counted
         edge = graph.edges[0]  # near-input edge: the cone spans every level
         graph.replace_edge_delay(edge, edge.delay.scale(1.2))
         timer.update()
         # Every dirty level of the chain folds 2 vertices x 2 edges, well
-        # under the crossover, so the sweep ran on the scalar engine.
+        # under the crossover, so the sweep ran on the scalar path.
         assert SCALAR_SWEEP_MAX_LEVEL_EDGES >= 4
         assert timer.scalar_level_folds > 0
         assert timer.batched_level_folds == 0
@@ -392,8 +387,6 @@ class TestObjectEngineDirtySweep:
             _assert_parity(timer, graph, "scalar parity")
 
     def test_wide_dirty_levels_stay_batched(self, edit_graph):
-        from repro.timing.incremental import SCALAR_SWEEP_MAX_LEVEL_EDGES
-
         graph = edit_graph
         timer = IncrementalTimer(graph, required_time=_constraint(graph))
         timer.update()
@@ -417,3 +410,42 @@ class TestNonFiniteSeedsRejected:
         masks = {"a": CanonicalForm.minus_infinity(0)}
         with pytest.raises(ValueError):
             IncrementalTimer(graph, input_arrivals=masks)
+
+
+class TestRequiredTimes:
+    """The backward state served by ``required_at`` / ``required_times``."""
+
+    @staticmethod
+    def _assert_required_match(timer: IncrementalTimer, graph: TimingGraph):
+        reference = propagate_required_times_batch(
+            graph, {name: timer.required_time for name in graph.outputs}
+        )
+        expected = reference.as_dict()
+        served = timer.required_times()
+        assert set(served) == set(expected)
+        for vertex, form in expected.items():
+            assert served[vertex] == form, vertex  # bitwise
+            assert timer.required_at(vertex) == form, vertex
+
+    def test_bitwise_equal_to_the_one_shot_pass(self, c432_graph):
+        graph = c432_graph.copy()
+        timer = IncrementalTimer(graph, required_time=_constraint(graph))
+        self._assert_required_match(timer, graph)
+
+        edge = graph.edges[len(graph.edges) // 2]
+        graph.replace_edge_delay(edge, edge.delay.scale(1.3))
+        self._assert_required_match(timer, graph)
+
+        graph.remove_edge(graph.edges[len(graph.edges) // 3])
+        self._assert_required_match(timer, graph)
+
+    def test_no_path_to_an_output_has_no_required_time(self, c432_graph):
+        graph = c432_graph.copy()
+        timer = IncrementalTimer(graph, required_time=_constraint(graph))
+        timer.update()
+        graph.add_vertex("dangling")
+        graph.add_edge(graph.inputs[0], "dangling", CanonicalForm(7.0, 0.2, None, 0.1))
+        assert timer.required_at("dangling") is None
+        assert "dangling" not in timer.required_times()
+        assert timer.arrival_at("dangling") is not None
+        self._assert_required_match(timer, graph)
