@@ -68,7 +68,6 @@ def test_figure7_monte_carlo_reference(benchmark, design, bench_config):
             "design": design,
             "num_samples": bench_config.monte_carlo_samples,
             "seed": bench_config.seed,
-            "chunk_size": bench_config.monte_carlo_chunk,
         },
         rounds=1,
         iterations=1,

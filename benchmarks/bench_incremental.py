@@ -154,7 +154,7 @@ def _chain_design(module, stages: int):
 
 @pytest.fixture(scope="module")
 def swap_setup():
-    config = ExperimentConfig(monte_carlo_samples=400, monte_carlo_chunk=200)
+    config = ExperimentConfig(monte_carlo_samples=400)
     module = build_multiplier_module(bits=4, config=config)
     library = standard_library()
     full_graph = build_timing_graph(

@@ -80,7 +80,7 @@ def _object_io_delays(graph, num_samples, seed):
     arrays = GraphArrays.from_graph(graph)
     input_rows, output_rows = arrays.input_rows, arrays.output_rows
     valid = _reachable_from(arrays, input_rows)[output_rows].T
-    chunk_size, _group_size = _io_plan(None, arrays, num_samples)
+    chunk_size, _group_size = _io_plan(arrays, num_samples)
     partials = []  # (sums, square_sums) per sample block, ascending
     for start in range(0, num_samples, chunk_size):
         chunk = min(chunk_size, num_samples - start)

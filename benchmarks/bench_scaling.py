@@ -30,6 +30,7 @@ import resource
 import time
 
 from conftest import record_bench
+from repro.core.batch import FoldWorkspace
 from repro.liberty.library import standard_library
 from repro.netlist.generators import design_for_edge_count
 from repro.netlist.iscas85 import iscas85_surrogate
@@ -85,18 +86,19 @@ def _propagation_throughput(graph, arrays) -> float:
 def _allpairs_block_throughput(graph) -> float:
     """Blocked all-pairs throughput in edge-folds per second.
 
-    Streams one ``ALLPAIRS_BENCH_COLUMNS``-wide arrival block — the unit
+    Folds one ``ALLPAIRS_BENCH_COLUMNS``-wide arrival block — the unit
     the blocked engine repeats per budget window — and counts one edge
     fold per (edge, column).
     """
-    analysis = AllPairsTiming.analyze(graph, engine="blocked")
-    columns = min(ALLPAIRS_BENCH_COLUMNS, len(analysis.inputs))
+    analysis = AllPairsTiming(GraphArrays.of(graph), materialize=False)
+    columns = range(min(ALLPAIRS_BENCH_COLUMNS, analysis.num_inputs))
     start = time.perf_counter()
-    blocks = analysis.iter_arrival_blocks(block_columns=columns)
-    positions, _, _, _, valid = next(blocks)
+    _mean, _corr, _randvar, valid = analysis._column_block(
+        columns, False, FoldWorkspace()
+    )
     elapsed = time.perf_counter() - start
     assert valid.any()
-    return analysis.arrays.edge_ids.size * len(positions) / elapsed
+    return analysis.arrays.edge_ids.size * len(columns) / elapsed
 
 
 def _montecarlo_throughput(graph, arrays) -> float:

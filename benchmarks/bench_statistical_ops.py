@@ -60,5 +60,5 @@ def test_allpairs_analysis_rca32(benchmark, adder_graph):
 
 
 def test_monte_carlo_rca32(benchmark, adder_graph):
-    result = benchmark(simulate_graph_delay, adder_graph, 2000, 0, 1000)
+    result = benchmark(simulate_graph_delay, adder_graph, 2000, 0)
     assert result.num_samples == 2000

@@ -79,7 +79,7 @@ def flat_single_edge_whatifs() -> None:
 
 def hierarchical_block_swaps() -> None:
     print("=== Hierarchical block swaps (8-stage multiplier pipeline) ===")
-    config = ExperimentConfig(monte_carlo_samples=400, monte_carlo_chunk=200)
+    config = ExperimentConfig(monte_carlo_samples=400)
     module = build_multiplier_module(bits=4, config=config)
     library = standard_library()
     full_graph = build_timing_graph(

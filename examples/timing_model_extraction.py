@@ -54,8 +54,7 @@ def main() -> None:
     # Validate the model's input/output delays against Monte Carlo.
     print("validating against Monte Carlo (%d samples) ..." % config.monte_carlo_samples)
     reference = simulate_io_delays(
-        graph, num_samples=config.monte_carlo_samples,
-        seed=config.seed, chunk_size=config.monte_carlo_chunk,
+        graph, num_samples=config.monte_carlo_samples, seed=config.seed
     )
     model_means = model.delay_matrix_means()
     model_stds = model.delay_matrix_stds()

@@ -12,7 +12,7 @@ for sign-off plots.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple, Union
+from typing import Sequence, Union
 
 import numpy as np
 from scipy.stats import norm
@@ -120,7 +120,7 @@ def monte_carlo_yield_curve(
     source,
     num_samples: int = 10000,
     seed: int = 0,
-    chunk_size=None,
+    *,
     periods: Union[Sequence[float], np.ndarray, None] = None,
     num_points: int = 101,
     sigma_span: float = 4.0,
@@ -128,9 +128,8 @@ def monte_carlo_yield_curve(
     """Empirical yield curve straight from the Monte Carlo engine.
 
     ``source`` may be a :class:`~repro.timing.graph.TimingGraph` (simulated
-    one-shot with the levelized kernel; ``num_samples``/``seed``/
-    ``chunk_size`` forward to
-    :func:`~repro.montecarlo.simulate_graph_delay`), an incrementally
+    one-shot with the levelized kernel; ``num_samples``/``seed`` forward
+    to :func:`~repro.montecarlo.simulate_graph_delay`), an incrementally
     maintained :class:`~repro.montecarlo.MonteCarloSession` (revalidated —
     an unchanged session reuses its cached samples, a post-ECO one
     resamples only the touched rows), or an existing
@@ -146,7 +145,7 @@ def monte_carlo_yield_curve(
     elif isinstance(source, MonteCarloResult):
         result = source
     else:
-        result = simulate_graph_delay(source, num_samples, seed, chunk_size)
+        result = simulate_graph_delay(source, num_samples, seed)
     return yield_curve(
         result.samples,
         periods=periods,

@@ -12,8 +12,8 @@ thousand samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Optional
 
 from repro.variation.parameters import ParameterSet, nassif_parameters
 from repro.variation.spatial import SpatialCorrelation
@@ -39,13 +39,6 @@ class ExperimentConfig:
     random_variance_share: float = 0.2
     #: Monte Carlo iterations (paper: 10 000).
     monte_carlo_samples: int = 10000
-    #: Monte Carlo sample chunk size; ``None`` auto-sizes each run's chunks
-    #: from the graph so the working set stays within the chunk budget (see
-    #: :func:`repro.montecarlo.auto_chunk_size`).  Chunking is purely a
-    #: memory/runtime trade-off: sampling is counter-based per block, so
-    #: the simulated values are bit-identical for every chunk size (and
-    #: worker count).
-    monte_carlo_chunk: Optional[int] = None
     #: Worker processes of the sharded analyses (Monte Carlo sample
     #: ranges, corner sweeps, per-circuit experiment rows).  ``None``
     #: defers to the ``REPRO_WORKERS`` environment variable (default: 1,
@@ -81,4 +74,4 @@ DEFAULT_CONFIG = ExperimentConfig()
 
 #: A reduced-cost configuration used by the test suite and the default
 #: benchmark runs (fewer Monte Carlo samples; everything else identical).
-FAST_CONFIG = ExperimentConfig(monte_carlo_samples=2000, monte_carlo_chunk=1000)
+FAST_CONFIG = ExperimentConfig(monte_carlo_samples=2000)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -243,7 +243,6 @@ def run_figure7(
         design,
         num_samples=config.monte_carlo_samples,
         seed=config.seed,
-        chunk_size=config.monte_carlo_chunk,
         library=library,
         workers=config.workers if workers is None else workers,
     )

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from repro.model.criticality import compute_edge_criticalities
 from repro.model.extraction import extract_timing_model
 from repro.model.timing_model import TimingModel
 from repro.montecarlo.flat import simulate_io_delays
-from repro.netlist.iscas85 import available_benchmarks, iscas85_surrogate
+from repro.netlist.iscas85 import iscas85_surrogate
 from repro.netlist.netlist import Netlist
 from repro.placement.placer import Placement, place_netlist
 from repro.timing.allpairs import AllPairsTiming
@@ -192,7 +192,6 @@ def _model_accuracy(
         circuit.graph,
         num_samples=config.monte_carlo_samples,
         seed=config.seed,
-        chunk_size=config.monte_carlo_chunk,
     )
     return (
         max_relative_matrix_error(model.delay_matrix_means(), reference.means),

@@ -503,7 +503,7 @@ class DesignTimer:
         self,
         num_samples: int = 10000,
         seed: int = 0,
-        chunk_size: Optional[int] = None,
+        *,
         library=None,
         grid_size: float = 0.0,
     ):
@@ -532,7 +532,7 @@ class DesignTimer:
         from repro.montecarlo.flat import MonteCarloSession
         from repro.montecarlo.hierarchical import build_flat_timing_graph
 
-        key = (num_samples, seed, chunk_size, grid_size)
+        key = (num_samples, seed, grid_size)
         revision = self.graph.revision
         graph = None
         if (
@@ -550,9 +550,7 @@ class DesignTimer:
 
         if graph is None:
             graph = build_flat_timing_graph(self._design, library, grid_size)
-        self._mc_session = MonteCarloSession(
-            graph, num_samples=num_samples, seed=seed, chunk_size=chunk_size
-        )
+        self._mc_session = MonteCarloSession(graph, num_samples=num_samples, seed=seed)
         self._mc_key = key
         self._mc_library = library
         self._mc_design_revision = revision

@@ -16,7 +16,9 @@ One production engine evaluates the formulas: the **batched** kernel
 (:func:`edge_criticality_batch`) stacks chunks of edges into ``(chunk, I,
 O)`` tensors, the criticality analogue of the :mod:`repro.core.batch`
 propagation kernels, with the shared input/output delay-matrix moments
-hoisted out of the per-edge loop.  :func:`edge_criticality_matrix` is the
+hoisted out of the per-edge loop.  The chunks are sized from
+:data:`CRITICALITY_CHUNK_PAIRS` alone (:func:`auto_chunk_edges`); every
+chunking gives the same values.  :func:`edge_criticality_matrix` is the
 one-edge-at-a-time **scalar reference** it is verified against; only tests
 and benchmarks call it.  Both execute the same floating-point expressions
 (the probability tail is the single shared
@@ -32,7 +34,6 @@ all-pairs tensors, which past the all-pairs memory budget do not exist.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -53,12 +54,10 @@ from repro.timing.graph import TimingEdge, TimingGraph
 
 __all__ = [
     "CRITICALITY_CHUNK_PAIRS",
-    "CRITICALITY_CHUNK_PAIRS_ENV",
     "DENSE_EDIT_RECOMPUTE_FRACTION",
     "CriticalityResult",
     "auto_chunk_edges",
     "compute_edge_criticalities",
-    "criticality_chunk_pairs",
     "edge_criticality_batch",
     "edge_criticality_matrix",
     "edge_criticality_tensor",
@@ -84,44 +83,12 @@ THETA_RELATIVE_EPSILON = 1e-12
 # same-shaped reused buffers, so the chunk working set must stay
 # last-level-cache resident — measured on c7552 (207 x 108 pairs, ~23
 # edges per chunk), throughput degrades ~40% by 16 MB tensors and the
-# sweet spot is flat between 2^17 and 2^20 pairs.
+# sweet spot is flat between 2^17 and 2^20 pairs.  Read on every call:
+# the values do not depend on the chunking.
 CRITICALITY_CHUNK_PAIRS = 1 << 19
 
-#: Environment variable overriding :data:`CRITICALITY_CHUNK_PAIRS`.
-CRITICALITY_CHUNK_PAIRS_ENV = "REPRO_CRITICALITY_CHUNK_PAIRS"
 
-
-def criticality_chunk_pairs() -> int:
-    """The active per-chunk float budget of the batched criticality kernel.
-
-    Reads ``REPRO_CRITICALITY_CHUNK_PAIRS`` on every call so tests and
-    batch jobs can retune the chunk working set without touching code;
-    raises a clear ``ValueError`` on a non-integer or non-positive
-    override.  Falls back to :data:`CRITICALITY_CHUNK_PAIRS`.
-    """
-    raw = os.environ.get(CRITICALITY_CHUNK_PAIRS_ENV)
-    if raw is None:
-        return CRITICALITY_CHUNK_PAIRS
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(
-            "%s must be an integer, got %r"
-            % (CRITICALITY_CHUNK_PAIRS_ENV, raw)
-        ) from None
-    if budget <= 0:
-        raise ValueError(
-            "%s must be positive, got %d" % (CRITICALITY_CHUNK_PAIRS_ENV, budget)
-        )
-    return budget
-
-
-def auto_chunk_edges(
-    num_inputs: int,
-    num_outputs: int,
-    num_corr: int,
-    chunk_pairs: Optional[int] = None,
-) -> int:
+def auto_chunk_edges(num_inputs: int, num_outputs: int, num_corr: int) -> int:
     """Edge-chunk size bounding the batched kernel's float working set.
 
     One chunk streams a handful of ``(chunk, I, O)`` pair tensors plus
@@ -129,18 +96,14 @@ def auto_chunk_edges(
     (see :func:`_chunk_terms`), so the per-edge float cost is ``I*O +
     (I + O)*K`` — on correlation-heavy graphs the gathers, not the pair
     tensors, dominate, which is why the sizer must see ``num_corr``.  The
-    chunk is sized to hold at most ``chunk_pairs`` (default: the active
-    :func:`criticality_chunk_pairs` budget) such floats, and never fewer
-    than one edge regardless of how extreme the pair space is.
+    chunk is sized to hold at most :data:`CRITICALITY_CHUNK_PAIRS` such
+    floats, and never fewer than one edge regardless of how extreme the
+    pair space is.
     """
-    if chunk_pairs is None:
-        chunk_pairs = criticality_chunk_pairs()
-    if chunk_pairs <= 0:
-        raise ValueError("chunk_pairs must be positive")
     per_edge = max(1, int(num_inputs) * int(num_outputs)) + (
         int(num_inputs) + int(num_outputs)
     ) * max(0, int(num_corr))
-    return max(1, int(chunk_pairs) // per_edge)
+    return max(1, CRITICALITY_CHUNK_PAIRS // per_edge)
 
 
 # The incremental update switches to a batched full recompute when the
@@ -650,15 +613,13 @@ def edge_criticality_tensor(
 def edge_criticality_batch(
     analysis: AllPairsTiming,
     edges: Optional[Iterable[TimingEdge]] = None,
-    chunk_pairs: Optional[int] = None,
 ) -> CriticalityResult:
     """Maximum criticality of ``edges`` through the edge-chunked kernel.
 
     ``edges`` defaults to every edge of the analysed graph.  Edges are
     processed in chunks sized by :func:`auto_chunk_edges` so the chunk's
     pair tensors and correlation gathers together hold at most
-    ``chunk_pairs`` floats (default: the active
-    :func:`criticality_chunk_pairs` budget), bounding peak memory
+    :data:`CRITICALITY_CHUNK_PAIRS` floats, bounding peak memory
     independently of the module's pair-space and correlation widths (and
     keeping the chunk working set cache resident); the shared
     delay-matrix moments are computed once for all chunks.  The per-edge
@@ -680,13 +641,9 @@ def edge_criticality_batch(
     if analysis.num_inputs * analysis.num_outputs == 0:
         return _empty_pair_space_result(edge_list)
 
-    if chunk_pairs is None:
-        chunk_pairs = criticality_chunk_pairs()
-    elif chunk_pairs <= 0:
-        raise ValueError("chunk_pairs must be positive")
     rows_all = _edge_rows(analysis, edge_list)
     values, best = _batched_edge_max(
-        analysis, rows_all, _matrix_moments(analysis), int(chunk_pairs),
+        analysis, rows_all, _matrix_moments(analysis),
         _analysis_work(analysis, analysis.num_inputs, analysis.num_outputs),
     )
     num_outputs = analysis.num_outputs
@@ -703,7 +660,6 @@ def _batched_edge_max(
     analysis: AllPairsTiming,
     rows_all: np.ndarray,
     moments: _HoistedMoments,
-    chunk_pairs: int,
     work: Dict[str, np.ndarray],
     input_rows: Optional[np.ndarray] = None,
     output_cols: Optional[np.ndarray] = None,
@@ -722,10 +678,7 @@ def _batched_edge_max(
     )
     num_pairs = num_inputs * num_outputs
     chunk_edges = auto_chunk_edges(
-        num_inputs,
-        num_outputs,
-        analysis.arrays.edge_corr.shape[1],
-        chunk_pairs,
+        num_inputs, num_outputs, analysis.arrays.edge_corr.shape[1]
     )
     values = np.zeros(rows_all.size, dtype=float)
     best_all = np.zeros(rows_all.size, dtype=np.int64)
@@ -1003,7 +956,6 @@ def update_edge_criticalities(
                     )
                 values, best = _batched_edge_max(
                     analysis, group_rows[positions], moments,
-                    criticality_chunk_pairs(),
                     _analysis_work(analysis, rows_idx.size, num_outputs),
                     input_rows=rows_idx,
                 )
@@ -1034,7 +986,6 @@ def update_edge_criticalities(
                     )
                 values, best = _batched_edge_max(
                     analysis, group_rows[positions], moments,
-                    criticality_chunk_pairs(),
                     _analysis_work(analysis, num_inputs, cols_idx.size),
                     output_cols=cols_idx,
                 )

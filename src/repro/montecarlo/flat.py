@@ -13,7 +13,10 @@ only on the seed and the block index — never on the chunk size, the number
 of workers, or which process draws it — so the one-shot simulators are
 bit-identical across chunkings and across any sharding of the sample axis
 (see :mod:`repro.parallel`).  Per-pair moments accumulate per block in
-ascending block order for the same reason.
+ascending block order for the same reason.  No entry point takes a size:
+chunks and input groups derive from :data:`MC_CHUNK_BUDGET_FLOATS` and the
+graph (:func:`auto_chunk_size`, :func:`_io_plan`), and a session's arrival
+cache from :data:`MC_ARRIVALS_CACHE_MAX_FLOATS`.
 
 Longest paths run on one production kernel at every graph size: the
 **levelized** kernel walks the Kahn level schedules of the graph's shared
@@ -41,7 +44,6 @@ resample) and only the affected sample cone is repropagated.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
@@ -71,20 +73,16 @@ _NEG_INF = -np.inf
 #: Working-set budget (in float64 elements) of one sample chunk: the
 #: sampled delay block ``(E, chunk)`` plus, per source, the arrival block
 #: ``(V, chunk)`` and the transient per-level candidate block.  It sizes
-#: auto chunks and the input groups of :func:`simulate_io_delays`, whose
+#: every chunk and the input groups of :func:`simulate_io_delays`, whose
 #: ``(V, g, chunk)`` passes use the largest ``g`` that fits.  The floor
 #: is one source and one :data:`MC_SAMPLE_BLOCK`, which a tiny budget may
 #: exceed.  4M floats (32 MiB) keeps the chunk working set last-level-
 #: cache resident on typical hardware — the levelized kernel's sweet spot
 #: (measured on c7552: ~40 us/sample at chunk 256 vs ~56 us at 1024).
-#: Overridable per run via the ``REPRO_MC_CHUNK_BUDGET`` environment
-#: variable (see :func:`mc_chunk_budget`).
+#: Samples are bit-identical at any budget; only time and memory move.
 MC_CHUNK_BUDGET_FLOATS = 1 << 22
 
-#: Environment variable overriding :data:`MC_CHUNK_BUDGET_FLOATS`.
-MC_CHUNK_BUDGET_ENV = "REPRO_MC_CHUNK_BUDGET"
-
-#: Bounds of the auto-sized chunk (an explicit ``chunk_size`` still wins).
+#: Bounds of the budget-sized chunk.
 MC_MIN_CHUNK = 16
 MC_MAX_CHUNK = 8192
 
@@ -97,30 +95,14 @@ MC_SAMPLE_BLOCK = 128
 
 
 def mc_chunk_budget() -> int:
-    """The active chunk working-set budget (float64 elements).
+    """The chunk working-set budget (float64 elements), read per call."""
+    return MC_CHUNK_BUDGET_FLOATS
 
-    Reads ``REPRO_MC_CHUNK_BUDGET`` on every call so tests and batch jobs
-    can retune chunking without touching code; raises a clear
-    ``ValueError`` on a non-integer or non-positive override.
-    """
-    raw = os.environ.get(MC_CHUNK_BUDGET_ENV)
-    if raw is None:
-        return MC_CHUNK_BUDGET_FLOATS
-    try:
-        budget = int(raw)
-    except ValueError:
-        raise ValueError(
-            "%s must be an integer, got %r" % (MC_CHUNK_BUDGET_ENV, raw)
-        ) from None
-    if budget <= 0:
-        raise ValueError(
-            "%s must be positive, got %d" % (MC_CHUNK_BUDGET_ENV, budget)
-        )
-    return budget
 
-#: Largest ``V x S`` arrival matrix a :class:`MonteCarloSession` caches by
-#: default for dirty-cone repropagation (512 MiB of float64).  Larger
-#: sessions fall back to chunked full repropagation on refresh.
+#: Largest ``V x S`` arrival matrix a :class:`MonteCarloSession` caches
+#: for dirty-cone repropagation (512 MiB of float64), read on every
+#: revalidation.  Larger sessions fall back to chunked full
+#: repropagation on refresh.
 MC_ARRIVALS_CACHE_MAX_FLOATS = 1 << 26
 
 
@@ -167,17 +149,8 @@ def auto_chunk_size(
     return max(chunk, 1)
 
 
-def _resolve_chunk_size(
-    chunk_size: Optional[int],
-    arrays: GraphArrays,
-    num_sources: int,
-    num_samples: int,
-) -> int:
-    """An explicit ``chunk_size`` wins; ``None`` auto-sizes from the graph."""
-    if chunk_size is not None:
-        if chunk_size <= 0:
-            raise ValueError("chunk_size must be positive")
-        return int(chunk_size)
+def _graph_chunk(arrays: GraphArrays, num_sources: int, num_samples: int) -> int:
+    """:func:`auto_chunk_size` for the graph behind ``arrays``."""
     return auto_chunk_size(
         arrays.edge_mean.shape[0], arrays.num_vertices, num_sources, num_samples
     )
@@ -577,7 +550,7 @@ def simulate_graph_delay(
     graph: TimingGraph,
     num_samples: int = 10000,
     seed: int = 0,
-    chunk_size: Optional[int] = None,
+    *,
     workers: Optional[int] = None,
     executor=None,
 ) -> MonteCarloResult:
@@ -585,11 +558,10 @@ def simulate_graph_delay(
 
     The delay of one sample is the maximum, over all designated outputs, of
     the longest path from any designated input with that sample's edge
-    delays.  ``chunk_size=None`` auto-sizes the sample chunks from the
-    graph size (see :func:`auto_chunk_size`).  Sampling is counter-based
-    per block, so the samples depend only on ``(seed, num_samples)`` —
-    every chunk size and every worker count produce bit-identical
-    samples.
+    delays.  The sample chunks are sized from the graph (see
+    :func:`auto_chunk_size`).  Sampling is counter-based per block, so the
+    samples depend only on ``(seed, num_samples)`` — every chunk size and
+    every worker count produce bit-identical samples.
 
     ``workers`` (or the ``REPRO_WORKERS`` environment variable, or an
     explicit :class:`~repro.parallel.pool.ShardedExecutor` via
@@ -612,7 +584,7 @@ def simulate_graph_delay(
 
     start = time.perf_counter()
     arrays = GraphArrays.of(graph)
-    chunk_size = _resolve_chunk_size(chunk_size, arrays, 1, num_samples)
+    chunk_size = _graph_chunk(arrays, 1, num_samples)
     executor = maybe_executor(workers, executor)
     if executor is not None and executor.engine != "process":
         executor = None  # graceful serial fallback (bit-identical)
@@ -653,19 +625,17 @@ def _io_group_size(arrays: GraphArrays, chunk: int) -> int:
     return int(min(max(group, 1), arrays.input_rows.shape[0]))
 
 
-def _io_plan(
-    chunk_size: Optional[int], arrays: GraphArrays, num_samples: int
-) -> Tuple[int, int]:
+def _io_plan(arrays: GraphArrays, num_samples: int) -> Tuple[int, int]:
     """``(chunk_size, group_size)`` of one :func:`simulate_io_delays` run.
 
-    An explicit ``chunk_size`` wins; ``None`` auto-sizes the chunk for one
-    group of sources — the group that fits the budget at a one-block
-    chunk — instead of the whole ``|I|`` axis.  Chunks cover whole sample
-    blocks so every block's moment partial is reduced in one piece, and
-    the group size is then taken at the chunk actually propagated.
+    The chunk is sized for one group of sources — the group that fits the
+    budget at a one-block chunk — instead of the whole ``|I|`` axis.
+    Chunks cover whole sample blocks so every block's moment partial is
+    reduced in one piece, and the group size is then taken at the chunk
+    actually propagated.
     """
     sources = _io_group_size(arrays, min(MC_SAMPLE_BLOCK, num_samples))
-    chunk_size = _resolve_chunk_size(chunk_size, arrays, sources, num_samples)
+    chunk_size = _graph_chunk(arrays, sources, num_samples)
     chunk_size = max(
         MC_SAMPLE_BLOCK, chunk_size // MC_SAMPLE_BLOCK * MC_SAMPLE_BLOCK
     )
@@ -729,7 +699,7 @@ def simulate_io_delays(
     graph: TimingGraph,
     num_samples: int = 10000,
     seed: int = 0,
-    chunk_size: Optional[int] = None,
+    *,
     workers: Optional[int] = None,
     executor=None,
 ) -> IoDelayStatistics:
@@ -744,10 +714,10 @@ def simulate_io_delays(
     bit-identical across chunk sizes, group sizes and worker counts for
     the same ``(seed, num_samples)``.  The ``valid`` mask is derived
     structurally from per-input reachability, so a pair is NaN exactly
-    when no path connects it.  ``chunk_size=None`` auto-sizes the chunks
-    for one input group; ``workers`` / ``executor`` shard block ranges
+    when no path connects it.  The chunks are sized for one input group
+    (see :func:`_io_plan`); ``workers`` / ``executor`` shard block ranges
     exactly like :func:`simulate_graph_delay`, every shard using the
-    caller's group size.
+    caller's chunk and group sizes.
     """
     if num_samples <= 0:
         raise ValueError("num_samples must be positive")
@@ -762,7 +732,7 @@ def simulate_io_delays(
     num_outputs = len(graph.outputs)
     input_rows = arrays.input_rows
     output_rows = arrays.output_rows
-    chunk_size, group_size = _io_plan(chunk_size, arrays, num_samples)
+    chunk_size, group_size = _io_plan(arrays, num_samples)
     executor = maybe_executor(workers, executor)
     if executor is not None and executor.engine != "process":
         executor = None  # graceful serial fallback (bit-identical)
@@ -872,8 +842,6 @@ class MonteCarloSession:
         graph: TimingGraph,
         num_samples: int = 10000,
         seed: int = 0,
-        chunk_size: Optional[int] = None,
-        cache_arrivals: Optional[bool] = None,
     ) -> None:
         if num_samples <= 0:
             raise ValueError("num_samples must be positive")
@@ -884,13 +852,6 @@ class MonteCarloSession:
         self._arrays = GraphArrays.from_graph(graph)
         self._num_samples = int(num_samples)
         self._seed = int(seed)
-        self._chunk_size = chunk_size
-        if cache_arrivals is None:
-            cache_arrivals = (
-                self._arrays.num_vertices * self._num_samples
-                <= MC_ARRIVALS_CACHE_MAX_FLOATS
-            )
-        self._cache_arrivals = bool(cache_arrivals)
         self._correlated_draws: Optional[np.ndarray] = None
         self._delays: Optional[np.ndarray] = None
         self._arrivals: Optional[np.ndarray] = None
@@ -992,8 +953,6 @@ class MonteCarloSession:
         meta: Dict[str, Any] = {
             "num_samples": self._num_samples,
             "seed": self._seed,
-            "chunk_size": None if self._chunk_size is None else int(self._chunk_size),
-            "cache_arrivals": self._cache_arrivals,
             "needs_full_propagate": self._needs_full_propagate,
             "matrix_serial": self._matrix_serial,
             "has_arrivals": self._arrivals is not None,
@@ -1026,9 +985,6 @@ class MonteCarloSession:
         session._arrays = arrays
         session._num_samples = int(meta["num_samples"])
         session._seed = int(meta["seed"])
-        chunk_size = meta.get("chunk_size")
-        session._chunk_size = None if chunk_size is None else int(chunk_size)
-        session._cache_arrivals = bool(meta["cache_arrivals"])
         session._correlated_draws = np.asarray(
             columns["mc.correlated_draws"], dtype=float
         )
@@ -1202,17 +1158,19 @@ class MonteCarloSession:
     # Propagation
     # ------------------------------------------------------------------
     def _chunk(self) -> int:
-        return _resolve_chunk_size(
-            self._chunk_size, self._arrays, 1, self._num_samples
-        )
+        return _graph_chunk(self._arrays, 1, self._num_samples)
 
-    def _propagate_full(self) -> np.ndarray:
-        """Chunked levelized propagation of the whole cached matrix."""
+    def _propagate_full(self, cache: bool) -> np.ndarray:
+        """Chunked levelized propagation of the whole cached matrix.
+
+        ``cache`` keeps the propagated ``(V, S)`` arrivals for later
+        dirty-cone repropagation; otherwise the arrival cache is dropped.
+        """
         arrays = self._arrays
         input_rows = arrays.input_rows
         output_rows = arrays.output_rows
         samples = np.empty(self._num_samples, dtype=float)
-        if self._cache_arrivals and (
+        if cache and (
             self._arrivals is None
             or self._arrivals.shape != (arrays.num_vertices, self._num_samples)
         ):
@@ -1226,11 +1184,11 @@ class MonteCarloSession:
             arrivals = _longest_paths_levelized(
                 arrays, self._delays[:, done : done + chunk], input_rows
             )
-            if self._cache_arrivals:
+            if cache:
                 self._arrivals[:, done : done + chunk] = arrivals
             samples[done : done + chunk] = arrivals[output_rows].max(axis=0)
             done += chunk
-        if not self._cache_arrivals:
+        if not cache:
             self._arrivals = None
         return samples
 
@@ -1294,9 +1252,15 @@ class MonteCarloSession:
         if self._result is not None and self._result_serial == self._matrix_serial:
             return self._result
         start = time.perf_counter()
+        # Keep the (V, S) arrivals for dirty-cone repropagation while they
+        # fit their memory budget.
+        cache = (
+            self._arrays.num_vertices * self._num_samples
+            <= MC_ARRIVALS_CACHE_MAX_FLOATS
+        )
         warm = (
             not self._needs_full_propagate
-            and self._cache_arrivals
+            and cache
             and self._arrivals is not None
             and self._dirty_sink_rows
         )
@@ -1306,11 +1270,11 @@ class MonteCarloSession:
             )
             samples = self._propagate_dirty(seed_rows)
         else:
-            samples = self._propagate_full()
+            samples = self._propagate_full(cache)
         # Arrivals are warm again (when cached): subsequent retime windows
         # may repropagate just their fan-out cone.
         self._dirty_sink_rows = {}
-        self._needs_full_propagate = not self._cache_arrivals
+        self._needs_full_propagate = not cache
         elapsed = time.perf_counter() - start
         self._result = MonteCarloResult(samples=samples, elapsed_seconds=elapsed)
         self._result_serial = self._matrix_serial

@@ -148,7 +148,7 @@ def monte_carlo_hierarchical(
     design: HierarchicalDesign,
     num_samples: int = 10000,
     seed: int = 0,
-    chunk_size: Optional[int] = None,
+    *,
     library: Optional[Library] = None,
     workers: Optional[int] = None,
     executor=None,
@@ -157,20 +157,14 @@ def monte_carlo_hierarchical(
 
     The simulator draws every edge delay jointly from the flattened graph's
     :class:`CanonicalBatch` view (see :func:`flat_edge_batch`) and
-    propagates with the levelized Monte Carlo kernel (``chunk_size``/
-    ``workers``/``executor`` forward to
-    :func:`simulate_graph_delay`; ``chunk_size=None`` auto-sizes from the
-    flattened graph, a worker count shards block-aligned sample ranges
-    across the process pool with bit-identical results).  For warm
+    propagates with the levelized Monte Carlo kernel (``workers``/
+    ``executor`` forward to :func:`simulate_graph_delay`: a worker count
+    shards block-aligned sample ranges across the process pool with
+    bit-identical results).  For warm
     re-validation after design ECOs, see
     :meth:`repro.hier.analysis.DesignTimer.revalidate_monte_carlo`.
     """
     graph = build_flat_timing_graph(design, library)
     return simulate_graph_delay(
-        graph,
-        num_samples,
-        seed,
-        chunk_size,
-        workers=workers,
-        executor=executor,
+        graph, num_samples, seed, workers=workers, executor=executor
     )

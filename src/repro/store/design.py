@@ -15,7 +15,7 @@ standard store entries::
 The manifest carries everything not derivable from the entries: the
 correlation mode, the per-instance membership bookkeeping (which design
 edges/vertices belong to which instance — the state a model swap
-splices), the Monte Carlo cache key and the worker count.  Design grids
+splices) and the Monte Carlo cache key.  Design grids
 and the design-level PCA are **recomputed** from the design on load (they
 are deterministic functions of the placement and the shared correlation
 profile), mirroring :func:`repro.model.serialization.timing_model_from_dict`.
@@ -188,6 +188,10 @@ def load_design_timer(
             root / _MONTECARLO, on_overflow=on_overflow
         )
         mc_key = manifest.get("mc_key")
+        if mc_key is not None and len(mc_key) == 4:
+            # Saved while the key still held the chunk size third:
+            # [samples, seed, chunk, grid].  No chunk changed a sample.
+            mc_key = mc_key[:2] + mc_key[3:]
         self._mc_key = tuple(mc_key) if mc_key is not None else None
         self._mc_design_revision = int(manifest.get("mc_design_revision", -1))
     else:

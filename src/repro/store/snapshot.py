@@ -322,13 +322,10 @@ def load_montecarlo_session(
         )
 
     def cold(target, session_data):
-        chunk_size = session_data.get("chunk_size")
         return MonteCarloSession(
             target,
             num_samples=int(session_data["num_samples"]),
             seed=int(session_data["seed"]),
-            chunk_size=None if chunk_size is None else int(chunk_size),
-            cache_arrivals=bool(session_data["cache_arrivals"]),
         )
 
     return _load_session(

@@ -32,27 +32,25 @@ Two entry points share the tensors:
   only the dirty cone of each edit burst, serving threshold sweeps and
   repeated model extraction at what-if speed.
 
-Engine selection
-----------------
-The from-scratch analysis has two engines behind
-:meth:`AllPairsTiming.analyze`; both sweep input (output) columns level by
-level through the shared fold of :mod:`repro.timing.propagation`:
+Memory budget
+-------------
+:meth:`AllPairsTiming.analyze` sweeps input (output) columns level by
+level through the shared fold of :mod:`repro.timing.propagation`, in one
+of two layouts that the float budget of :func:`allpairs_budget_floats`
+(env ``REPRO_ALLPAIRS_BUDGET_FLOATS``, the host's memory cap) picks:
 
-* ``"dense"`` — one column block holding every input (output), folded
-  straight into the full ``(V, I)`` arrival and ``(V, O)`` to-output
-  tensors (the layout every incremental session and the
-  extraction/criticality consumers read);
-* ``"blocked"`` — budget-sized blocks of ``B`` columns, assembling the
-  ``(I, O)`` delay matrix without ever holding more than ``(V, B)`` state —
-  the engine that keeps 10^5-10^6-edge designs inside a fixed memory
-  budget.
+* while the dense tensors fit it, one column block holding every input
+  (output), folded straight into the full ``(V, I)`` arrival and ``(V, O)``
+  to-output tensors (the layout every incremental session and the
+  extraction/criticality consumers read) — the ``"dense"`` engine;
+* above it, blocks of ``B`` columns sized to the budget
+  (:func:`_auto_block_columns`), assembling the ``(I, O)`` delay matrix
+  without ever holding more than ``(V, B)`` state — the ``"blocked"``
+  engine, which keeps 10^5-10^6-edge designs inside a fixed memory budget.
 
-``"auto"`` (the default) picks ``"dense"`` while the dense tensors fit the
-float budget of :func:`allpairs_budget_floats` (env
-``REPRO_ALLPAIRS_BUDGET_FLOATS``) and ``"blocked"`` above it.  Both fold
-every vertex's candidate edges in the identical order through the same
-kernels, so their matrices are bit-identical (asserted by the parity tests
-up to generated 10^5-edge designs).
+Both fold every vertex's candidate edges in the identical order through
+the same kernels, so their matrices are bit-identical at every block
+width (asserted by the parity tests up to generated 10^5-edge designs).
 """
 
 from __future__ import annotations
@@ -82,7 +80,7 @@ __all__ = [
 ]
 
 #: Default budget (float64 elements) for the dense ``(V, I)`` + ``(V, O)``
-#: all-pairs tensors: 2^27 floats = 1 GiB.  Above it ``engine="auto"``
+#: all-pairs tensors: 2^27 floats = 1 GiB.  Above it the analysis
 #: switches to the blocked column sweep.
 ALLPAIRS_BUDGET_FLOATS = 1 << 27
 
@@ -93,7 +91,7 @@ def allpairs_budget_floats() -> int:
     """The active dense-tensor budget (float64 elements).
 
     Reads ``REPRO_ALLPAIRS_BUDGET_FLOATS`` on every call so tests and batch
-    jobs can retune the dense/blocked switch without touching code; raises a
+    jobs can cap the dense tensors without touching code; raises a
     clear ``ValueError`` on a non-integer or non-positive override.
     """
     raw = os.environ.get(ALLPAIRS_BUDGET_ENV)
@@ -119,11 +117,16 @@ def dense_tensor_floats(
 
     Per direction the dense engine holds mean, randvar and the
     ``num_corr``-wide coefficient tensor (the boolean masks are not
-    counted); this is the figure ``engine="auto"`` compares against the
-    budget.
+    counted); this is the figure :meth:`AllPairsTiming.analyze` compares
+    against the budget.
     """
     per_entry = num_corr + 2
     return num_vertices * (num_inputs + num_outputs) * per_entry
+
+
+#: One column block of a blocked sweep: ``(positions, mean, corr, randvar,
+#: valid)``, the arrays shaped ``(V, len(positions), ...)``.
+_Block = Tuple[range, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _auto_block_columns(num_vertices: int, num_corr: int, budget: int) -> int:
@@ -154,8 +157,8 @@ class AllPairsTiming:
     * ``matrix_mean/corr/randvar/valid`` — shape ``(I, O, ...)``: the
       input/output delay matrix ``M`` of Section III.
 
-    A blocked analysis (``engine="blocked"``, see the module doc) holds the
-    matrix only: the per-vertex tensors are ``None`` and the per-column
+    A blocked analysis (over the memory budget, see the module doc) holds
+    the matrix only: the per-vertex tensors are ``None`` and the per-column
     state is exposed through :meth:`iter_arrival_blocks` /
     :meth:`iter_to_output_blocks` instead.
     """
@@ -203,48 +206,29 @@ class AllPairsTiming:
 
     # ------------------------------------------------------------------
     @classmethod
-    def analyze(
-        cls,
-        graph: TimingGraph,
-        engine: str = "auto",
-        block_columns: Optional[int] = None,
-    ) -> "AllPairsTiming":
+    def analyze(cls, graph: TimingGraph) -> "AllPairsTiming":
         """Run the forward and backward all-pairs propagation on ``graph``.
 
-        ``engine`` is ``"dense"``, ``"blocked"`` or ``"auto"`` (pick dense
-        while the dense tensors fit :func:`allpairs_budget_floats`);
-        ``block_columns`` overrides the blocked engine's column-block width
-        (defaults to an automatic budget-derived size).
+        Dense while the dense tensors fit :func:`allpairs_budget_floats`,
+        blocked (the delay matrix only) above it; see the module doc.
         """
         arrays = GraphArrays.of(graph)
-        if engine not in ("auto", "dense", "blocked"):
-            raise ValueError("unknown all-pairs engine %r" % engine)
-        if engine == "auto":
-            footprint = dense_tensor_floats(
-                arrays.num_vertices, len(graph.inputs), len(graph.outputs),
-                arrays.num_corr,
-            )
-            engine = "dense" if footprint <= allpairs_budget_floats() else "blocked"
-        if engine == "dense":
-            analysis = cls(arrays)
+        footprint = dense_tensor_floats(
+            arrays.num_vertices, len(graph.inputs), len(graph.outputs),
+            arrays.num_corr,
+        )
+        dense = footprint <= allpairs_budget_floats()
+        analysis = cls(arrays, materialize=dense)
+        if dense:
             analysis._analyze_dense()
         else:
-            analysis = cls(arrays, materialize=False)
-            analysis._analyze_blocked(block_columns)
+            for positions, *state in analysis.iter_arrival_blocks():
+                analysis._store_matrix_rows(positions, *state)
         return analysis
 
     # ------------------------------------------------------------------
     # Levelized column sweeps (dense: one block holding every column)
     # ------------------------------------------------------------------
-    def _block_columns(self, block_columns: Optional[int]) -> int:
-        if block_columns is not None:
-            if block_columns < 1:
-                raise ValueError("block_columns must be >= 1")
-            return int(block_columns)
-        return _auto_block_columns(
-            self.arrays.num_vertices, self.arrays.num_corr, allpairs_budget_floats()
-        )
-
     def _seed_and_fold(
         self,
         positions: range,
@@ -312,38 +296,35 @@ class AllPairsTiming:
         self._seed_and_fold(positions, backward, *state, work)
         return state
 
-    def iter_arrival_blocks(
-        self, block_columns: Optional[int] = None
-    ) -> Iterator[Tuple[range, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    def iter_arrival_blocks(self) -> Iterator[_Block]:
         """Stream the per-input arrival state in column blocks.
 
         Yields ``(positions, mean, corr, randvar, valid)`` where the arrays
-        have shape ``(V, B, ...)`` for ``B = len(positions)`` input columns.
+        have shape ``(V, B, ...)`` for ``B = len(positions)`` input columns,
+        ``B`` sized to the memory budget (:func:`_auto_block_columns`).
         The yielded arrays are workspace views reused by the next block —
         consumers must copy whatever they keep.
         """
-        block = self._block_columns(block_columns)
-        work = FoldWorkspace()
-        for start in range(0, len(self.inputs), block):
-            positions = range(start, min(start + block, len(self.inputs)))
-            mean, corr, randvar, valid = self._column_block(positions, False, work)
-            yield positions, mean, corr, randvar, valid
+        return self._iter_blocks(False)
 
-    def iter_to_output_blocks(
-        self, block_columns: Optional[int] = None
-    ) -> Iterator[Tuple[range, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    def iter_to_output_blocks(self) -> Iterator[_Block]:
         """Stream the per-output to-output state in column blocks.
 
         The backward analogue of :meth:`iter_arrival_blocks`: column ``b``
         holds the maximum delay from every vertex to output
         ``positions[b]``.
         """
-        block = self._block_columns(block_columns)
+        return self._iter_blocks(True)
+
+    def _iter_blocks(self, backward: bool) -> Iterator[_Block]:
+        count = len(self.outputs if backward else self.inputs)
+        block = _auto_block_columns(
+            self.arrays.num_vertices, self.arrays.num_corr, allpairs_budget_floats()
+        )
         work = FoldWorkspace()
-        for start in range(0, len(self.outputs), block):
-            positions = range(start, min(start + block, len(self.outputs)))
-            mean, corr, randvar, valid = self._column_block(positions, True, work)
-            yield positions, mean, corr, randvar, valid
+        for start in range(0, count, block):
+            positions = range(start, min(start + block, count))
+            yield (positions, *self._column_block(positions, backward, work))
 
     def _store_matrix_rows(
         self,
@@ -360,11 +341,6 @@ class AllPairsTiming:
         self.matrix_corr[rows] = corr[output_rows].transpose(1, 0, 2)
         self.matrix_randvar[rows] = randvar[output_rows].T
         self.matrix_valid[rows] = valid[output_rows].T
-
-    def _analyze_blocked(self, block_columns: Optional[int]) -> None:
-        """Assemble the delay matrix from blocked forward column sweeps."""
-        for positions, *state in self.iter_arrival_blocks(block_columns):
-            self._store_matrix_rows(positions, *state)
 
     def _analyze_dense(self) -> None:
         """Fold the materialised tensors as one block holding every column."""

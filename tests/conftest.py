@@ -36,7 +36,7 @@ def library() -> Library:
 @pytest.fixture(scope="session")
 def fast_config() -> ExperimentConfig:
     """Paper configuration with reduced Monte Carlo sample counts."""
-    return ExperimentConfig(monte_carlo_samples=1500, monte_carlo_chunk=750)
+    return ExperimentConfig(monte_carlo_samples=1500)
 
 
 @pytest.fixture
@@ -198,19 +198,43 @@ def random_graph_edit():
 
 
 @pytest.fixture
+def mc_chunk(monkeypatch):
+    """Force the one-source Monte Carlo sample chunk via its budget.
+
+    Returns ``force(graph, chunk) -> chunk``: it sets
+    ``MC_CHUNK_BUDGET_FLOATS`` so :func:`simulate_graph_delay` and a
+    session's propagation on ``graph`` run ``chunk`` samples at a time (a
+    multiple of ``MC_SAMPLE_BLOCK``, the only sizes the budget yields; a
+    run of fewer samples takes them in one chunk).
+    """
+    from repro.montecarlo import flat
+
+    def force(graph, chunk):
+        edges, vertices = graph.num_edges, graph.num_vertices
+        monkeypatch.setattr(
+            flat, "MC_CHUNK_BUDGET_FLOATS", chunk * (vertices + 2 * edges)
+        )
+        assert flat.auto_chunk_size(edges, vertices) == chunk
+        return chunk
+
+    return force
+
+
+@pytest.fixture
 def io_group(monkeypatch):
     """Force the input-group size of ``simulate_io_delays`` via its budget.
 
-    Returns ``force(graph, kind, num_samples, chunk_size=None) -> size``:
-    it sets ``REPRO_MC_CHUNK_BUDGET`` so a run with these arguments
-    propagates ``kind`` = ``"one"`` input per pass, a ``"ragged"`` group
-    size that does not divide ``|I|``, or the ``"whole"`` input axis, and
-    checks the run's plan resolves to exactly that size.
+    Returns ``force(graph, kind, num_samples, chunk=MC_SAMPLE_BLOCK) ->
+    size``: it sets ``MC_CHUNK_BUDGET_FLOATS`` so a run with these
+    arguments propagates ``kind`` = ``"one"`` input per pass, a
+    ``"ragged"`` group size that does not divide ``|I|``, or the
+    ``"whole"`` input axis, and checks the run's plan resolves to exactly
+    that size.  Only the whole axis reaches chunks of more than one block.
     """
-    from repro.montecarlo.flat import MC_SAMPLE_BLOCK, _io_plan
+    from repro.montecarlo import flat
     from repro.timing.arrays import GraphArrays
 
-    def force(graph, kind, num_samples, chunk_size=None):
+    def force(graph, kind, num_samples, chunk=flat.MC_SAMPLE_BLOCK):
         num_inputs = len(graph.inputs)
         size = {
             "one": 1,
@@ -222,15 +246,10 @@ def io_group(monkeypatch):
         if size is None:
             pytest.skip("every group size divides %d inputs" % num_inputs)
         arrays = GraphArrays.from_graph(graph)
-        # Auto chunks are one block at these sizes; explicit ones ignore
-        # the budget.
-        chunk = MC_SAMPLE_BLOCK
-        if chunk_size is not None:
-            chunk = _io_plan(chunk_size, arrays, num_samples)[0]
         edges, vertices = graph.num_edges, graph.num_vertices
         budget = (edges + (vertices + edges) * size) * min(chunk, num_samples)
-        monkeypatch.setenv("REPRO_MC_CHUNK_BUDGET", str(budget))
-        assert _io_plan(chunk_size, arrays, num_samples)[1] == size
+        monkeypatch.setattr(flat, "MC_CHUNK_BUDGET_FLOATS", budget)
+        assert flat._io_plan(arrays, num_samples) == (chunk, size)
         return size
 
     return force

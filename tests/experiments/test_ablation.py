@@ -32,7 +32,7 @@ class TestThresholdSweep:
 
 class TestCorrelationSweep:
     def test_sigma_grows_with_correlation(self):
-        config = ExperimentConfig(monte_carlo_samples=200, monte_carlo_chunk=200)
+        config = ExperimentConfig(monte_carlo_samples=200)
         sweep = run_correlation_sweep(
             bits=4, neighbor_correlations=(0.5, 0.92), config=config
         )
@@ -40,7 +40,7 @@ class TestCorrelationSweep:
         assert sweep.points[0].proposed_std <= sweep.points[1].proposed_std * 1.05
 
     def test_global_only_underestimates_sigma(self):
-        config = ExperimentConfig(monte_carlo_samples=200, monte_carlo_chunk=200)
+        config = ExperimentConfig(monte_carlo_samples=200)
         sweep = run_correlation_sweep(
             bits=4, neighbor_correlations=(0.92,), config=config
         )

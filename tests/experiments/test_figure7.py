@@ -19,7 +19,7 @@ def figure7_result():
     # comfortable margin now that the levelized Monte Carlo engine cut the
     # MC wall clock ~10x (2000 samples left the ratio only ~2x above the
     # 5x gate); the run still finishes in well under a second.
-    config = ExperimentConfig(monte_carlo_samples=8000, monte_carlo_chunk=500)
+    config = ExperimentConfig(monte_carlo_samples=8000)
     return run_figure7(bits=4, config=config)
 
 

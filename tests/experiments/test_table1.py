@@ -14,7 +14,7 @@ from repro.netlist.iscas85 import ISCAS85_SPECS
 
 @pytest.fixture(scope="module")
 def small_result():
-    config = ExperimentConfig(monte_carlo_samples=1200, monte_carlo_chunk=600)
+    config = ExperimentConfig(monte_carlo_samples=1200)
     return run_table1(circuits=["c432", "c499"], config=config)
 
 

@@ -20,7 +20,7 @@ from repro.variation.grid import Die
 @pytest.fixture(scope="module")
 def small_module():
     """A characterized 4x4 multiplier module (shared across tests: expensive)."""
-    config = ExperimentConfig(monte_carlo_samples=800, monte_carlo_chunk=400)
+    config = ExperimentConfig(monte_carlo_samples=800)
     return build_multiplier_module(bits=4, config=config), config
 
 
@@ -89,8 +89,7 @@ class TestAnalysis:
         _unused, config = small_module
         proposed = analyze_hierarchical_design(quad_design, CorrelationMode.REPLACEMENT)
         reference = monte_carlo_hierarchical(
-            quad_design, num_samples=config.monte_carlo_samples, seed=1,
-            chunk_size=config.monte_carlo_chunk,
+            quad_design, num_samples=config.monte_carlo_samples, seed=1
         )
         assert proposed.mean == pytest.approx(reference.mean, rel=0.05)
         assert proposed.std == pytest.approx(reference.std, rel=0.30)
@@ -100,7 +99,6 @@ class TestAnalysis:
         proposed = analyze_hierarchical_design(quad_design, CorrelationMode.REPLACEMENT)
         global_only = analyze_hierarchical_design(quad_design, CorrelationMode.GLOBAL_ONLY)
         reference = monte_carlo_hierarchical(
-            quad_design, num_samples=config.monte_carlo_samples, seed=2,
-            chunk_size=config.monte_carlo_chunk,
+            quad_design, num_samples=config.monte_carlo_samples, seed=2
         )
         assert abs(proposed.std - reference.std) < abs(global_only.std - reference.std)

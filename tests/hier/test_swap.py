@@ -25,7 +25,7 @@ from repro.timing.propagation import propagate_arrival_times_batch
 @pytest.fixture(scope="module")
 def module_pair():
     """One 4x4 multiplier module plus an alternate (smaller) model of it."""
-    config = ExperimentConfig(monte_carlo_samples=400, monte_carlo_chunk=200)
+    config = ExperimentConfig(monte_carlo_samples=400)
     module = build_multiplier_module(bits=4, config=config)
     library = standard_library()
     full_graph = build_timing_graph(

@@ -103,7 +103,7 @@ class TestHierarchicalFlow:
         design.validate()
 
         proposed = analyze_hierarchical_design(design, CorrelationMode.REPLACEMENT)
-        reference = monte_carlo_hierarchical(design, num_samples=1200, seed=6, chunk_size=600)
+        reference = monte_carlo_hierarchical(design, num_samples=1200, seed=6)
         assert proposed.mean == pytest.approx(reference.mean, rel=0.06)
         assert proposed.std == pytest.approx(reference.std, rel=0.35)
 
@@ -132,7 +132,7 @@ class TestHierarchicalFlow:
 
         proposed = analyze_hierarchical_design(design, CorrelationMode.REPLACEMENT)
         global_only = analyze_hierarchical_design(design, CorrelationMode.GLOBAL_ONLY)
-        reference = monte_carlo_hierarchical(design, num_samples=1500, seed=7, chunk_size=750)
+        reference = monte_carlo_hierarchical(design, num_samples=1500, seed=7)
 
         assert abs(proposed.std - reference.std) <= abs(global_only.std - reference.std)
         assert proposed.mean == pytest.approx(reference.mean, rel=0.05)

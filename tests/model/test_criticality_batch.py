@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.canonical import CanonicalForm
+from repro.model import criticality
 from repro.model.criticality import (
     compute_edge_criticalities,
     edge_criticality_batch,
@@ -279,21 +280,16 @@ class TestDegenerateEdges:
 
 
 class TestChunking:
-    def test_chunking_is_invariant(self):
+    def test_chunking_is_invariant(self, monkeypatch):
         """Any chunk size yields the same result as one big chunk."""
         graph = _build_graph(11, 3, 3, 10)
         analysis = AllPairsTiming.analyze(graph)
         whole = edge_criticality_batch(analysis)
         for chunk_pairs in (1, 7, 64, 1 << 20):
-            chunked = edge_criticality_batch(analysis, chunk_pairs=chunk_pairs)
+            monkeypatch.setattr(criticality, "CRITICALITY_CHUNK_PAIRS", chunk_pairs)
+            chunked = edge_criticality_batch(analysis)
             assert chunked.max_criticality == whole.max_criticality
             assert chunked.argmax_pairs == whole.argmax_pairs
-
-    def test_nonpositive_chunk_raises(self):
-        graph = _build_graph(13, 2, 2, 4)
-        analysis = AllPairsTiming.analyze(graph)
-        with pytest.raises(ValueError):
-            edge_criticality_batch(analysis, chunk_pairs=0)
 
 
 @pytest.fixture(scope="module", params=["c17", "mult2"])
@@ -328,19 +324,22 @@ class TestSmallModules:
             assert (batch.max_criticality[edge_id] < 0.05) == (value < 0.05)
 
     def test_entry_points_take_no_engine(self):
+        # Nor a chunk budget: CRITICALITY_CHUNK_PAIRS sizes every chunk.
         from repro.experiments.ablation import run_threshold_sweep
+        from repro.model.criticality import auto_chunk_edges
         from repro.model.extraction import ExtractionSession
 
         for entry in (
             compute_edge_criticalities,
             update_edge_criticalities,
+            edge_criticality_batch,
+            auto_chunk_edges,
             ExtractionSession,
             ExtractionSession.from_snapshot,
             run_threshold_sweep,
         ):
-            parameters = inspect.signature(entry).parameters
-            assert "engine" not in parameters, entry
-            assert "criticality_engine" not in parameters, entry
+            parameters = set(inspect.signature(entry).parameters)
+            assert not {"engine", "criticality_engine", "chunk_pairs"} & parameters, entry
 
 
 @pytest.fixture(scope="module")
@@ -464,44 +463,28 @@ class TestChunkSizer:
     def test_auto_chunk_edges_is_corr_aware(self):
         from repro.model.criticality import auto_chunk_edges
 
-        narrow = auto_chunk_edges(200, 100, 0, chunk_pairs=1 << 19)
-        wide = auto_chunk_edges(200, 100, 1000, chunk_pairs=1 << 19)
+        narrow = auto_chunk_edges(200, 100, 0)
+        wide = auto_chunk_edges(200, 100, 1000)
         assert narrow > wide >= 1
         # The per-edge float cost I*O + (I + O)*K bounds the chunk exactly.
         per_edge = 200 * 100 + 300 * 1000
-        assert wide == max(1, (1 << 19) // per_edge)
+        assert wide == max(1, criticality.CRITICALITY_CHUNK_PAIRS // per_edge)
 
-    def test_auto_chunk_edges_never_degenerates(self):
+    def test_auto_chunk_edges_never_degenerates(self, monkeypatch):
         from repro.model.criticality import auto_chunk_edges
 
         # Extreme pair spaces and budgets always land on a usable chunk.
-        assert auto_chunk_edges(10 ** 4, 10 ** 4, 10 ** 4, chunk_pairs=1) == 1
-        assert auto_chunk_edges(0, 0, 0, chunk_pairs=1 << 19) == 1 << 19
-        assert auto_chunk_edges(1, 1, 0, chunk_pairs=7) == 7
-        with pytest.raises(ValueError):
-            auto_chunk_edges(10, 10, 0, chunk_pairs=0)
-
-    def test_chunk_pairs_env_override(self, monkeypatch):
-        from repro.model.criticality import (
-            CRITICALITY_CHUNK_PAIRS,
-            criticality_chunk_pairs,
-        )
-
-        assert criticality_chunk_pairs() == CRITICALITY_CHUNK_PAIRS
-        monkeypatch.setenv("REPRO_CRITICALITY_CHUNK_PAIRS", "4096")
-        assert criticality_chunk_pairs() == 4096
-        monkeypatch.setenv("REPRO_CRITICALITY_CHUNK_PAIRS", "-1")
-        with pytest.raises(ValueError):
-            criticality_chunk_pairs()
-        monkeypatch.setenv("REPRO_CRITICALITY_CHUNK_PAIRS", "wide")
-        with pytest.raises(ValueError):
-            criticality_chunk_pairs()
+        assert auto_chunk_edges(0, 0, 0) == criticality.CRITICALITY_CHUNK_PAIRS
+        monkeypatch.setattr(criticality, "CRITICALITY_CHUNK_PAIRS", 1)
+        assert auto_chunk_edges(10 ** 4, 10 ** 4, 10 ** 4) == 1
+        monkeypatch.setattr(criticality, "CRITICALITY_CHUNK_PAIRS", 7)
+        assert auto_chunk_edges(1, 1, 0) == 7
 
     def test_tiny_chunk_budget_keeps_parity(self, monkeypatch):
         # A one-edge chunk still reproduces the default-chunk result.
         graph = _build_graph(77, 4, 3, 20)
         analysis = AllPairsTiming.analyze(graph)
         reference = edge_criticality_batch(analysis)
-        monkeypatch.setenv("REPRO_CRITICALITY_CHUNK_PAIRS", "1")
+        monkeypatch.setattr(criticality, "CRITICALITY_CHUNK_PAIRS", 1)
         tiny = edge_criticality_batch(analysis)
         _assert_results_close(reference, tiny)

@@ -43,9 +43,11 @@ class TestSimulateGraphDelay:
         b = simulate_graph_delay(adder_graph, 500, seed=7)
         assert np.array_equal(a.samples, b.samples)
 
-    def test_chunking_does_not_change_samples(self, adder_graph):
-        whole = simulate_graph_delay(adder_graph, 1000, seed=3, chunk_size=1000)
-        chunked = simulate_graph_delay(adder_graph, 1000, seed=3, chunk_size=128)
+    def test_chunking_does_not_change_samples(self, adder_graph, mc_chunk):
+        mc_chunk(adder_graph, 1024)  # one chunk of all 1000 samples
+        whole = simulate_graph_delay(adder_graph, 1000, seed=3)
+        mc_chunk(adder_graph, 128)
+        chunked = simulate_graph_delay(adder_graph, 1000, seed=3)
         # Sampling is counter-based per block: chunking is bit-invariant.
         assert np.array_equal(whole.samples, chunked.samples)
 
@@ -88,9 +90,11 @@ class TestSimulateIoDelays:
         mask = analysis.matrix_valid
         assert np.allclose(stats.means[mask], analysis.matrix_means()[mask], rtol=0.05)
 
-    def test_chunked_runs_agree(self, adder_graph):
-        a = simulate_io_delays(adder_graph, 800, seed=9, chunk_size=800)
-        b = simulate_io_delays(adder_graph, 800, seed=9, chunk_size=100)
+    def test_chunked_runs_agree(self, adder_graph, io_group):
+        io_group(adder_graph, "whole", 800, chunk=768)
+        a = simulate_io_delays(adder_graph, 800, seed=9)
+        io_group(adder_graph, "whole", 800)
+        b = simulate_io_delays(adder_graph, 800, seed=9)
         # Sampling is counter-based per block and the per-block moment
         # partials fold in ascending block order: chunking is bit-invariant.
         assert np.array_equal(a.means, b.means, equal_nan=True)

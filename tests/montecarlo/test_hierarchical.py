@@ -18,7 +18,7 @@ from repro.variation.grid import Die
 
 @pytest.fixture(scope="module")
 def quad():
-    config = ExperimentConfig(monte_carlo_samples=500, monte_carlo_chunk=250)
+    config = ExperimentConfig(monte_carlo_samples=500)
     module = build_multiplier_module(bits=4, config=config)
     return module, build_multiplier_design(module)
 
@@ -91,7 +91,7 @@ class TestFlatTimingGraph:
 
     def test_monte_carlo_runs(self, quad):
         _module, design = quad
-        result = monte_carlo_hierarchical(design, num_samples=300, seed=0, chunk_size=150)
+        result = monte_carlo_hierarchical(design, num_samples=300, seed=0)
         assert result.num_samples == 300
         assert result.mean > 0.0
         assert result.std > 0.0

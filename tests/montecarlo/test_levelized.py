@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
+from repro.montecarlo import flat
 from repro.montecarlo.flat import (
     MC_MAX_CHUNK,
     MC_MIN_CHUNK,
@@ -84,15 +85,19 @@ class TestRandomizedParity:
         num_inputs=st.integers(min_value=1, max_value=5),
         num_outputs=st.integers(min_value=1, max_value=4),
         num_internal=st.integers(min_value=0, max_value=24),
-        chunk=st.sampled_from([None, 7, 64]),
+        chunk=st.sampled_from([None, MC_SAMPLE_BLOCK, 2 * MC_SAMPLE_BLOCK]),
     )
     @settings(max_examples=25, deadline=None)
     def test_graph_delay_engines_bit_identical(
         self, mc_reference, seed, num_inputs, num_outputs, num_internal, chunk
     ):
         graph = _build_graph(seed, num_inputs, num_outputs, num_internal)
-        levelized = simulate_graph_delay(graph, 50, seed=seed, chunk_size=chunk)
-        reference = mc_reference.graph_delay(graph, 50, seed)
+        with pytest.MonkeyPatch.context() as patch:
+            if chunk is not None:  # the budget that runs ``chunk`` samples at a time
+                budget = chunk * (graph.num_vertices + 2 * graph.num_edges)
+                patch.setattr(flat, "MC_CHUNK_BUDGET_FLOATS", budget)
+            levelized = simulate_graph_delay(graph, 300, seed=seed)
+        reference = mc_reference.graph_delay(graph, 300, seed)
         assert np.array_equal(levelized.samples, reference)
 
     @given(
@@ -146,16 +151,14 @@ class TestAcceptanceCircuits:
             levelized.samples, mc_reference.graph_delay(graph, 200, 9)
         )
         # Input groups of any size reproduce the whole-axis pass exactly,
-        # auto-chunked or not, and so does the per-input object loop.
+        # at any chunk, and so does the per-input object loop.
         io_group(graph, "whole", 300)
         whole = simulate_io_delays(graph, 300, seed=9)
         _assert_io_identical(mc_reference.io_delays(graph, 300, 9), whole)
         io_group(graph, group, 300)
         _assert_io_identical(simulate_io_delays(graph, 300, seed=9), whole)
-        io_group(graph, group, 300, chunk_size=256)
-        _assert_io_identical(
-            simulate_io_delays(graph, 300, seed=9, chunk_size=256), whole
-        )
+        io_group(graph, "whole", 300, chunk=2 * MC_SAMPLE_BLOCK)
+        _assert_io_identical(simulate_io_delays(graph, 300, seed=9), whole)
 
     def test_prebuilt_arrays_reuse_is_bit_identical(self, parity_module):
         graph = parity_module[0]
@@ -244,19 +247,62 @@ class TestRegressions:
         )
 
     def test_entry_points_take_no_engine(self):
+        # Nor a size: chunks and the arrival cache derive from the budgets.
         from repro.analysis.yield_analysis import monte_carlo_yield_curve
         from repro.experiments.config import ExperimentConfig
+        from repro.hier.analysis import DesignTimer
+        from repro.montecarlo.flat import MonteCarloSession
         from repro.montecarlo.hierarchical import monte_carlo_hierarchical
 
         for entry in (
             simulate_graph_delay,
             simulate_io_delays,
+            MonteCarloSession,
             monte_carlo_hierarchical,
             monte_carlo_yield_curve,
+            DesignTimer.revalidate_monte_carlo,
         ):
-            assert "engine" not in inspect.signature(entry).parameters, entry
+            parameters = set(inspect.signature(entry).parameters)
+            assert not {"engine", "chunk_size", "cache_arrivals"} & parameters, entry
         fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
-        assert "monte_carlo_engine" not in fields
+        assert not {"monte_carlo_engine", "monte_carlo_chunk"} & fields
+
+    @pytest.mark.parametrize(
+        "entry_name",
+        [
+            "simulate_graph_delay",
+            "simulate_io_delays",
+            "MonteCarloSession",
+            "monte_carlo_hierarchical",
+            "monte_carlo_yield_curve",
+            "DesignTimer.revalidate_monte_carlo",
+        ],
+    )
+    def test_stale_positional_chunk_is_rejected(self, entry_name):
+        # Whatever followed the chunk argument is keyword-only, so an old
+        # call's positional chunk raises instead of binding to ``workers``,
+        # ``library`` or ``periods``.  Checked by binding alone: a
+        # regression must not start a 1000-worker run.
+        from repro.analysis.yield_analysis import monte_carlo_yield_curve
+        from repro.hier.analysis import DesignTimer
+        from repro.montecarlo.flat import MonteCarloSession
+        from repro.montecarlo.hierarchical import monte_carlo_hierarchical
+
+        entry, leading = {
+            "simulate_graph_delay": (simulate_graph_delay, ("graph",)),
+            "simulate_io_delays": (simulate_io_delays, ("graph",)),
+            "MonteCarloSession": (MonteCarloSession, ("graph",)),
+            "monte_carlo_hierarchical": (monte_carlo_hierarchical, ("design",)),
+            "monte_carlo_yield_curve": (monte_carlo_yield_curve, ("source",)),
+            "DesignTimer.revalidate_monte_carlo": (
+                DesignTimer.revalidate_monte_carlo,
+                ("timer",),
+            ),
+        }[entry_name]
+        signature = inspect.signature(entry)
+        signature.bind(*leading, 1000, 0)
+        with pytest.raises(TypeError):
+            signature.bind(*leading, 1000, 0, 1000)
 
 
 class TestAutoChunkSize:
@@ -293,12 +339,10 @@ class TestAutoChunkSize:
                 budget, MC_SAMPLE_BLOCK * per_sample
             )
 
-    def test_budget_env_override_shrinks_chunk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MC_CHUNK_BUDGET", "100")
+    def test_small_budget_shrinks_chunk(self, monkeypatch):
+        # The sizer reads the budget on every call.
+        monkeypatch.setattr(flat, "MC_CHUNK_BUDGET_FLOATS", 100)
         assert auto_chunk_size(10 ** 4, 10 ** 4) == MC_SAMPLE_BLOCK
-        monkeypatch.setenv("REPRO_MC_CHUNK_BUDGET", "bogus")
-        with pytest.raises(ValueError):
-            auto_chunk_size(10, 10)
 
     def test_million_edge_chunk_stays_block_aligned(self):
         # Regression for the 10^6-edge throughput collapse: the budget
@@ -324,7 +368,7 @@ class TestAutoChunkSize:
 
         graph = characterize_circuit("c880", library=library).graph
         budget = 1 << 20
-        monkeypatch.setenv("REPRO_MC_CHUNK_BUDGET", str(budget))
+        monkeypatch.setattr(flat, "MC_CHUNK_BUDGET_FLOATS", budget)
         tracemalloc.start()
         try:
             simulate_io_delays(graph, 512, seed=1)
@@ -332,13 +376,6 @@ class TestAutoChunkSize:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * budget * 8, "peak %.1f MB" % (peak / 2.0 ** 20)
-
-    def test_explicit_chunk_size_wins(self, adder_graph):
-        explicit = simulate_graph_delay(adder_graph, 64, seed=4, chunk_size=64)
-        again = simulate_graph_delay(adder_graph, 64, seed=4, chunk_size=64)
-        assert np.array_equal(explicit.samples, again.samples)
-        with pytest.raises(ValueError):
-            simulate_graph_delay(adder_graph, 64, seed=4, chunk_size=0)
 
     def test_auto_chunk_is_deterministic(self, adder_graph):
         a = simulate_graph_delay(adder_graph, 300, seed=6)

@@ -16,6 +16,7 @@ import pytest
 from repro.analysis.yield_analysis import monte_carlo_yield_curve
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
+from repro.montecarlo import flat
 from repro.montecarlo.flat import MonteCarloSession, simulate_graph_delay
 from repro.timing.graph import TimingGraph
 
@@ -73,14 +74,12 @@ class TestSessionLifecycle:
         with pytest.raises(ValueError):
             MonteCarloSession(graph, num_samples=0)
 
-    def test_chunk_size_does_not_change_session_samples(self, edit_graph):
+    def test_chunk_size_does_not_change_session_samples(self, edit_graph, mc_chunk):
         wide = MonteCarloSession(edit_graph, num_samples=SAMPLES, seed=3)
-        narrow = MonteCarloSession(
-            edit_graph, num_samples=SAMPLES, seed=3, chunk_size=17
-        )
-        assert np.array_equal(
-            wide.revalidate().samples, narrow.revalidate().samples
-        )
+        wide_samples = wide.revalidate().samples
+        mc_chunk(edit_graph, 128)
+        narrow = MonteCarloSession(edit_graph, num_samples=SAMPLES, seed=3)
+        assert np.array_equal(wide_samples, narrow.revalidate().samples)
 
 
 class TestRetimeParity:
@@ -96,11 +95,29 @@ class TestRetimeParity:
                 )
             assert _assert_warm_matches_cold(session, edit_graph) == "rows"
 
-    def test_retime_parity_without_arrival_cache(self, edit_graph):
-        session = MonteCarloSession(
-            edit_graph, num_samples=SAMPLES, seed=2, cache_arrivals=False
-        )
+    def test_retimed_fanin_of_an_input_keeps_its_seed(self):
+        # Input ``b`` also has fanin: the dirty-cone sweep must refold its
+        # arrival as the larger of its 0.0 seed and the retimed ``a -> b``.
+        graph = TimingGraph("seeded_fanin", 1)
+        for name in ("a", "b"):
+            graph.mark_input(name)
+        graph.mark_output("z")
+        fanin = graph.add_edge("a", "b", CanonicalForm(10.0, 1.0, [0.5], 1.0))
+        graph.add_edge("b", "c", CanonicalForm(10.0, 1.0, [0.5], 1.0))
+        graph.add_edge("a", "c", CanonicalForm(15.0, 1.0, [0.5], 1.0))
+        graph.add_edge("c", "z", CanonicalForm(4.0, 0.5, [0.2], 0.5))
+        session = MonteCarloSession(graph, num_samples=SAMPLES, seed=6)
         session.revalidate()
+        original = fanin.delay
+        for factor in (0.05, 0.5, 1.5):
+            graph.replace_edge_delay(fanin, original.scale(factor))
+            assert _assert_warm_matches_cold(session, graph) == "rows"
+
+    def test_retime_parity_without_arrival_cache(self, edit_graph, monkeypatch):
+        monkeypatch.setattr(flat, "MC_ARRIVALS_CACHE_MAX_FLOATS", 0)
+        session = MonteCarloSession(edit_graph, num_samples=SAMPLES, seed=2)
+        session.revalidate()
+        assert session.nbytes_report()["arrival_cache"] == 0
         edge = edit_graph.edges[len(edit_graph.edges) // 2]
         edit_graph.replace_edge_delay(edge, edge.delay.scale(1.2))
         _assert_warm_matches_cold(session, edit_graph)

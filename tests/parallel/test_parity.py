@@ -4,9 +4,12 @@ The sampling streams are counter-based per :data:`MC_SAMPLE_BLOCK` block
 and moment accumulation folds per-block partial sums in ascending block
 order on every engine, so sharding is *exactly* invariant: the property
 tests below assert ``np.array_equal`` (not a tolerance) across worker
-counts {1, 2, 4}, arbitrary chunk splits and every input-group size of
-the io reference on the three acceptance circuits (c17, the 4x4
-multiplier, c432).
+counts {1, 2, 4}, every chunk split and every input-group size of the
+io reference on the three acceptance circuits (c17, the 4x4 multiplier,
+c432).  The chunk budget sets both sizes, so the tests force them by
+monkeypatching ``MC_CHUNK_BUDGET_FLOATS`` (the ``mc_chunk`` and
+``io_group`` fixtures); chunk and group pairs no budget reaches run
+through the private ``_io_block_moments``.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ import pytest
 
 from repro.montecarlo.flat import (
     MC_SAMPLE_BLOCK,
+    _io_block_moments,
     simulate_graph_delay,
     simulate_io_delays,
 )
 from repro.parallel.shard import partition_samples
+from repro.timing.arrays import GraphArrays
 from repro.timing.sta import corner_sta, corner_sweep
 
 DELAY_SAMPLES = 600  # spans five 128-sample blocks
@@ -64,11 +69,12 @@ def test_delay_samples_invariant_across_workers(
     assert np.array_equal(serial.samples, four.samples)
 
 
-def test_delay_samples_invariant_across_chunk_splits(parity_module):
+def test_delay_samples_invariant_across_chunk_splits(parity_module, mc_chunk):
     graph, _variation = parity_module
     auto = simulate_graph_delay(graph, DELAY_SAMPLES, seed=5)
-    for chunk in (97, MC_SAMPLE_BLOCK, 1000):
-        split = simulate_graph_delay(graph, DELAY_SAMPLES, seed=5, chunk_size=chunk)
+    for chunk in (MC_SAMPLE_BLOCK, 3 * MC_SAMPLE_BLOCK, 1024):
+        mc_chunk(graph, chunk)
+        split = simulate_graph_delay(graph, DELAY_SAMPLES, seed=5)
         assert np.array_equal(auto.samples, split.samples)
 
 
@@ -103,12 +109,24 @@ def test_io_stats_invariant_across_chunk_splits(parity_module, io_group, group):
     graph, _variation = parity_module
     io_group(graph, "whole", IO_SAMPLES)
     auto = simulate_io_delays(graph, IO_SAMPLES, seed=2)
-    for chunk in (130, MC_SAMPLE_BLOCK, 10000):
-        io_group(graph, group, IO_SAMPLES, chunk_size=chunk)
-        split = simulate_io_delays(graph, IO_SAMPLES, seed=2, chunk_size=chunk)
+    # The budget reaches multi-block chunks over the whole input axis only.
+    for kind, chunk in [(group, MC_SAMPLE_BLOCK), ("whole", 2 * MC_SAMPLE_BLOCK),
+                        ("whole", IO_SAMPLES)]:
+        io_group(graph, kind, IO_SAMPLES, chunk=chunk)
+        split = simulate_io_delays(graph, IO_SAMPLES, seed=2)
         assert np.array_equal(auto.valid, split.valid)
         assert np.array_equal(auto.means, split.means, equal_nan=True)
         assert np.array_equal(auto.stds, split.stds, equal_nan=True)
+    # Every chunk of a smaller group yields the same per-block partials.
+    size = io_group(graph, group, IO_SAMPLES)
+    arrays = GraphArrays.of(graph)
+    one_block = _io_block_moments(
+        arrays, 2, IO_SAMPLES, 0, IO_SAMPLES, MC_SAMPLE_BLOCK, size
+    )
+    for chunk in (2 * MC_SAMPLE_BLOCK, IO_SAMPLES):
+        split = _io_block_moments(arrays, 2, IO_SAMPLES, 0, IO_SAMPLES, chunk, size)
+        assert np.array_equal(one_block[0], split[0])
+        assert np.array_equal(one_block[1], split[1])
 
 
 # ----------------------------------------------------------------------

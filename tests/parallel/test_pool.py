@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.montecarlo.flat import MC_CHUNK_BUDGET_ENV, mc_chunk_budget
 from repro.parallel.pool import (
     RETRY_BACKOFF_ENV,
     TASK_RETRIES_ENV,
@@ -77,18 +76,6 @@ def test_non_integral_explicit_workers_raise(workers):
 
 def test_integral_float_workers_accepted():
     assert resolve_workers(2.0) == 2
-
-
-@pytest.mark.parametrize("raw", ["lots", "0", "-8"])
-def test_chunk_budget_env_validation(monkeypatch, raw):
-    monkeypatch.setenv(MC_CHUNK_BUDGET_ENV, raw)
-    with pytest.raises(ValueError, match=MC_CHUNK_BUDGET_ENV):
-        mc_chunk_budget()
-
-
-def test_chunk_budget_env_override(monkeypatch):
-    monkeypatch.setenv(MC_CHUNK_BUDGET_ENV, "1048576")
-    assert mc_chunk_budget() == 1048576
 
 
 @pytest.mark.parametrize("raw", ["soon", "", "0", "-2", "nan", "inf"])

@@ -20,7 +20,7 @@ from repro.variation.grid import Die
 @pytest.fixture(scope="module")
 def design_setup():
     """A characterized 4x4 multiplier design plus a swap candidate."""
-    config = ExperimentConfig(monte_carlo_samples=400, monte_carlo_chunk=200)
+    config = ExperimentConfig(monte_carlo_samples=400)
     module = build_multiplier_module(bits=4, config=config)
     design = build_multiplier_design(module)
     library = standard_library()
@@ -123,6 +123,44 @@ class TestBundleParity:
         loaded = DesignTimer.load(root, design, library=library)
         assert loaded.timer.update().mode == "noop"  # warm: no full pass ran
         assert loaded.circuit_delay() == timer.circuit_delay()
+
+    @staticmethod
+    def _assert_restored_session_serves(design_setup, timer, root):
+        """The same-key call reuses the restored session, bit for bit."""
+        _module, design, library, _graph, _alt = design_setup
+        loaded = DesignTimer.load(root, design, library=library)
+        restored = loaded.monte_carlo_session
+        result = loaded.revalidate_monte_carlo(num_samples=300, seed=1, library=library)
+        assert loaded.monte_carlo_session is restored  # not a cold rebind
+        reference = timer.revalidate_monte_carlo(num_samples=300, seed=1, library=library)
+        assert np.array_equal(result.samples, reference.samples)
+
+    def test_session_entry_with_chunk_keys_loads_warm(self, design_setup, saved_bundle):
+        # Sessions saved while MonteCarloSession still took chunk_size= and
+        # cache_arrivals= carry both in their meta; loading ignores them.
+        timer, root = saved_bundle
+        path = root / "montecarlo.npz"
+        entry = read_entry(path)
+        assert "chunk_size" not in entry.meta["session"]
+        session = dict(entry.meta["session"], chunk_size=128, cache_arrivals=True)
+        write_entry(
+            path, entry.kind, entry.graph_id, entry.revision, entry.columns,
+            meta=dict(entry.meta, session=session),
+        )
+        self._assert_restored_session_serves(design_setup, timer, root)
+
+    def test_manifest_with_a_chunk_in_its_mc_key_loads(self, design_setup, saved_bundle):
+        # Manifests written while the Monte Carlo key held the chunk size
+        # carry [samples, seed, chunk, grid].
+        timer, root = saved_bundle
+        path = root / "design.npz"
+        entry = read_entry(path)
+        assert entry.meta["mc_key"] == [300, 1, 0.0]
+        write_entry(
+            path, entry.kind, entry.graph_id, entry.revision, entry.columns,
+            meta=dict(entry.meta, mc_key=[300, 1, 200, 0.0]),
+        )
+        self._assert_restored_session_serves(design_setup, timer, root)
 
 
 class TestBundleKeying:

@@ -288,18 +288,20 @@ class TestAllPairsSession:
 # MonteCarloSession
 # ----------------------------------------------------------------------
 class TestMonteCarloSession:
-    def test_cold_load_samples_are_bit_identical(self, tmp_path):
+    def test_cold_load_samples_are_bit_identical(self, tmp_path, mc_chunk):
         graph = _diamond_graph()
-        session = MonteCarloSession(graph, num_samples=256, seed=5, chunk_size=128)
+        mc_chunk(graph, 128)
+        session = MonteCarloSession(graph, num_samples=256, seed=5)
         result = session.revalidate()
         save_montecarlo_session(session, tmp_path / "mc.npz")
         loaded = load_montecarlo_session(tmp_path / "mc.npz")
         assert np.array_equal(loaded.revalidate().samples, result.samples)
         assert loaded.store_fallback_reason is None
 
-    def test_warm_replay_matches_never_restarted_session(self, tmp_path):
+    def test_warm_replay_matches_never_restarted_session(self, tmp_path, mc_chunk):
         graph = _diamond_graph()
-        session = MonteCarloSession(graph, num_samples=256, seed=5, chunk_size=128)
+        mc_chunk(graph, 128)
+        session = MonteCarloSession(graph, num_samples=256, seed=5)
         session.revalidate()
         save_montecarlo_session(session, tmp_path / "mc.npz")
         # Post-snapshot retime: the warm load must redraw exactly the rows
@@ -407,7 +409,7 @@ def test_warm_start_in_a_fresh_process_matches_a_fresh_build(tmp_path):
     timer = IncrementalTimer(graph)
     timer.circuit_delay()
     save_incremental_timer(timer, tmp_path / "timer.npz")
-    mc = MonteCarloSession(graph, num_samples=128, seed=3, chunk_size=64)
+    mc = MonteCarloSession(graph, num_samples=128, seed=3)
     mc.revalidate()
     save_montecarlo_session(mc, tmp_path / "mc.npz")
 
@@ -447,9 +449,7 @@ def test_warm_start_in_a_fresh_process_matches_a_fresh_build(tmp_path):
                 assert warm_timer.store_fallback_reason is None
 
                 warm_mc = load_montecarlo_session(%r, graph=graph)
-                fresh_mc = MonteCarloSession(
-                    build_graph(), num_samples=128, seed=3, chunk_size=64
-                )
+                fresh_mc = MonteCarloSession(build_graph(), num_samples=128, seed=3)
                 assert np.array_equal(
                     warm_mc.revalidate().samples, fresh_mc.revalidate().samples
                 )

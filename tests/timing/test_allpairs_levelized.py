@@ -185,7 +185,7 @@ def _assert_updates_equal(update, reference, what):
 class TestColdParity:
     def test_dense_tensors_match_per_vertex_oracle(self, parity_module):
         graph = parity_module[0]
-        analysis = AllPairsTiming.analyze(graph, engine="dense")
+        analysis = AllPairsTiming.analyze(graph)
         _assert_tensors_equal(analysis, _reference_analysis(graph), graph.name)
 
     def test_session_full_pass_matches_per_vertex_oracle(self, parity_module):
