@@ -1,8 +1,7 @@
 """Benchmarks of the batched edge-criticality kernel.
 
 Measures what the edge-chunked criticality kernels actually buy over the
-one-edge-at-a-time scalar reference, and that the dense-edit auto-switch
-of the incremental updater holds its guarantee:
+one-edge-at-a-time scalar reference:
 
 * **cold criticality on c7552** — the maximum criticality of every edge
   of the largest ISCAS85 surrogate, batched vs a per-edge loop over the
@@ -12,15 +11,6 @@ of the incremental updater holds its guarantee:
   reference loop (``REPRO_CRITICALITY_SPEEDUP_MIN`` overrides the
   threshold; the CI smoke job relaxes it for noisy shared runners), and
   the two must agree to 1e-9.
-
-* **dense mid-graph retime on c432** — a retime in the middle of the
-  heavily reconvergent c432 moves the all-pairs tensors almost
-  everywhere, the worst case of the exact incremental update.  The
-  updater must detect the dense cross and switch to a batched full
-  recompute (``engine == "batch"``), and the switched update must be no
-  slower than a cold batched recompute of the same graph
-  (``REPRO_DENSE_EDIT_SLACK`` bounds the allowed measurement-noise
-  ratio).
 
 Like the other benchmarks this file is run explicitly
 (``pytest benchmarks/bench_criticality.py``).
@@ -39,11 +29,10 @@ from repro.model.criticality import (
     CriticalityResult,
     compute_edge_criticalities,
     edge_criticality_matrix,
-    update_edge_criticalities,
 )
 from repro.netlist.iscas85 import iscas85_surrogate
 from repro.placement.placer import place_netlist
-from repro.timing.allpairs import AllPairsSession, AllPairsTiming
+from repro.timing.allpairs import AllPairsTiming
 from repro.timing.builder import build_timing_graph, default_variation_for
 
 PARITY = 1e-9
@@ -61,26 +50,6 @@ def _build_module(circuit):
 def c7552_analysis():
     graph = _build_module("c7552")
     return graph, AllPairsTiming.analyze(graph)
-
-
-@pytest.fixture(scope="module")
-def c432_graph():
-    return _build_module("c432")
-
-
-def _widest_cone_edges(graph, analysis, count):
-    """The ``count`` edges with the widest input x output cone product."""
-    arrays = analysis.arrays
-    reaching_inputs = analysis.arrival_valid.sum(axis=1)
-    reached_outputs = analysis.to_output_valid.sum(axis=1)
-    scored = sorted(
-        graph.edges,
-        key=lambda edge: -(
-            int(reaching_inputs[arrays.edge_source[arrays.edge_rows[edge.edge_id]]])
-            * int(reached_outputs[arrays.edge_sink[arrays.edge_rows[edge.edge_id]]])
-        ),
-    )
-    return scored[:count]
 
 
 def _scalar_reference(graph, analysis):
@@ -145,73 +114,4 @@ def test_batched_criticality_speedup_on_c7552(benchmark, c7552_analysis):
         "reference on c7552 (batch median %.2f s, scalar %.2f s, "
         "threshold %.1fx)"
         % (speedup, batch_seconds, scalar_seconds, threshold)
-    )
-
-
-def test_dense_edit_no_slower_than_cold_batch_on_c432(benchmark, c432_graph):
-    """A dense mid-graph retime must auto-switch and match cold-batch cost."""
-    slack = float(os.environ.get("REPRO_DENSE_EDIT_SLACK", "1.5"))
-    graph = c432_graph
-
-    session = AllPairsSession(graph)
-    previous = compute_edge_criticalities(graph, session.state)
-
-    # One dense edit per round: retime a different mid-graph edge, refresh
-    # the all-pairs session, and time only the criticality update (the
-    # stage whose guarantee is under test).  "Mid-graph" is chosen by cone
-    # width — edges whose source is reached by many inputs and whose sink
-    # reaches many outputs move the pair space almost everywhere when
-    # retimed, which is exactly the dense worst case.
-    mid_edges = _widest_cone_edges(graph, session.state, 5)
-    dense_seconds = []
-    switched = []
-    for round_index, edge in enumerate(mid_edges):
-        graph.replace_edge_delay(edge, edge.delay.scale(1.0 + 0.02 * (round_index + 1)))
-        update = session.refresh()
-        start = time.perf_counter()
-        updated = update_edge_criticalities(
-            graph, session.state, previous, update
-        )
-        dense_seconds.append(time.perf_counter() - start)
-        switched.append(updated.engine)
-        previous = updated
-    dense_seconds.sort()
-    dense_median = dense_seconds[len(dense_seconds) // 2]
-
-    # Every mid-graph retime on this reconvergent module should have
-    # tripped the dense-edit switch to the batched full recompute.
-    assert all(engine == "batch" for engine in switched), switched
-
-    # The switched update is exact: identical to a from-scratch batched
-    # recompute of the refreshed analysis.
-    reference = compute_edge_criticalities(graph, session.state)
-    _assert_parity(reference, previous)
-
-    cold_median = _median_seconds(
-        lambda: compute_edge_criticalities(graph, session.state), 5
-    )
-
-    benchmark.extra_info["dense_median_ms"] = round(dense_median * 1e3, 2)
-    benchmark.extra_info["cold_batch_median_ms"] = round(cold_median * 1e3, 2)
-    benchmark.extra_info["edges"] = graph.num_edges
-
-    def one_dense_edit():
-        edge = graph.edges[len(graph.edges) // 2]
-        graph.replace_edge_delay(edge, edge.delay.scale(1.01))
-        update = session.refresh()
-        # The continuity contract: each round seeds from the result of the
-        # previous one, exactly as ExtractionSession would.
-        one_dense_edit.previous = update_edge_criticalities(
-            graph, session.state, one_dense_edit.previous, update
-        )
-        return one_dense_edit.previous
-
-    one_dense_edit.previous = previous
-    benchmark(one_dense_edit)
-
-    assert dense_median <= cold_median * slack, (
-        "dense-edit criticality update took %.1f ms median vs %.1f ms for "
-        "a cold batched recompute (slack %.2fx): the auto-switch failed "
-        "its no-slower guarantee"
-        % (dense_median * 1e3, cold_median * 1e3, slack)
     )

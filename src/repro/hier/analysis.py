@@ -453,8 +453,8 @@ class DesignTimer:
         full graph, so ECO edits to the module (retimes, edge surgery) can
         be turned into a fresh extracted model *without a cold start*:
         :meth:`reextract_instance` refreshes only the dirty cone of the
-        session's all-pairs tensors and re-evaluates only the
-        criticalities that moved.  Returns the session (also available via
+        session's all-pairs tensors before recomputing the criticalities
+        on them.  Returns the session (also available via
         :meth:`extraction_session`); re-attaching replaces it.
         """
         self._design.instance(instance_name)  # validates the name
@@ -485,10 +485,10 @@ class DesignTimer:
 
         The extraction runs through the instance's persistent
         :class:`~repro.model.extraction.ExtractionSession` — after a module
-        ECO only the affected all-pairs cone and the moved criticalities
-        are recomputed — and the resulting model is installed with
-        :meth:`swap_instance_model`, so the design re-times only the
-        swap's fan-out cone on the next query.
+        ECO only the affected all-pairs cone is repropagated, then one
+        batched pass recomputes the criticalities — and the resulting
+        model is installed with :meth:`swap_instance_model`, so the design
+        re-times only the swap's fan-out cone on the next query.
         """
         session = self.extraction_session(instance_name)
         model = session.extract(threshold, name=name)

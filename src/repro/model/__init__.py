@@ -20,7 +20,6 @@ from repro.model.criticality import (
     edge_criticality_batch,
     edge_criticality_matrix,
     edge_criticality_tensor,
-    update_edge_criticalities,
 )
 from repro.model.reduction import (
     parallel_merge,
@@ -52,7 +51,6 @@ __all__ = [
     "edge_criticality_batch",
     "edge_criticality_matrix",
     "edge_criticality_tensor",
-    "update_edge_criticalities",
     "DEFAULT_CRITICALITY_THRESHOLD",
     "ExtractionSession",
     "sweep_thresholds",

@@ -24,11 +24,8 @@ and benchmarks call it.  Both execute the same floating-point expressions
 (the probability tail is the single shared
 :func:`repro.core.batch.tightness_from_moments` kernel), so they agree to
 BLAS round-off; the parity contract asserted by the property suite is
-1e-9.  :func:`update_edge_criticalities` refreshes a result after an
-all-pairs update and switches its exact incremental update to a batched
-full recompute when an edit burst's change cross covers so much of the
-pair space that incrementality would be slower
-(``DENSE_EDIT_RECOMPUTE_FRACTION``).  Every entry point needs the dense
+1e-9.  An extraction session reruns the batched kernel after every
+all-pairs refresh that was not a no-op.  Every entry point needs the dense
 all-pairs tensors, which past the all-pairs memory budget do not exist.
 """
 
@@ -45,7 +42,6 @@ from repro.errors import ModelExtractionError
 from repro.timing.allpairs import (
     ALLPAIRS_BUDGET_ENV,
     AllPairsTiming,
-    AllPairsUpdate,
     allpairs_budget_floats,
     dense_tensor_floats,
 )
@@ -54,14 +50,12 @@ from repro.timing.graph import TimingEdge, TimingGraph
 
 __all__ = [
     "CRITICALITY_CHUNK_PAIRS",
-    "DENSE_EDIT_RECOMPUTE_FRACTION",
     "CriticalityResult",
     "auto_chunk_edges",
     "compute_edge_criticalities",
     "edge_criticality_batch",
     "edge_criticality_matrix",
     "edge_criticality_tensor",
-    "update_edge_criticalities",
 ]
 
 _MEAN_EPSILON = 1e-9
@@ -106,17 +100,6 @@ def auto_chunk_edges(num_inputs: int, num_outputs: int, num_corr: int) -> int:
     return max(1, CRITICALITY_CHUNK_PAIRS // per_edge)
 
 
-# The incremental update switches to a batched full recompute when the
-# estimated changed cross covers at least this fraction of the total
-# (edges x pairs) space, where re-evaluating the cross in restricted
-# passes no longer pays off against one full batched pass.
-DENSE_EDIT_RECOMPUTE_FRACTION = 0.25
-
-# Idle scratch-buffer budget per analysis (see _analysis_work): enough for
-# the handful of pair-space shapes one edit burst touches, evicted LRU.
-_SCRATCH_BUDGET_BYTES = 128 * 1024 * 1024
-
-
 @dataclass
 class CriticalityResult:
     """Maximum criticality of every edge of a timing graph.
@@ -128,26 +111,15 @@ class CriticalityResult:
         input-to-output path have criticality 0.
     argmax_pairs:
         ``edge_id -> (i, j)``: one input/output pair attaining the maximum
-        (``(-1, -1)`` when the pair matrix is empty).  Bookkeeping for the
-        incremental update (:func:`update_edge_criticalities`): as long as
-        the attaining pair lies outside an update's changed region, the
-        stored maximum bounds every untouched pair exactly and only the
-        changed rectangle needs re-evaluation.  ``None`` on results built
-        without it, which makes the incremental update fall back to a full
-        recompute.
-    engine:
-        Which evaluation path produced the result: ``"batch"`` (a full
-        pass of the batched kernel) or ``"incremental"`` (the exact cross
-        update of :func:`update_edge_criticalities`).  Diagnostic metadata
-        — excluded from equality and from serialization — that the
-        dense-edit tests use to assert the auto-switch actually fired.
+        (``(-1, -1)`` when the pair matrix is empty).  Persisted with the
+        values by :mod:`repro.model.serialization` and the snapshot store;
+        ``None`` on results loaded from payloads written without it.
     """
 
     max_criticality: Dict[int, float]
     argmax_pairs: Optional[Dict[int, "tuple[int, int]"]] = field(
         default=None, compare=False
     )
-    engine: Optional[str] = field(default=None, compare=False)
 
     def values(self) -> np.ndarray:
         """All maximum criticalities as an array (for histograms)."""
@@ -179,7 +151,6 @@ def _empty_pair_space_result(edges: Iterable[TimingEdge]) -> CriticalityResult:
     return CriticalityResult(
         {edge.edge_id: 0.0 for edge in edges},
         {edge.edge_id: (-1, -1) for edge in edges},
-        engine="batch",
     )
 
 
@@ -289,9 +260,7 @@ class _HoistedMoments:
     every edge, which is part of what the batched kernel saves.  The two
     contiguous transposed copies of the matrix coefficients feed the
     batched BLAS contractions of :func:`_chunk_terms` without a per-chunk
-    re-layout.  When built restricted (``input_rows``/``output_cols``),
-    every term is the corresponding sub-rectangle of the full pair space,
-    which is what the incremental updater's cross passes evaluate.
+    re-layout.
     """
 
     m_mean: np.ndarray  # (I, O) mean of M
@@ -304,21 +273,11 @@ class _HoistedMoments:
     m_corr_by_output: np.ndarray  # (O, K, I) contiguous matrix coefficients
 
 
-def _matrix_moments(
-    analysis: AllPairsTiming,
-    input_rows: Optional[np.ndarray] = None,
-    output_cols: Optional[np.ndarray] = None,
-) -> _HoistedMoments:
+def _matrix_moments(analysis: AllPairsTiming) -> _HoistedMoments:
     m_mean = analysis.matrix_mean
     m_corr = analysis.matrix_corr
     m_randvar = analysis.matrix_randvar
     m_valid = analysis.matrix_valid
-    if input_rows is not None:
-        m_mean, m_corr = m_mean[input_rows], m_corr[input_rows]
-        m_randvar, m_valid = m_randvar[input_rows], m_valid[input_rows]
-    if output_cols is not None:
-        m_mean, m_corr = m_mean[:, output_cols], m_corr[:, output_cols]
-        m_randvar, m_valid = m_randvar[:, output_cols], m_valid[:, output_cols]
     m_var = np.einsum("ijk,ijk->ij", m_corr, m_corr) + m_randvar
     mean_tolerance = _MEAN_EPSILON * np.maximum(1.0, np.abs(m_mean))
     return _HoistedMoments(
@@ -333,39 +292,18 @@ def _matrix_moments(
     )
 
 
-def _analysis_work(
-    analysis: AllPairsTiming, num_inputs: int, num_outputs: int
-) -> Dict[str, np.ndarray]:
-    """Reusable scratch buffers keyed to one (restricted) pair-space shape.
+def _analysis_work(analysis: AllPairsTiming) -> Dict[str, np.ndarray]:
+    """Reusable scratch buffers of the batched kernel over ``analysis``.
 
     Cached on the analysis object so repeated evaluations over the same
-    tensors (threshold sweeps, one incremental update per ECO round) skip
-    the cold page-faulted allocations.  Only *uninitialised scratch* is
-    cached — never values derived from the tensors, which an attached
-    session patches in place between refreshes.
+    tensors (one recompute per session refresh) skip the cold
+    page-faulted allocations.  Only *uninitialised scratch* is cached —
+    never values derived from the tensors, which an attached session
+    patches in place between refreshes.
     """
-    cache = getattr(analysis, "_criticality_scratch", None)
-    if cache is None:
-        cache = {}
-        analysis._criticality_scratch = cache
-    key = (num_inputs, num_outputs)
-    work = cache.pop(key, None)
+    work = getattr(analysis, "_criticality_scratch", None)
     if work is None:
-        work = {}
-    cache[key] = work  # re-insert: most recently used sits last
-    # Bound the idle footprint in bytes (one update alternates between a
-    # few shapes — full space plus the edit's restricted crosses — so
-    # evict least-recently-used shapes beyond a few working sets).
-    total = sum(
-        buffer.nbytes
-        for shape_work in cache.values()
-        for buffer in shape_work.values()
-    )
-    for stale in list(cache):
-        if total <= _SCRATCH_BUDGET_BYTES or stale == key:
-            continue
-        total -= sum(buffer.nbytes for buffer in cache[stale].values())
-        del cache[stale]
+        work = analysis._criticality_scratch = {}
     return work
 
 
@@ -397,8 +335,6 @@ def _chunk_terms(
     rows: np.ndarray,
     moments: _HoistedMoments,
     work: Optional[Dict[str, np.ndarray]] = None,
-    input_rows: Optional[np.ndarray] = None,
-    output_cols: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Pre-probability criticality terms of one edge chunk.
 
@@ -429,60 +365,33 @@ def _chunk_terms(
     Keeping the result in ``z``-space is what makes the driver fast: the
     per-edge *maximum* criticality needs only ``argmax(z)`` per edge and a
     single CDF evaluation per edge instead of one per pair.
-
-    ``input_rows``/``output_cols`` restrict the evaluation to a pair
-    sub-rectangle (``moments`` must have been built with the identical
-    restriction): the per-edge gathers then select only the requested
-    entries, so the cost scales with the restricted pair count — this is
-    what lets the incremental updater re-evaluate a thin changed cross of
-    many edges in one batched pass.
     """
     arrays = analysis.arrays
     src = arrays.edge_source[rows]
     snk = arrays.edge_sink[rows]
     num_edges = rows.size
-    num_inputs = (
-        analysis.num_inputs if input_rows is None else input_rows.size
-    )
-    num_outputs = (
-        analysis.num_outputs if output_cols is None else output_cols.size
-    )
+    num_inputs = analysis.num_inputs
+    num_outputs = analysis.num_outputs
     shape = (num_edges, num_inputs, num_outputs)
     if work is None:
         work = {}
 
     # Arrival side per (edge, input), including each edge's own delay.
     num_corr = analysis.arrival_corr.shape[2]
-    if input_rows is None:
-        a_mean = analysis.arrival_mean[src] + arrays.edge_mean[rows, np.newaxis]
-        a_corr = _view(work, "a_corr", (num_edges, num_inputs, num_corr))
-        np.take(analysis.arrival_corr, src, axis=0, out=a_corr)
-        a_corr += arrays.edge_corr[rows, np.newaxis, :]
-        a_randvar = (
-            analysis.arrival_randvar[src] + arrays.edge_randvar[rows, np.newaxis]
-        )
-        a_valid = analysis.arrival_valid[src]
-    else:
-        pick = np.ix_(src, input_rows)
-        a_mean = analysis.arrival_mean[pick] + arrays.edge_mean[rows, np.newaxis]
-        a_corr = analysis.arrival_corr[pick] + arrays.edge_corr[rows, np.newaxis, :]
-        a_randvar = (
-            analysis.arrival_randvar[pick] + arrays.edge_randvar[rows, np.newaxis]
-        )
-        a_valid = analysis.arrival_valid[pick]
+    a_mean = analysis.arrival_mean[src] + arrays.edge_mean[rows, np.newaxis]
+    a_corr = _view(work, "a_corr", (num_edges, num_inputs, num_corr))
+    np.take(analysis.arrival_corr, src, axis=0, out=a_corr)
+    a_corr += arrays.edge_corr[rows, np.newaxis, :]
+    a_randvar = (
+        analysis.arrival_randvar[src] + arrays.edge_randvar[rows, np.newaxis]
+    )
+    a_valid = analysis.arrival_valid[src]
     # Path-to-output side per (edge, output).
-    if output_cols is None:
-        r_mean = analysis.to_output_mean[snk]
-        r_corr = _view(work, "r_corr", (num_edges, num_outputs, num_corr))
-        np.take(analysis.to_output_corr, snk, axis=0, out=r_corr)
-        r_randvar = analysis.to_output_randvar[snk]
-        r_valid = analysis.to_output_valid[snk]
-    else:
-        pick = np.ix_(snk, output_cols)
-        r_mean = analysis.to_output_mean[pick]
-        r_corr = analysis.to_output_corr[pick]
-        r_randvar = analysis.to_output_randvar[pick]
-        r_valid = analysis.to_output_valid[pick]
+    r_mean = analysis.to_output_mean[snk]
+    r_corr = _view(work, "r_corr", (num_edges, num_outputs, num_corr))
+    np.take(analysis.to_output_corr, snk, axis=0, out=r_corr)
+    r_randvar = analysis.to_output_randvar[snk]
+    r_valid = analysis.to_output_valid[snk]
 
     a_var = np.einsum("eik,eik->ei", a_corr, a_corr) + a_randvar
     r_var = np.einsum("ejk,ejk->ej", r_corr, r_corr) + r_randvar
@@ -636,15 +545,14 @@ def edge_criticality_batch(
         edges = analysis.arrays.graph.edges
     edge_list = list(edges)
     if not edge_list:
-        return CriticalityResult({}, {}, engine="batch")
+        return CriticalityResult({}, {})
 
     if analysis.num_inputs * analysis.num_outputs == 0:
         return _empty_pair_space_result(edge_list)
 
     rows_all = _edge_rows(analysis, edge_list)
     values, best = _batched_edge_max(
-        analysis, rows_all, _matrix_moments(analysis),
-        _analysis_work(analysis, analysis.num_inputs, analysis.num_outputs),
+        analysis, rows_all, _matrix_moments(analysis), _analysis_work(analysis)
     )
     num_outputs = analysis.num_outputs
     max_criticality: Dict[int, float] = {}
@@ -653,7 +561,7 @@ def edge_criticality_batch(
         max_criticality[edge.edge_id] = float(values[position])
         pair = int(best[position])
         argmax_pairs[edge.edge_id] = (pair // num_outputs, pair % num_outputs)
-    return CriticalityResult(max_criticality, argmax_pairs, engine="batch")
+    return CriticalityResult(max_criticality, argmax_pairs)
 
 
 def _batched_edge_max(
@@ -661,21 +569,14 @@ def _batched_edge_max(
     rows_all: np.ndarray,
     moments: _HoistedMoments,
     work: Dict[str, np.ndarray],
-    input_rows: Optional[np.ndarray] = None,
-    output_cols: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-edge maximum criticality over a (restricted) pair space, batched.
+    """Per-edge maximum criticality over the pair space, batched by chunks.
 
-    The chunked driver shared by the cold batched pass and the incremental
-    updater's cross re-evaluation.  Returns ``(values, best)``: the
-    maximum of every edge row of ``rows_all`` and the flat index of an
-    attaining pair in the (restricted) pair space.  ``moments`` must have
-    been built with the same ``input_rows``/``output_cols`` restriction.
+    Returns ``(values, best)``: the maximum of every edge row of
+    ``rows_all`` and the flat index of an attaining pair.
     """
-    num_inputs = analysis.num_inputs if input_rows is None else input_rows.size
-    num_outputs = (
-        analysis.num_outputs if output_cols is None else output_cols.size
-    )
+    num_inputs = analysis.num_inputs
+    num_outputs = analysis.num_outputs
     num_pairs = num_inputs * num_outputs
     chunk_edges = auto_chunk_edges(
         num_inputs, num_outputs, analysis.arrays.edge_corr.shape[1]
@@ -686,7 +587,7 @@ def _batched_edge_max(
         chunk_rows = rows_all[start : start + chunk_edges]
         count = chunk_rows.size
         z, degenerate, tied, valid = _chunk_terms(
-            analysis, chunk_rows, moments, work, input_rows, output_cols
+            analysis, chunk_rows, moments, work
         )
         # Pairs whose value is nd(z): valid and not resolved through the
         # degenerate 0/1 rule; everything else scores -inf (nd == 0.0).
@@ -732,279 +633,3 @@ def compute_edge_criticalities(
         analysis = AllPairsTiming.analyze(graph)
     _require_current(graph, analysis.arrays, "analysis")
     return edge_criticality_batch(analysis, graph.edges)
-
-
-def _estimated_cross_fraction(
-    analysis: AllPairsTiming,
-    update: AllPairsUpdate,
-    m_extra_rows: int,
-    m_extra_cols: int,
-) -> float:
-    """Estimated share of the (edges x pairs) space an update's cross covers.
-
-    Upper-bound estimate: per edge the changed pairs lie inside
-    ``dirty-source-rows x all-outputs + all-inputs x dirty-sink-columns``
-    (plus the matrix cross, already folded into ``m_extra_*`` by the
-    caller's row/column covering choice), capped at the full pair budget —
-    exactly the work the exact incremental update would re-evaluate.
-    Touched edges pay a full re-evaluation regardless.
-    """
-    arrays = analysis.arrays
-    num_inputs = analysis.num_inputs
-    num_outputs = analysis.num_outputs
-    pair_budget = num_inputs * num_outputs
-    if pair_budget == 0 or arrays.edge_source.size == 0:
-        return 0.0
-    row_hits = update.arrival_changed_counts()
-    col_hits = update.to_output_changed_counts()
-    rows_cnt = row_hits[arrays.edge_source].astype(float) + float(m_extra_rows)
-    cols_cnt = col_hits[arrays.edge_sink].astype(float) + float(m_extra_cols)
-    per_edge = np.minimum(
-        rows_cnt * num_outputs + num_inputs * cols_cnt, float(pair_budget)
-    )
-    if update.touched_edges:
-        touched = np.isin(arrays.edge_ids, np.asarray(update.touched_edges))
-        per_edge[touched] = float(pair_budget)
-    return float(per_edge.sum()) / float(pair_budget * arrays.edge_source.size)
-
-
-def update_edge_criticalities(
-    graph: TimingGraph,
-    analysis: AllPairsTiming,
-    previous: CriticalityResult,
-    update: AllPairsUpdate,
-) -> CriticalityResult:
-    """Incrementally refreshed criticalities after one all-pairs update.
-
-    ``c_ij`` of an edge depends on four inputs only: the per-input arrival
-    row of its source, the per-output delay row of its sink, the edge's own
-    delay, and the matrix entry ``M_ij``.  The change masks of an
-    :class:`~repro.timing.allpairs.AllPairsUpdate` pin the moved inputs
-    down to a *cross* of the pair space — a few changed input rows (the
-    inputs that reach the edit) times all outputs, plus all inputs times a
-    few changed output columns — so for every edge whose stored attaining
-    pair lies outside that cross, the exact new maximum is
-    ``max(stored_max, max over the recomputed cross)``: every untouched
-    pair kept its old value, all of which were bounded by the stored
-    maximum, whose own pair did not move.  Only edges whose attaining pair
-    falls inside the cross (or whose delay itself was retimed) pay a full
-    re-evaluation, which is what makes post-ECO re-extraction fast even
-    when the matrix moves almost everywhere by round-off-sized amounts.
-
-    **Dense-edit auto-switch**: before walking the edges the update's cross
-    is sized against the full ``edges x pairs`` space
-    (:func:`AllPairsUpdate.arrival_changed_counts`).  A mid-graph retime on
-    a heavily reconvergent module moves the matrix almost everywhere, and
-    once the estimated cross covers ``DENSE_EDIT_RECOMPUTE_FRACTION`` of
-    the space the exact update is slower than simply recomputing everything
-    with the batched kernels — so that is what happens (the returned
-    result reports ``engine == "batch"``), guaranteeing a dense edit is
-    never slower than a cold batched recompute.  On the incremental path,
-    edges sharing a changed cross are re-evaluated together by restricted
-    batched passes, and edges that need a full re-evaluation by one
-    :func:`edge_criticality_batch` call.
-
-    Results match :func:`compute_edge_criticalities` on the refreshed
-    analysis to floating-point round-off (carried-over entries are
-    bit-identical; a dense-edit switch *is* a from-scratch batched
-    recompute, so it matches one exactly; the restricted cross passes
-    contract sub-rectangles of the operands, which BLAS may block
-    differently, so they agree to the ulp level).  A ``"full"`` update
-    (or a ``previous`` without argmax bookkeeping) falls back to the full
-    recompute.  ``analysis`` is checked as in
-    :func:`compute_edge_criticalities`.
-
-    The caller is responsible for continuity: ``previous`` must have been
-    computed (or updated) against the session state *immediately before*
-    ``update`` — :class:`repro.model.extraction.ExtractionSession` enforces
-    this with the update serial.
-    """
-    _require_current(graph, analysis.arrays, "analysis")
-    _require_dense(analysis)
-    if update.mode == "noop":
-        return previous
-    if (
-        update.mode == "full"
-        or update.arrival_changed is None
-        or update.to_output_changed is None
-        or previous.argmax_pairs is None
-    ):
-        return compute_edge_criticalities(graph, analysis)
-
-    arrays = analysis.arrays
-    arrival_changed = update.arrival_changed
-    to_output_changed = update.to_output_changed
-    num_inputs = analysis.num_inputs
-    num_outputs = analysis.num_outputs
-
-    # Matrix entry (i, j) is the arrival at output j's vertex from input i,
-    # so the changed entries live inside changed-input-rows x changed-
-    # output-columns; cover them with whichever side of the cross is
-    # cheaper to re-evaluate across all edges.
-    matrix_block = arrival_changed[arrays.output_rows]  # (O, I)
-    m_rows_changed = matrix_block.any(axis=0)  # inputs appearing in changes
-    m_cols_changed = matrix_block.any(axis=1)  # outputs whose column moved
-    cover_m_with_rows = (
-        int(m_rows_changed.sum()) * num_outputs
-        <= num_inputs * int(m_cols_changed.sum())
-    )
-    m_has_changes = bool(m_cols_changed.any())
-
-    m_extra_rows = (
-        int(m_rows_changed.sum()) if cover_m_with_rows and m_has_changes else 0
-    )
-    m_extra_cols = (
-        int(m_cols_changed.sum()) if not cover_m_with_rows and m_has_changes else 0
-    )
-    fraction = _estimated_cross_fraction(
-        analysis, update, m_extra_rows, m_extra_cols
-    )
-    if fraction >= DENSE_EDIT_RECOMPUTE_FRACTION:
-        # The edit moved the pair space almost everywhere: a from-scratch
-        # batched recompute is cheaper than re-evaluating most of it
-        # cross by cross.
-        return compute_edge_criticalities(graph, analysis)
-
-    a_any = arrival_changed.any(axis=1)  # per-vertex row summaries
-    r_any = to_output_changed.any(axis=1)
-    touched = set(update.touched_edges)
-    pair_budget = num_inputs * num_outputs
-
-    max_criticality: Dict[int, float] = {}
-    argmax_pairs: Dict[int, Tuple[int, int]] = {}
-    full_edges: List[TimingEdge] = []
-    cross_groups: Dict[bytes, List[TimingEdge]] = {}
-    cross_patterns: Dict[bytes, Tuple[np.ndarray, np.ndarray]] = {}
-    for edge in graph.edges:
-        edge_id = edge.edge_id
-        row = arrays.edge_rows[edge_id]
-        source_row = int(arrays.edge_source[row])
-        sink_row = int(arrays.edge_sink[row])
-        previous_value = previous.max_criticality.get(edge_id)
-        previous_pair = previous.argmax_pairs.get(edge_id)
-
-        clean = not (
-            a_any[source_row] or r_any[sink_row] or m_has_changes
-        ) and edge_id not in touched
-        if clean and previous_value is not None and previous_pair is not None:
-            max_criticality[edge_id] = previous_value
-            argmax_pairs[edge_id] = previous_pair
-            continue
-        if edge_id in touched or previous_value is None or previous_pair is None:
-            full_edges.append(edge)
-            continue
-
-        # The changed pairs of this edge lie inside rows x all + all x cols.
-        dirty_rows = arrival_changed[source_row]
-        if cover_m_with_rows and m_has_changes:
-            dirty_rows = dirty_rows | m_rows_changed
-        dirty_cols = to_output_changed[sink_row]
-        if not cover_m_with_rows and m_has_changes:
-            dirty_cols = dirty_cols | m_cols_changed
-
-        best_i, best_j = previous_pair
-        rows_idx = np.nonzero(dirty_rows)[0]
-        cols_idx = np.nonzero(dirty_cols)[0]
-        cost = rows_idx.size * num_outputs + num_inputs * cols_idx.size
-        if (
-            cost >= pair_budget
-            or best_i < 0
-            or dirty_rows[best_i]
-            or dirty_cols[best_j]
-        ):
-            # No savings, or the attaining pair itself moved: the stored
-            # maximum no longer bounds the untouched pairs.
-            full_edges.append(edge)
-            continue
-
-        # Edges sharing a changed cross (typically everything outside the
-        # edit's cone plus per-cone-level groups) are re-evaluated
-        # together through the restricted batched kernel below.
-        key = dirty_rows.tobytes() + dirty_cols.tobytes()
-        group = cross_groups.setdefault(key, [])
-        if not group:
-            cross_patterns[key] = (rows_idx, cols_idx)
-        group.append(edge)
-
-    # Groups differing only on the other axis share a restriction (e.g. a
-    # single-input cone leaves one dirty-rows pattern while dirty columns
-    # vary per sink): build each restricted moments object once.
-    rows_moments: Dict[bytes, _HoistedMoments] = {}
-    cols_moments: Dict[bytes, _HoistedMoments] = {}
-    for key, group in cross_groups.items():
-        rows_idx, cols_idx = cross_patterns[key]
-        group_rows = _edge_rows(analysis, group)
-        seed_values = [previous.max_criticality[e.edge_id] for e in group]
-        seed_pairs = [previous.argmax_pairs[e.edge_id] for e in group]
-        if rows_idx.size:
-            # Dirty input rows x all outputs, one batched pass — but only
-            # for edges whose source is reachable from a dirty input at
-            # all: everywhere else the cross evaluates to all zeros, which
-            # the (non-negative) stored maximum already bounds.  On real
-            # modules a single input's cone covers a small fraction of
-            # the edges, so this filter is most of the sparse-edit win.
-            reachable = analysis.arrival_valid[
-                np.ix_(arrays.edge_source[group_rows], rows_idx)
-            ].any(axis=1)
-            positions = np.nonzero(reachable)[0]
-            if positions.size:
-                pattern = rows_idx.tobytes()
-                moments = rows_moments.get(pattern)
-                if moments is None:
-                    moments = rows_moments.setdefault(
-                        pattern, _matrix_moments(analysis, input_rows=rows_idx)
-                    )
-                values, best = _batched_edge_max(
-                    analysis, group_rows[positions], moments,
-                    _analysis_work(analysis, rows_idx.size, num_outputs),
-                    input_rows=rows_idx,
-                )
-                for index, position in enumerate(positions):
-                    if values[index] > seed_values[position]:
-                        seed_values[position] = float(values[index])
-                        flat = int(best[index])
-                        seed_pairs[position] = (
-                            int(rows_idx[flat // num_outputs]),
-                            flat % num_outputs,
-                        )
-        if cols_idx.size:
-            # All inputs x dirty output columns (the dirty rows are
-            # evaluated twice — unchanged pairs re-evaluate to values
-            # bounded by the stored maximum, so the strict merge stays
-            # exact), filtered to the edges whose sink reaches a dirty
-            # output.
-            reaching = analysis.to_output_valid[
-                np.ix_(arrays.edge_sink[group_rows], cols_idx)
-            ].any(axis=1)
-            positions = np.nonzero(reaching)[0]
-            if positions.size:
-                pattern = cols_idx.tobytes()
-                moments = cols_moments.get(pattern)
-                if moments is None:
-                    moments = cols_moments.setdefault(
-                        pattern, _matrix_moments(analysis, output_cols=cols_idx)
-                    )
-                values, best = _batched_edge_max(
-                    analysis, group_rows[positions], moments,
-                    _analysis_work(analysis, num_inputs, cols_idx.size),
-                    output_cols=cols_idx,
-                )
-                for index, position in enumerate(positions):
-                    if values[index] > seed_values[position]:
-                        seed_values[position] = float(values[index])
-                        flat = int(best[index])
-                        seed_pairs[position] = (
-                            flat // cols_idx.size,
-                            int(cols_idx[flat % cols_idx.size]),
-                        )
-        for position, edge in enumerate(group):
-            max_criticality[edge.edge_id] = seed_values[position]
-            argmax_pairs[edge.edge_id] = seed_pairs[position]
-
-    if full_edges:
-        # Edges needing a full (I, O) re-evaluation go through the batched
-        # kernel in one chunked pass.
-        full_result = edge_criticality_batch(analysis, full_edges)
-        max_criticality.update(full_result.max_criticality)
-        argmax_pairs.update(full_result.argmax_pairs)
-    return CriticalityResult(max_criticality, argmax_pairs, engine="incremental")

@@ -16,10 +16,10 @@ Two usage modes share the implementation:
   everything from scratch, as in the paper;
 * session-driven — an :class:`ExtractionSession` keeps an incremental
   :class:`~repro.timing.allpairs.AllPairsSession` plus a cached criticality
-  map attached to the module graph, so threshold sweeps and re-extraction
-  after ECO edits (retimes, edge surgery) only repropagate the dirty cone
-  of the all-pairs tensors and re-evaluate the criticalities that actually
-  moved.  ``extract_timing_model(session=...)`` and
+  map attached to the module graph, so threshold sweeps reuse both, and
+  re-extraction after ECO edits (retimes, edge surgery) repropagates only
+  the dirty cone of the all-pairs tensors before one batched criticality
+  recompute.  ``extract_timing_model(session=...)`` and
   :func:`sweep_thresholds` route through it.
 """
 
@@ -29,11 +29,7 @@ import time
 from typing import List, Optional, Sequence
 
 from repro.errors import ModelExtractionError
-from repro.model.criticality import (
-    CriticalityResult,
-    compute_edge_criticalities,
-    update_edge_criticalities,
-)
+from repro.model.criticality import CriticalityResult, compute_edge_criticalities
 from repro.model.reduction import reduce_graph
 from repro.model.timing_model import ExtractionStats, TimingModel
 from repro.timing.allpairs import AllPairsSession, AllPairsTiming, AllPairsUpdate
@@ -104,9 +100,10 @@ class ExtractionSession:
     The session owns an :class:`~repro.timing.allpairs.AllPairsSession`
     (the per-input arrival / per-output delay tensors, refreshed from the
     graph's change journal) and a criticality map cached against it.  Each
-    :meth:`refresh` repropagates only the dirty cone of the tensors and
-    re-evaluates only the edges whose all-pairs slack moved; results are
-    identical (to floating-point round-off) to a from-scratch pipeline run.
+    :meth:`refresh` repropagates only the dirty cone of the tensors and,
+    unless the refresh was a no-op, recomputes the criticalities on them
+    with the batched kernel; results are identical (to floating-point
+    round-off) to a from-scratch pipeline run.
 
     Lifecycle: attach (construct) → edit the graph freely → :meth:`extract`
     (which refreshes lazily) → edit again → re-extract.  Threshold sweeps
@@ -148,7 +145,7 @@ class ExtractionSession:
         ``allpairs`` must already be attached to ``graph`` (see
         ``repro.store``); ``serial`` is the all-pairs serial the stored
         criticality map was synchronised at, so the next :meth:`refresh`
-        knows whether an incremental criticality update is sound.
+        knows whether the map is still current.
         """
         _validate_module(graph, variation)
         session = cls.__new__(cls)
@@ -214,24 +211,17 @@ class ExtractionSession:
         """Synchronise tensors and criticalities with the graph revision.
 
         One coalesced journal window per call: an arbitrarily long edit
-        burst between refreshes costs one dirty-cone repropagation plus a
-        criticality re-evaluation restricted to the moved edges.
+        burst between refreshes costs one dirty-cone repropagation plus one
+        batched criticality recompute.  The recompute runs whenever the
+        all-pairs serial moved since the last sync, including refreshes
+        that someone else made on the shared all-pairs session.
         """
         update = self._allpairs.refresh()
-        if update.serial == self._serial:
-            return update  # nothing happened since the criticality sync
-        if update.serial == self._serial + 1 and update.mode == "incremental":
-            self._criticalities = update_edge_criticalities(
-                self._graph, self._allpairs.state, self._criticalities, update
-            )
-        else:
-            # A full pass, or updates this session did not observe (someone
-            # else refreshed the shared all-pairs session): the change
-            # masks no longer describe everything since our last sync.
+        if update.serial != self._serial:
             self._criticalities = compute_edge_criticalities(
                 self._graph, self._allpairs.state
             )
-        self._serial = update.serial
+            self._serial = update.serial
         return update
 
     def extract(

@@ -287,9 +287,7 @@ def criticality_to_dict(result: CriticalityResult) -> Dict[str, Any]:
     """Convert a criticality result into a JSON-serializable dictionary.
 
     The ``argmax_pairs`` bookkeeping (which input/output pair attains each
-    edge's maximum) is persisted alongside the values so a reloaded result
-    can seed the incremental updater directly.  The ``engine`` tag is
-    diagnostic metadata and is deliberately not serialized.
+    edge's maximum) is persisted alongside the values when present.
     """
     payload: Dict[str, Any] = {
         "format": CRITICALITY_FORMAT_NAME,
@@ -311,8 +309,7 @@ def criticality_from_dict(payload: Dict[str, Any]) -> CriticalityResult:
     """Rebuild a criticality result from its dictionary representation.
 
     Tolerant of legacy payloads written before the ``argmax_pairs`` field
-    existed: those load with ``argmax_pairs=None``, which simply makes the
-    incremental updater fall back to a full recompute on first use.
+    existed: those load with ``argmax_pairs=None``.
     """
     _require_payload(payload, CRITICALITY_FORMAT_NAME, CRITICALITY_FORMAT_VERSION)
     max_criticality = {

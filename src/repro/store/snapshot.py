@@ -341,9 +341,8 @@ def save_extraction_session(session, path: Union[str, Path]) -> Path:
     """Persist an :class:`ExtractionSession` as one ``"extraction"`` entry.
 
     The entry embeds the module graph, the all-pairs tensors, the cached
-    criticality map (values plus the ``argmax_pairs`` bookkeeping that
-    keeps the incremental updater exact) and the variation model, so a
-    restored session re-extracts without recomputing anything.
+    criticality map (values plus their ``argmax_pairs``) and the variation
+    model, so a restored session re-extracts without recomputing anything.
     """
     from repro.model.serialization import variation_to_dict
 

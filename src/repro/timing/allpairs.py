@@ -430,16 +430,10 @@ class AllPairsUpdate:
     overflow, or an input/output designation change, which moves the tensor
     dimensions themselves).  ``serial`` counts the session's non-noop
     refreshes, so a consumer caching state derived from the tensors (e.g.
-    the incremental criticality map of :mod:`repro.model.criticality`) can
-    detect refreshes it did not observe and fall back to a recompute.
-
-    The change masks drive downstream incrementality: ``arrival_changed``
-    is a ``(V, I)`` boolean with the per-input arrival entries that moved,
-    ``to_output_changed`` the ``(V, O)`` analogue for the to-output delays,
-    and ``touched_edges``/``removed_edges`` the edge ids retimed-or-added /
-    removed by the consumed journal window.  Both masks are ``None`` for a
-    ``"full"`` refresh (everything must be assumed changed) and for a
-    ``"noop"``.
+    the criticality map of :class:`repro.model.extraction.ExtractionSession`)
+    can tell whether the tensors moved since it last synced, whoever
+    refreshed them.  ``forward_recomputed`` / ``backward_recomputed`` count
+    the vertices each direction's sweep refolded (its dirty cone).
     """
 
     mode: str
@@ -447,30 +441,6 @@ class AllPairsUpdate:
     serial: int
     forward_recomputed: int
     backward_recomputed: int
-    arrival_changed: Optional[np.ndarray] = None
-    to_output_changed: Optional[np.ndarray] = None
-    touched_edges: Tuple[int, ...] = ()
-    removed_edges: Tuple[int, ...] = ()
-
-    def arrival_changed_counts(self) -> Optional[np.ndarray]:
-        """Per-vertex count of changed per-input arrival entries, ``(V,)``.
-
-        ``None`` when the update carries no change masks (``"full"`` /
-        ``"noop"``).  Consumers sizing incremental work against the pair
-        space (the dense-edit auto-switch of
-        :func:`repro.model.criticality.update_edge_criticalities`) read the
-        update's density through these counts instead of re-reducing the
-        masks themselves.
-        """
-        if self.arrival_changed is None:
-            return None
-        return self.arrival_changed.sum(axis=1)
-
-    def to_output_changed_counts(self) -> Optional[np.ndarray]:
-        """Per-vertex count of changed per-output delay entries, ``(V,)``."""
-        if self.to_output_changed is None:
-            return None
-        return self.to_output_changed.sum(axis=1)
 
 
 class AllPairsSession:
@@ -506,15 +476,11 @@ class AllPairsSession:
         self._arrays = GraphArrays.from_graph(graph)
         self._analysis: Optional[AllPairsTiming] = None
         self._serial = 0
-        # Dirty vertex frontiers (V,) and per-entry changed masks, kept
-        # across a failed sweep (e.g. a cycle surfacing mid-refresh) so the
-        # next refresh retries the queued work instead of losing it.
+        # Dirty vertex frontiers (V,), kept across a failed sweep (e.g. a
+        # cycle surfacing mid-refresh) so the next refresh retries the
+        # queued work instead of losing it.
         self._dirty_fwd: Optional[np.ndarray] = None
         self._dirty_bwd: Optional[np.ndarray] = None
-        self._changed_fwd: Optional[np.ndarray] = None
-        self._changed_bwd: Optional[np.ndarray] = None
-        self._pending_touched: Dict[int, None] = {}
-        self._pending_removed: Dict[int, None] = {}
         self.last_update: Optional[AllPairsUpdate] = None
         # Why a warm start fell back to a cold rebuild (None for cold
         # sessions and for genuinely warm loads); set by repro.store.
@@ -561,8 +527,8 @@ class AllPairsSession:
 
         For consumers that just called :meth:`refresh` themselves and need
         the matching state without risking the consumption of a newer
-        journal window (e.g. the incremental criticality update, whose
-        change masks must line up with the tensors they describe).
+        journal window (e.g. the extraction session, whose criticality map
+        is keyed to the serial of that refresh).
         """
         return self._analysis
 
@@ -583,7 +549,7 @@ class AllPairsSession:
 
         ``analysis`` aggregates the maintained tensors (including the
         shared :class:`GraphArrays` working set); ``dirty_state`` is the
-        session's own frontier/changed-mask bookkeeping.  No refresh is
+        session's own dirty-frontier bookkeeping.  No refresh is
         performed — the report describes the state as currently held.
         """
         report = {
@@ -594,10 +560,7 @@ class AllPairsSession:
             ),
             "dirty_state": sum(
                 int(mask.nbytes)
-                for mask in (
-                    self._dirty_fwd, self._dirty_bwd,
-                    self._changed_fwd, self._changed_bwd,
-                )
+                for mask in (self._dirty_fwd, self._dirty_bwd)
                 if mask is not None
             ),
         }
@@ -665,10 +628,6 @@ class AllPairsSession:
         self._serial = int(meta["serial"])
         self._dirty_fwd = None
         self._dirty_bwd = None
-        self._changed_fwd = None
-        self._changed_bwd = None
-        self._pending_touched = {}
-        self._pending_removed = {}
         self.last_update = None
         self.store_fallback_reason = None
         self._index_positions()
@@ -721,13 +680,6 @@ class AllPairsSession:
             fwd_dirty, bwd_dirty = self._arrays.dirty_frontiers(delta)
             self._dirty_fwd = _merge_dirty(self._dirty_fwd, fwd_dirty)
             self._dirty_bwd = _merge_dirty(self._dirty_bwd, bwd_dirty)
-            for edge_id in delta.retimed_edges:
-                self._pending_touched[edge_id] = None
-            for edge_id in delta.added_edges:
-                self._pending_touched[edge_id] = None
-            for edge_id, _source, _sink in delta.removed_edges:
-                self._pending_touched.pop(edge_id, None)
-                self._pending_removed[edge_id] = None
 
         if self._dirty_fwd is None and self._dirty_bwd is None:
             update = AllPairsUpdate("noop", self.revision, self._serial, 0, 0)
@@ -736,47 +688,12 @@ class AllPairsSession:
 
         forward = self._sweep(backward=False)
         backward = self._sweep(backward=True)
-        self._patch_matrix_columns()
-
         self._serial += 1
-        num_vertices = self._arrays.num_vertices
-        arrival_changed = (
-            self._changed_fwd
-            if self._changed_fwd is not None
-            else np.zeros((num_vertices, self.analysis_num_inputs), dtype=bool)
-        )
-        to_output_changed = (
-            self._changed_bwd
-            if self._changed_bwd is not None
-            else np.zeros((num_vertices, self.analysis_num_outputs), dtype=bool)
-        )
         update = AllPairsUpdate(
-            "incremental",
-            self.revision,
-            self._serial,
-            forward,
-            backward,
-            arrival_changed,
-            to_output_changed,
-            tuple(self._pending_touched),
-            tuple(self._pending_removed),
+            "incremental", self.revision, self._serial, forward, backward
         )
-        self._changed_fwd = None
-        self._changed_bwd = None
-        self._pending_touched = {}
-        self._pending_removed = {}
         self.last_update = update
         return update
-
-    @property
-    def analysis_num_inputs(self) -> int:
-        """Number of module inputs of the maintained tensors."""
-        return self._analysis.num_inputs
-
-    @property
-    def analysis_num_outputs(self) -> int:
-        """Number of module outputs of the maintained tensors."""
-        return self._analysis.num_outputs
 
     def _full_pass(self) -> AllPairsUpdate:
         graph = self._graph
@@ -790,10 +707,6 @@ class AllPairsSession:
         self._index_positions()
         self._dirty_fwd = None
         self._dirty_bwd = None
-        self._changed_fwd = None
-        self._changed_bwd = None
-        self._pending_touched = {}
-        self._pending_removed = {}
         self._serial += 1
         num_vertices = self._arrays.num_vertices
         update = AllPairsUpdate(
@@ -827,10 +740,6 @@ class AllPairsSession:
             self._dirty_fwd = _move(self._dirty_fwd)
         if self._dirty_bwd is not None:
             self._dirty_bwd = _move(self._dirty_bwd)
-        if self._changed_fwd is not None:
-            self._changed_fwd = _move(self._changed_fwd)
-        if self._changed_bwd is not None:
-            self._changed_bwd = _move(self._changed_bwd)
         self._index_positions()
 
     def _index_positions(self) -> None:
@@ -863,6 +772,8 @@ class AllPairsSession:
         from-scratch engine.  Dirty vertices with no fold edges take their
         seed row.  A vertex only dirties its dependents when one of its
         tensor entries actually moved (early termination on convergence).
+        The forward sweep also copies each moved output row into its
+        matrix column, so the delay matrix is current when it returns.
         """
         dirty = self._dirty_bwd if backward else self._dirty_fwd
         if dirty is None:
@@ -893,10 +804,11 @@ class AllPairsSession:
         seed_column = np.full(arrays.num_vertices, -1, dtype=np.int64)
         for row, position in positions.items():
             seed_column[row] = position
-
-        changed_mask = self._changed_bwd if backward else self._changed_fwd
-        if changed_mask is None:
-            changed_mask = np.zeros((arrays.num_vertices, width), dtype=bool)
+        # Forward only: the matrix column of each output vertex's row.
+        matrix_column = np.full(arrays.num_vertices, -1, dtype=np.int64)
+        if not backward:
+            for row, position in self._output_position.items():
+                matrix_column[row] = position
         work = FoldWorkspace()
 
         def seed(rows: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -917,8 +829,8 @@ class AllPairsSession:
             return acc
 
         def settle(rows, mean, corr, randvar, valid) -> None:
-            # Write back only the rows that moved, OR their per-entry change
-            # masks and dirty the dependents of the moved rows.
+            # Write back only the rows that moved (and the matrix columns
+            # of the moved output rows); dirty the moved rows' dependents.
             old_valid = tensor_valid[rows]
             entry_changed = (old_valid != valid) | (
                 old_valid
@@ -937,7 +849,10 @@ class AllPairsSession:
             tensor_corr[moved_rows] = corr[moved]
             tensor_randvar[moved_rows] = randvar[moved]
             tensor_valid[moved_rows] = valid[moved]
-            changed_mask[moved_rows] |= entry_changed[moved]
+            columns = matrix_column[moved_rows]
+            outputs = columns >= 0
+            if outputs.any():
+                self._write_matrix_columns(moved_rows[outputs], columns[outputs])
             edges = (
                 arrays.in_edges_of(moved_rows) if backward
                 else arrays.out_edges_of(moved_rows)
@@ -965,25 +880,18 @@ class AllPairsSession:
             processed += int(rows.size)
 
         if backward:
-            self._changed_bwd = changed_mask
             self._dirty_bwd = None
         else:
-            self._changed_fwd = changed_mask
             self._dirty_fwd = None
         return processed
 
-    def _patch_matrix_columns(self) -> None:
-        """Re-extract the matrix columns of outputs whose arrivals moved."""
-        if self._changed_fwd is None:
-            return
+    def _write_matrix_columns(self, rows: np.ndarray, columns: np.ndarray) -> None:
+        """Copy the arrival rows of output vertices into their matrix columns."""
         analysis = self._analysis
-        for output_row, position in self._output_position.items():
-            if not self._changed_fwd[output_row].any():
-                continue
-            analysis.matrix_mean[:, position] = analysis.arrival_mean[output_row]
-            analysis.matrix_corr[:, position, :] = analysis.arrival_corr[output_row]
-            analysis.matrix_randvar[:, position] = analysis.arrival_randvar[output_row]
-            analysis.matrix_valid[:, position] = analysis.arrival_valid[output_row]
+        analysis.matrix_mean[:, columns] = analysis.arrival_mean[rows].T
+        analysis.matrix_corr[:, columns] = analysis.arrival_corr[rows].transpose(1, 0, 2)
+        analysis.matrix_randvar[:, columns] = analysis.arrival_randvar[rows].T
+        analysis.matrix_valid[:, columns] = analysis.arrival_valid[rows].T
 
     def __repr__(self) -> str:
         return "AllPairsSession(%r, revision=%d, serial=%d)" % (

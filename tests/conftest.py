@@ -264,8 +264,8 @@ def criticality_reference():
 
     Returns ``reference(graph, analysis) -> CriticalityResult``: every
     edge's maximum over its ``(I, O)`` criticality matrix and one pair
-    attaining it — the oracle the batched kernel, the incremental updater
-    and the extraction session are checked against (to 1e-9).
+    attaining it — the oracle the batched kernel and the extraction
+    session are checked against (to 1e-9).
     """
     from repro.model.criticality import CriticalityResult, edge_criticality_matrix
 

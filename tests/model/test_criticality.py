@@ -11,7 +11,6 @@ from repro.model.criticality import (
     edge_criticality_batch,
     edge_criticality_matrix,
     edge_criticality_tensor,
-    update_edge_criticalities,
 )
 from repro.model.extraction import extract_timing_model
 from repro.timing.allpairs import AllPairsSession, AllPairsTiming
@@ -161,13 +160,12 @@ class TestAnalysisChecks:
         if edit == "foreign":
             graph = pristine.copy()  # same delays, another graph
         session = AllPairsSession(graph)
-        previous = compute_edge_criticalities(graph, session.state)
         if edit == "retime":
             for edge in graph.edges[:200]:
                 graph.replace_edge_delay(edge, edge.delay.scale(1.3))
         elif edit == "remove":
             graph.remove_edge(graph.edges[len(graph.edges) // 2])
-        update = session.refresh()
+        session.refresh()
 
         with pytest.raises(TimingGraphError) as excinfo:
             compute_edge_criticalities(graph, analysis)
@@ -179,23 +177,17 @@ class TestAnalysisChecks:
             assert "revision %d" % analysis.arrays.revision in message
             assert "revision %d" % graph.revision in message
         with pytest.raises(TimingGraphError):
-            update_edge_criticalities(graph, analysis, previous, update)
-        with pytest.raises(TimingGraphError):
             extract_timing_model(graph, variation, analysis=analysis)
         # The current analysis is accepted and matches the session's.
         fresh = compute_edge_criticalities(graph, AllPairsTiming.analyze(graph))
-        updated = update_edge_criticalities(graph, session.state, previous, update)
-        assert fresh.max_criticality == pytest.approx(updated.max_criticality, abs=1e-9)
+        refreshed = compute_edge_criticalities(graph, session.state)
+        assert fresh.max_criticality == pytest.approx(refreshed.max_criticality, abs=1e-9)
 
     def test_blocked_analysis_raises_model_extraction_error(
         self, c432_module, monkeypatch
     ):
         pristine, variation = c432_module
         graph = pristine.copy()
-        session = AllPairsSession(graph)  # sessions are always dense
-        previous = compute_edge_criticalities(graph, session.state)
-        graph.replace_edge_delay(graph.edges[0], graph.edges[0].delay.scale(1.1))
-        update = session.refresh()
 
         monkeypatch.setenv("REPRO_ALLPAIRS_BUDGET_FLOATS", "1000")
         blocked = AllPairsTiming.analyze(graph)
@@ -203,9 +195,6 @@ class TestAnalysisChecks:
         calls = {
             "compute": lambda: compute_edge_criticalities(graph),
             "compute(analysis)": lambda: compute_edge_criticalities(graph, blocked),
-            "update": lambda: update_edge_criticalities(
-                graph, blocked, previous, update
-            ),
             "extract": lambda: extract_timing_model(graph, variation),
             "batch": lambda: edge_criticality_batch(blocked),
             "tensor": lambda: edge_criticality_tensor(blocked, graph.edges[:2]),

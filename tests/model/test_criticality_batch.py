@@ -8,7 +8,7 @@ must agree with the maximum of its reference matrix (the
 hypothesis-randomized layered DAGs, including the degenerate corners the
 shared tie rule exists for (zero-variance delays, exactly tied maxima,
 single-input/single-output modules), and after randomized retime bursts
-driven through the incremental updater.
+driven through an extraction session.
 """
 
 import inspect
@@ -25,10 +25,12 @@ from repro.model.criticality import (
     edge_criticality_batch,
     edge_criticality_matrix,
     edge_criticality_tensor,
-    update_edge_criticalities,
 )
-from repro.timing.allpairs import AllPairsSession, AllPairsTiming
+from repro.model.extraction import ExtractionSession
+from repro.timing.allpairs import AllPairsTiming
 from repro.timing.graph import TimingGraph
+from repro.variation.grid import Die, GridPartition
+from repro.variation.model import VariationModel
 
 PARITY = 1e-9
 NUM_LOCALS = 2
@@ -133,7 +135,6 @@ class TestRandomizedParity:
         )
         analysis = AllPairsTiming.analyze(graph)
         batch = compute_edge_criticalities(graph, analysis)
-        assert batch.engine == "batch"
         _assert_results_close(criticality_reference(graph, analysis), batch)
         _assert_argmax_attains(graph, analysis, batch)
 
@@ -183,17 +184,15 @@ class TestRandomizedParity:
         self, criticality_reference, seed, num_internal, burst
     ):
         graph = _build_graph(seed, 3, 2, num_internal)
-        session = AllPairsSession(graph)
-        result = compute_edge_criticalities(graph, session.state)
+        # Two 10x10 grids: a variation model with the graph's two locals.
+        variation = VariationModel(GridPartition.regular(Die(20.0, 10.0), 10.0))
+        session = ExtractionSession(graph, variation)
         for edge_pick, factor in burst:
             edge = graph.edges[edge_pick % graph.num_edges]
             graph.replace_edge_delay(edge, edge.delay.scale(factor))
-            update = session.refresh()
-            result = update_edge_criticalities(
-                graph, session.state, result, update
-            )
+            session.refresh()
         reference = criticality_reference(graph, AllPairsTiming.analyze(graph))
-        _assert_results_close(reference, result)
+        _assert_results_close(reference, session.criticalities)
 
     @given(seed=st.integers(min_value=0, max_value=10 ** 6))
     @settings(max_examples=15, deadline=None)
@@ -315,7 +314,6 @@ class TestSmallModules:
         assert graph.num_edges < 48
         analysis = AllPairsTiming.analyze(graph)
         batch = compute_edge_criticalities(graph, analysis)
-        assert batch.engine == "batch"
         reference = criticality_reference(graph, analysis)
         _assert_results_close(reference, batch)
         _assert_argmax_attains(graph, analysis, batch)
@@ -327,11 +325,9 @@ class TestSmallModules:
         # Nor a chunk budget: CRITICALITY_CHUNK_PAIRS sizes every chunk.
         from repro.experiments.ablation import run_threshold_sweep
         from repro.model.criticality import auto_chunk_edges
-        from repro.model.extraction import ExtractionSession
 
         for entry in (
             compute_edge_criticalities,
-            update_edge_criticalities,
             edge_criticality_batch,
             auto_chunk_edges,
             ExtractionSession,
@@ -340,74 +336,6 @@ class TestSmallModules:
         ):
             parameters = set(inspect.signature(entry).parameters)
             assert not {"engine", "criticality_engine", "chunk_pairs"} & parameters, entry
-
-
-@pytest.fixture(scope="module")
-def c432_module():
-    from repro.liberty.library import standard_library
-    from repro.netlist.iscas85 import iscas85_surrogate
-    from repro.placement.placer import place_netlist
-    from repro.timing.builder import build_timing_graph, default_variation_for
-
-    netlist = iscas85_surrogate("c432")
-    library = standard_library()
-    placement = place_netlist(netlist, library)
-    variation = default_variation_for(netlist, placement)
-    return build_timing_graph(netlist, library, placement, variation)
-
-
-class TestDenseEditSwitch:
-    """Regression: a dense mid-graph retime on the reconvergent c432 must
-    flip the incremental updater to a batched full recompute and match the
-    session-driven from-scratch result bit for bit (the switch *is* a
-    from-scratch batched pass over the refreshed tensors)."""
-
-    def _widest_mid_edge(self, graph, analysis):
-        arrays = analysis.arrays
-        reaching = analysis.arrival_valid.sum(axis=1)
-        reached = analysis.to_output_valid.sum(axis=1)
-        return max(
-            graph.edges,
-            key=lambda edge: int(
-                reaching[arrays.edge_source[arrays.edge_rows[edge.edge_id]]]
-            )
-            * int(reached[arrays.edge_sink[arrays.edge_rows[edge.edge_id]]]),
-        )
-
-    def test_dense_retime_switches_to_batch_and_stays_exact(self, c432_module):
-        graph = c432_module.copy()
-        session = AllPairsSession(graph)
-        previous = compute_edge_criticalities(graph, session.state)
-
-        edge = self._widest_mid_edge(graph, session.state)
-        graph.replace_edge_delay(edge, edge.delay.scale(1.2))
-        update = session.refresh()
-        assert update.mode == "incremental"
-
-        updated = update_edge_criticalities(
-            graph, session.state, previous, update
-        )
-        assert updated.engine == "batch"  # the auto-switch fired
-
-        reference = compute_edge_criticalities(graph, session.state)
-        assert updated.max_criticality == reference.max_criticality
-        assert updated.argmax_pairs == reference.argmax_pairs
-
-    def test_sparse_retime_stays_incremental(self, c432_module):
-        graph = c432_module.copy()
-        session = AllPairsSession(graph)
-        previous = compute_edge_criticalities(graph, session.state)
-
-        edge = graph.fanout_edges(graph.inputs[0])[0]
-        graph.replace_edge_delay(edge, edge.delay.scale(1.01))
-        update = session.refresh()
-        updated = update_edge_criticalities(
-            graph, session.state, previous, update
-        )
-        assert updated.engine == "incremental"
-
-        reference = compute_edge_criticalities(graph, session.state)
-        _assert_results_close(reference, updated)
 
 
 class TestEmptyPairSpace:

@@ -94,8 +94,8 @@ class TestPostEcoReextraction:
         for burst in range(3):
             for _unused in range(5):
                 random_graph_edit(graph, rng)
-            # Criticalities updated only where the all-pairs slack moved
-            # must still match a full recomputation ...
+            # Criticalities recomputed on the refreshed tensors must match
+            # a recomputation on a cold analysis ...
             fresh = compute_edge_criticalities(graph)
             warm = session.criticalities
             assert set(warm.max_criticality) == set(fresh.max_criticality)
@@ -109,6 +109,20 @@ class TestPostEcoReextraction:
                 extract_timing_model(graph, variation, 0.05),
                 "burst %d" % burst,
             )
+
+    def test_refresh_made_elsewhere_is_not_missed(self, edit_module):
+        """A refresh of the shared all-pairs session by another caller still
+        moves the session's criticalities (its serial check sees it)."""
+        graph, variation = edit_module
+        session = ExtractionSession(graph, variation)
+        edge = graph.edges[len(graph.edges) // 2]
+        graph.replace_edge_delay(edge, edge.delay.scale(1.3))
+        assert session.allpairs.refresh().mode == "incremental"
+        fresh = compute_edge_criticalities(graph)
+        warm = session.criticalities
+        assert warm.max_criticality.keys() == fresh.max_criticality.keys()
+        for edge_id, value in fresh.max_criticality.items():
+            assert abs(warm.max_criticality[edge_id] - value) <= 1e-9, edge_id
 
     def test_original_graph_untouched_by_session_extraction(self, edit_module):
         graph, variation = edit_module
@@ -202,7 +216,6 @@ class TestReferenceCriticalities:
         edge = graph.edges[len(graph.edges) // 2]
         graph.replace_edge_delay(edge, edge.delay.scale(1.15))
         refreshed = session.criticalities
-        assert refreshed.engine in ("batch", "incremental")
         # The reference runs on a cold analysis of the edited graph, so it
         # shares nothing with the session's refreshed tensors.
         reference = criticality_reference(graph, AllPairsTiming.analyze(graph))

@@ -6,10 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ModelExtractionError
-from repro.model.criticality import (
-    compute_edge_criticalities,
-    update_edge_criticalities,
-)
+from repro.model.criticality import compute_edge_criticalities
 from repro.model.extraction import extract_timing_model
 from repro.model.serialization import (
     criticality_from_dict,
@@ -21,7 +18,6 @@ from repro.model.serialization import (
     timing_model_from_dict,
     timing_model_to_dict,
 )
-from repro.timing.allpairs import AllPairsSession
 
 
 @pytest.fixture
@@ -219,34 +215,6 @@ class TestCriticalityRoundTrip:
         rebuilt = criticality_from_dict(payload)
         assert rebuilt.max_criticality == criticalities.max_criticality
         assert rebuilt.argmax_pairs is None
-
-    def test_legacy_load_still_updates_incrementally(
-        self, random_graph_and_variation
-    ):
-        # A legacy result (argmax_pairs=None) must still be a usable seed
-        # for the incremental updater: it falls back to a full recompute.
-        graph, _unused = random_graph_and_variation
-        session = AllPairsSession(graph)
-        payload = criticality_to_dict(
-            compute_edge_criticalities(graph, session.state)
-        )
-        del payload["argmax_pairs"]
-        legacy = criticality_from_dict(payload)
-        edge = graph.edges[len(graph.edges) // 2]
-        graph.replace_edge_delay(edge, edge.delay.scale(1.1))
-        update = session.refresh()
-        updated = update_edge_criticalities(
-            graph, session.state, legacy, update
-        )
-        reference = compute_edge_criticalities(graph, session.state)
-        for edge_id, value in reference.max_criticality.items():
-            assert abs(updated.max_criticality[edge_id] - value) <= 1e-9
-
-    def test_engine_tag_not_serialized(self, criticalities):
-        assert criticalities.engine is not None
-        payload = criticality_to_dict(criticalities)
-        assert "engine" not in payload
-        assert criticality_from_dict(payload).engine is None
 
     def test_wrong_format_rejected(self, criticalities):
         payload = criticality_to_dict(criticalities)

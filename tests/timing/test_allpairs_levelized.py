@@ -6,8 +6,8 @@ functions below fold vertex by vertex instead: they visit the vertices in
 (reverse) topological order and merge each fanin (fanout) candidate into
 the seeded row with the allocating masked Clark kernel, one call per edge.
 Both sides fold the same candidates in the same order through the same
-kernels, so every tensor, change mask and cone count must be equal bit for
-bit — invalid entries included.
+kernels, so every tensor and cone count must be equal bit for bit —
+invalid entries included.
 """
 
 import random
@@ -67,17 +67,21 @@ def _reference_pass(analysis, backward):
             tensor[row] = value
 
 
+def _copy_matrix_column(analysis, row, position):
+    """Matrix column ``position`` is the arrival row of its output vertex."""
+    analysis.matrix_mean[:, position] = analysis.arrival_mean[row]
+    analysis.matrix_corr[:, position] = analysis.arrival_corr[row]
+    analysis.matrix_randvar[:, position] = analysis.arrival_randvar[row]
+    analysis.matrix_valid[:, position] = analysis.arrival_valid[row]
+
+
 def _reference_analysis(graph):
     analysis = AllPairsTiming(GraphArrays.from_graph(graph))
     _reference_pass(analysis, backward=False)
     _reference_pass(analysis, backward=True)
     index = analysis.arrays.vertex_index
     for position, name in enumerate(analysis.outputs):
-        row = index[name]
-        analysis.matrix_mean[:, position] = analysis.arrival_mean[row]
-        analysis.matrix_corr[:, position] = analysis.arrival_corr[row]
-        analysis.matrix_randvar[:, position] = analysis.arrival_randvar[row]
-        analysis.matrix_valid[:, position] = analysis.arrival_valid[row]
+        _copy_matrix_column(analysis, index[name], position)
     return analysis
 
 
@@ -101,9 +105,6 @@ class _PerVertexSession(AllPairsSession):
         tensor_mean, tensor_corr, tensor_randvar, tensor_valid = tensors
         positions = self._output_position if backward else self._input_position
         width = tensor_mean.shape[1]
-        changed_mask = self._changed_bwd if backward else self._changed_fwd
-        if changed_mask is None:
-            changed_mask = np.zeros((arrays.num_vertices, width), dtype=bool)
 
         processed = 0
         for vertex in reversed(order) if backward else order:
@@ -142,7 +143,8 @@ class _PerVertexSession(AllPairsSession):
             tensor_corr[row] = corr
             tensor_randvar[row] = randvar
             tensor_valid[row] = valid
-            changed_mask[row] |= entry_changed
+            if not backward and row in self._output_position:
+                _copy_matrix_column(analysis, row, self._output_position[row])
             dependents = (
                 graph.fanin_edges(vertex) if backward else graph.fanout_edges(vertex)
             )
@@ -150,10 +152,8 @@ class _PerVertexSession(AllPairsSession):
                 dirty[index[edge.source if backward else edge.sink]] = True
 
         if backward:
-            self._changed_bwd = changed_mask
             self._dirty_bwd = None
         else:
-            self._changed_fwd = changed_mask
             self._dirty_fwd = None
         return processed
 
@@ -167,19 +167,11 @@ def _assert_tensors_equal(analysis, reference, what):
 
 def _assert_updates_equal(update, reference, what):
     for field in (
-        "mode", "revision", "serial", "forward_recomputed",
-        "backward_recomputed", "touched_edges", "removed_edges",
+        "mode", "revision", "serial", "forward_recomputed", "backward_recomputed",
     ):
         assert getattr(update, field) == getattr(reference, field), (
             "%s: %s" % (what, field)
         )
-    for field in ("arrival_changed", "to_output_changed"):
-        mask = getattr(update, field)
-        reference_mask = getattr(reference, field)
-        if reference_mask is None:
-            assert mask is None, "%s: %s" % (what, field)
-        else:
-            assert np.array_equal(mask, reference_mask), "%s: %s" % (what, field)
 
 
 class TestColdParity:

@@ -116,21 +116,7 @@ class TestRandomizedEditParity:
         assert update.forward_recomputed < graph.num_vertices / 2
 
 
-class TestChangeMasks:
-    def test_retime_reports_changed_entries(self, edit_graph):
-        graph = edit_graph
-        session = AllPairsSession(graph)
-        edge = graph.edges[0]
-        graph.replace_edge_delay(edge, edge.delay.scale(1.5))
-        update = session.refresh()
-        assert update.touched_edges == (edge.edge_id,)
-        assert update.arrival_changed is not None
-        assert update.arrival_changed.shape == (
-            graph.num_vertices,
-            len(graph.inputs),
-        )
-        assert update.arrival_changed.any()
-
+class TestTransientEdits:
     def test_transient_add_remove_cancels(self, edit_graph):
         graph = edit_graph
         session = AllPairsSession(graph)
@@ -138,8 +124,7 @@ class TestChangeMasks:
         edge = graph.add_edge(order[0], order[-1], CanonicalForm(1.0, 0.0, None, 0.0))
         graph.remove_edge(edge)
         update = session.refresh()
-        assert edge.edge_id not in update.touched_edges
-        assert edge.edge_id not in update.removed_edges
+        assert update.mode == "noop"
         _assert_tensor_parity(session, graph, "transient")
 
 
@@ -151,7 +136,6 @@ class TestFullFallbacks:
         graph.mark_output(internal)
         update = session.refresh()
         assert update.mode == "full"
-        assert update.arrival_changed is None
         _assert_tensor_parity(session, graph, "io change")
 
     def test_journal_overflow_forces_full(self, c17_graph):
@@ -237,12 +221,7 @@ class TestCycleMidRefresh:
         graph.remove_edge(back)
         update = session.refresh()
         assert update.mode == "incremental"
-        assert edge.edge_id in update.touched_edges
         assert update.forward_recomputed >= expected.forward_recomputed > 0
-        np.testing.assert_array_equal(update.arrival_changed, expected.arrival_changed)
-        np.testing.assert_array_equal(
-            update.to_output_changed, expected.to_output_changed
-        )
         _assert_tensor_parity(session, graph, "after the cycle")
 
 
