@@ -338,6 +338,48 @@ class TestSmallModules:
             assert not {"engine", "criticality_engine", "chunk_pairs"} & parameters, entry
 
 
+class TestSessionRetime:
+    """A refreshed extraction session recomputes its criticalities with the
+    batched kernel on tensors bit-identical to a cold analysis, so after a
+    dense mid-graph retime or a sparse input-stage one its map equals a
+    cold recompute bit for bit, argmax pairs included."""
+
+    def _assert_equals_cold(self, graph, session):
+        cold = compute_edge_criticalities(graph, AllPairsTiming.analyze(graph))
+        warm = session.criticalities
+        assert warm.max_criticality == cold.max_criticality
+        assert warm.argmax_pairs == cold.argmax_pairs
+
+    def test_dense_retime_matches_cold_batch_exactly(self, parity_module):
+        pristine, variation = parity_module
+        graph = pristine.copy()
+        session = ExtractionSession(graph, variation)
+        analysis = session.analysis
+        arrays = analysis.arrays
+        reaching = analysis.arrival_valid.sum(axis=1)
+        reached = analysis.to_output_valid.sum(axis=1)
+        # The edge on the paths of the most input/output pairs.
+        edge = max(
+            graph.edges,
+            key=lambda edge: int(
+                reaching[arrays.edge_source[arrays.edge_rows[edge.edge_id]]]
+            )
+            * int(reached[arrays.edge_sink[arrays.edge_rows[edge.edge_id]]]),
+        )
+        graph.replace_edge_delay(edge, edge.delay.scale(1.2))
+        assert session.refresh().mode == "incremental"
+        self._assert_equals_cold(graph, session)
+
+    def test_sparse_retime_matches_cold_batch_exactly(self, parity_module):
+        pristine, variation = parity_module
+        graph = pristine.copy()
+        session = ExtractionSession(graph, variation)
+        edge = graph.fanout_edges(graph.inputs[0])[0]
+        graph.replace_edge_delay(edge, edge.delay.scale(1.01))
+        assert session.refresh().mode == "incremental"
+        self._assert_equals_cold(graph, session)
+
+
 class TestEmptyPairSpace:
     """Regression: no primary I/O pairs must yield an empty result, not a
     numpy raise (the all-zero result keeps histogram/threshold consumers

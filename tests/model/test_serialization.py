@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import ModelExtractionError
 from repro.model.criticality import compute_edge_criticalities
-from repro.model.extraction import extract_timing_model
+from repro.model.extraction import ExtractionSession, extract_timing_model
 from repro.model.serialization import (
     criticality_from_dict,
     criticality_to_dict,
@@ -18,6 +18,7 @@ from repro.model.serialization import (
     timing_model_from_dict,
     timing_model_to_dict,
 )
+from repro.timing.allpairs import AllPairsSession
 
 
 @pytest.fixture
@@ -215,6 +216,30 @@ class TestCriticalityRoundTrip:
         rebuilt = criticality_from_dict(payload)
         assert rebuilt.max_criticality == criticalities.max_criticality
         assert rebuilt.argmax_pairs is None
+
+    def test_legacy_load_still_seeds_a_session(self, random_graph_and_variation):
+        # A legacy result (argmax_pairs=None) is still a usable session
+        # seed: it stands until the tensors move, then the refresh replaces
+        # it with a batched recompute.
+        graph, variation = random_graph_and_variation
+        allpairs = AllPairsSession(graph)
+        payload = criticality_to_dict(
+            compute_edge_criticalities(graph, allpairs.state)
+        )
+        del payload["argmax_pairs"]
+        session = ExtractionSession.from_snapshot(
+            graph, variation, allpairs, criticality_from_dict(payload),
+            allpairs.serial,
+        )
+        assert session.criticalities.argmax_pairs is None
+        edge = graph.edges[len(graph.edges) // 2]
+        graph.replace_edge_delay(edge, edge.delay.scale(1.1))
+        refreshed = session.criticalities
+        reference = compute_edge_criticalities(graph)
+        assert refreshed.argmax_pairs == reference.argmax_pairs
+        assert refreshed.max_criticality.keys() == reference.max_criticality.keys()
+        for edge_id, value in reference.max_criticality.items():
+            assert abs(refreshed.max_criticality[edge_id] - value) <= 1e-9
 
     def test_wrong_format_rejected(self, criticalities):
         payload = criticality_to_dict(criticalities)

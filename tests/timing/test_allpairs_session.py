@@ -116,6 +116,25 @@ class TestRandomizedEditParity:
         assert update.forward_recomputed < graph.num_vertices / 2
 
 
+class TestUpdateReport:
+    def test_retime_reports_both_cones(self, edit_graph):
+        graph = edit_graph
+        session = AllPairsSession(graph)
+        serial = session.serial
+        edge = graph.edges[0]
+        graph.replace_edge_delay(edge, edge.delay.scale(1.5))
+        update = session.refresh()
+        assert update.mode == "incremental"
+        assert update.serial == session.serial == serial + 1
+        assert update.revision == session.revision == graph.revision
+        assert session.last_update is update
+        # The sink's fanout cone refolds forward, the source's fanin cone
+        # backward.
+        assert 0 < update.forward_recomputed <= graph.num_vertices
+        assert 0 < update.backward_recomputed <= graph.num_vertices
+        _assert_tensor_parity(session, graph, "retime")
+
+
 class TestTransientEdits:
     def test_transient_add_remove_cancels(self, edit_graph):
         graph = edit_graph
