@@ -11,7 +11,7 @@ three decades of edge count and records, per size:
 * flat Monte Carlo throughput (edge-samples per second), and
 * the process peak RSS high-water mark after each run.
 
-Results merge into ``BENCH_scaling.json`` at the repository root.  The
+Results merge into ``.benchmarks/BENCH_scaling.json`` (gitignored).  The
 asserted floor: propagation throughput on the generated 10^5-edge design
 must stay within ``REPRO_SCALING_FLOOR_FACTOR`` (default 4x) of the same
 engine's throughput on c7552 — synthetic scale must not quietly fall off

@@ -22,19 +22,25 @@ import pytest
 from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
 from repro.experiments.table1 import TABLE1_CIRCUITS, TABLE1_DEFAULT_SUBSET
 
-#: Repository root, where the ``BENCH_*.json`` records live.
-BENCH_RECORD_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+#: Where runs write their ``BENCH_*.json`` records: the gitignored
+#: ``.benchmarks/``, so a run never rewrites the tracked records at the
+#: repository root or merges this host's entries into another host's.
+BENCH_RECORD_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), ".benchmarks"
+)
 
 
 def record_bench(
     filename: str, key: str, payload: dict, workers: Optional[int] = None
 ) -> None:
-    """Merge one benchmark's headline numbers into a ``BENCH_*.json`` record.
+    """Merge one benchmark's headline numbers into a ``BENCH_*.json`` record
+    under :data:`BENCH_RECORD_DIR`.
 
     Every entry is stamped with the host's ``cpu_count`` (and the worker
     count, when the benchmark shards work) so recorded speedups can be
     judged against the parallelism that was actually available.
     """
+    os.makedirs(BENCH_RECORD_DIR, exist_ok=True)
     path = os.path.join(BENCH_RECORD_DIR, filename)
     payload = dict(payload)
     payload["cpu_count"] = os.cpu_count()

@@ -17,10 +17,16 @@ One production engine evaluates the formulas: the **batched** kernel
 O)`` tensors, the criticality analogue of the :mod:`repro.core.batch`
 propagation kernels, with the shared input/output delay-matrix moments
 hoisted out of the per-edge loop.  The chunks are sized from
-:data:`CRITICALITY_CHUNK_PAIRS` alone (:func:`auto_chunk_edges`); every
-chunking gives the same values.  :func:`edge_criticality_matrix` is the
-one-edge-at-a-time **scalar reference** it is verified against; only tests
-and benchmarks call it.  Both execute the same floating-point expressions
+:data:`CRITICALITY_CHUNK_PAIRS` alone (:func:`auto_chunk_edges`).  Another
+chunking gives the same values within the 1e-9 contract, not bitwise: BLAS
+rounds a contraction differently for another stack shape (one-edge chunks
+move thousands of c7552 values, by up to 2e-11).  A run of at least
+:data:`_CHUNKS_PER_THREAD` chunks per thread therefore spreads the same
+chunks over the usable CPUs (:func:`_thread_count`) instead of cutting
+new ones, and its values are bit-identical to the serial loop's.
+:func:`edge_criticality_matrix` is the one-edge-at-a-time **scalar
+reference** the kernel is verified against; only tests and benchmarks
+call it.  Both execute the same floating-point expressions
 (the probability tail is the single shared
 :func:`repro.core.batch.tightness_from_moments` kernel), so they agree to
 BLAS round-off; the parity contract asserted by the property suite is
@@ -31,6 +37,9 @@ all-pairs tensors, which past the all-pairs memory budget do not exist.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -77,9 +86,19 @@ THETA_RELATIVE_EPSILON = 1e-12
 # same-shaped reused buffers, so the chunk working set must stay
 # last-level-cache resident — measured on c7552 (207 x 108 pairs, ~23
 # edges per chunk), throughput degrades ~40% by 16 MB tensors and the
-# sweet spot is flat between 2^17 and 2^20 pairs.  Read on every call:
-# the values do not depend on the chunking.
+# sweet spot is flat between 2^17 and 2^20 pairs.  Read on every call.
+# Another budget gives the same values within the 1e-9 contract, not
+# bitwise: BLAS rounding depends on the chunk shape.
 CRITICALITY_CHUNK_PAIRS = 1 << 19
+
+# A run gets one thread per this many chunks, up to the usable CPUs.
+# Fewer chunks run on the serial loop: on a 2-CPU host, two threads made
+# the 12-chunk refresh of a 16-bit multiplier module slower, not faster.
+_CHUNKS_PER_THREAD = 32
+
+# The variables numpy's bundled OpenBLAS takes its thread count from,
+# in its order of precedence; unset, it runs a thread per CPU.
+_BLAS_THREADS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def auto_chunk_edges(num_inputs: int, num_outputs: int, num_corr: int) -> int:
@@ -292,8 +311,10 @@ def _matrix_moments(analysis: AllPairsTiming) -> _HoistedMoments:
     )
 
 
-def _analysis_work(analysis: AllPairsTiming) -> Dict[str, np.ndarray]:
-    """Reusable scratch buffers of the batched kernel over ``analysis``.
+def _analysis_work(
+    analysis: AllPairsTiming, threads: int
+) -> List[Dict[str, np.ndarray]]:
+    """Reusable scratch buffers of the batched kernel, one dict per thread.
 
     Cached on the analysis object so repeated evaluations over the same
     tensors (one recompute per session refresh) skip the cold
@@ -301,10 +322,47 @@ def _analysis_work(analysis: AllPairsTiming) -> Dict[str, np.ndarray]:
     never values derived from the tensors, which an attached session
     patches in place between refreshes.
     """
-    work = getattr(analysis, "_criticality_scratch", None)
-    if work is None:
-        work = analysis._criticality_scratch = {}
-    return work
+    works = getattr(analysis, "_criticality_scratch", None)
+    if works is None:
+        works = analysis._criticality_scratch = []
+    while len(works) < threads:
+        works.append({})
+    return works[:threads]
+
+
+def _usable_cpus() -> int:
+    """CPUs the chunk loop may keep busy with threads of its own.
+
+    These are the CPUs this process may run on, but only one:
+
+    * inside a pool worker, a daemonic process that runs one shard of a
+      parallel map beside its siblings (the test by which
+      :func:`repro.parallel.pool.maybe_executor` refuses nested pools);
+    * unless BLAS runs each call on one thread, that is unless the first
+      set of :data:`_BLAS_THREADS_ENV` reads 1.  A threaded BLAS already
+      spreads the contractions over the CPUs, and OpenBLAS serialises
+      threaded calls made from several threads at once: two threads over
+      a two-thread BLAS ran c7552 about 1.7x slower than the serial loop
+      on a 2-CPU host.
+    """
+    if multiprocessing.current_process().daemon:
+        return 1
+    blas_threads = next(
+        (os.environ[name] for name in _BLAS_THREADS_ENV if name in os.environ),
+        None,
+    )
+    if blas_threads != "1":
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _thread_count(num_chunks: int) -> int:
+    """Threads for ``num_chunks`` chunks: one per :data:`_CHUNKS_PER_THREAD`
+    chunks, up to the usable CPUs, and at least one."""
+    return max(1, min(_usable_cpus(), num_chunks // _CHUNKS_PER_THREAD))
 
 
 def _view(
@@ -536,7 +594,11 @@ def edge_criticality_batch(
     see :func:`_chunk_terms`), so values match the scalar reference's
     pair-space maximum exactly up to the 1e-9 BLAS round-off contract; the
     reported argmax pair always attains the maximum but may differ from
-    the scalar argmax between tied pairs.  On an empty edge set or an
+    the scalar argmax between tied pairs.  Another chunk budget moves the
+    values within that contract too, not bitwise, since BLAS rounds by the
+    chunk shape.  That is why a run of many chunks spreads the same chunks
+    over threads (:func:`_thread_count`) instead of re-cutting them: any
+    thread count gives the same bits.  On an empty edge set or an
     empty pair space the result is returned empty/zero instead of raising
     from an empty-array reduction.
     """
@@ -552,7 +614,7 @@ def edge_criticality_batch(
 
     rows_all = _edge_rows(analysis, edge_list)
     values, best = _batched_edge_max(
-        analysis, rows_all, _matrix_moments(analysis), _analysis_work(analysis)
+        analysis, rows_all, _matrix_moments(analysis)
     )
     num_outputs = analysis.num_outputs
     max_criticality: Dict[int, float] = {}
@@ -568,12 +630,16 @@ def _batched_edge_max(
     analysis: AllPairsTiming,
     rows_all: np.ndarray,
     moments: _HoistedMoments,
-    work: Dict[str, np.ndarray],
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-edge maximum criticality over the pair space, batched by chunks.
 
     Returns ``(values, best)``: the maximum of every edge row of
-    ``rows_all`` and the flat index of an attaining pair.
+    ``rows_all`` and the flat index of an attaining pair.  The chunks go
+    to :func:`_thread_count` threads, interleaved; each thread owns its
+    scratch and writes only its chunks' slices of the results.  Every
+    chunk is evaluated exactly as the serial loop evaluates it, so any
+    thread count gives the same bits; the threads overlap because the
+    chunk's numpy calls release the GIL.
     """
     num_inputs = analysis.num_inputs
     num_outputs = analysis.num_outputs
@@ -581,32 +647,50 @@ def _batched_edge_max(
     chunk_edges = auto_chunk_edges(
         num_inputs, num_outputs, analysis.arrays.edge_corr.shape[1]
     )
+    starts = range(0, rows_all.size, chunk_edges)
+    threads = _thread_count(len(starts))
+    works = _analysis_work(analysis, threads)
     values = np.zeros(rows_all.size, dtype=float)
     best_all = np.zeros(rows_all.size, dtype=np.int64)
-    for start in range(0, rows_all.size, chunk_edges):
-        chunk_rows = rows_all[start : start + chunk_edges]
-        count = chunk_rows.size
-        z, degenerate, tied, valid = _chunk_terms(
-            analysis, chunk_rows, moments, work
-        )
-        # Pairs whose value is nd(z): valid and not resolved through the
-        # degenerate 0/1 rule; everything else scores -inf (nd == 0.0).
-        unscored = _view(work, "unscored", valid.shape, bool)
-        np.logical_not(valid, out=unscored)
-        unscored |= degenerate
-        np.copyto(z, -np.inf, where=unscored)
-        z_flat = z.reshape(count, num_pairs)
-        best = np.argmax(z_flat, axis=1)
-        arange = np.arange(count)
-        chunk_values = normal_cdf(z_flat[arange, best])  # nd(-inf) == 0.0
-        # Degenerate ties contribute exactly 1.0 (criticality of a pair
-        # whose maximum is attained by this edge's path identically).
-        tied_flat = tied.reshape(count, num_pairs)
-        has_tie = tied_flat.any(axis=1)
-        tie_first = np.argmax(tied_flat, axis=1)
-        take_tie = has_tie & (chunk_values < 1.0)
-        values[start : start + count] = np.where(take_tie, 1.0, chunk_values)
-        best_all[start : start + count] = np.where(take_tie, tie_first, best)
+
+    def run_chunks(thread: int) -> None:
+        work = works[thread]
+        for start in starts[thread::threads]:
+            chunk_rows = rows_all[start : start + chunk_edges]
+            count = chunk_rows.size
+            z, degenerate, tied, valid = _chunk_terms(
+                analysis, chunk_rows, moments, work
+            )
+            # Pairs whose value is nd(z): valid and not resolved through
+            # the degenerate 0/1 rule; everything else scores -inf
+            # (nd == 0.0).
+            unscored = _view(work, "unscored", valid.shape, bool)
+            np.logical_not(valid, out=unscored)
+            unscored |= degenerate
+            np.copyto(z, -np.inf, where=unscored)
+            z_flat = z.reshape(count, num_pairs)
+            best = np.argmax(z_flat, axis=1)
+            arange = np.arange(count)
+            chunk_values = normal_cdf(z_flat[arange, best])  # nd(-inf) == 0.0
+            # Degenerate ties contribute exactly 1.0 (criticality of a pair
+            # whose maximum is attained by this edge's path identically).
+            tied_flat = tied.reshape(count, num_pairs)
+            has_tie = tied_flat.any(axis=1)
+            tie_first = np.argmax(tied_flat, axis=1)
+            take_tie = has_tie & (chunk_values < 1.0)
+            values[start : start + count] = np.where(
+                take_tie, 1.0, chunk_values
+            )
+            best_all[start : start + count] = np.where(
+                take_tie, tie_first, best
+            )
+
+    if threads == 1:
+        run_chunks(0)
+    else:
+        with ThreadPoolExecutor(threads) as pool:
+            # Reading every result re-raises a chunk's exception here.
+            list(pool.map(run_chunks, range(threads)))
     return values, best_all
 
 

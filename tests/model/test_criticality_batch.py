@@ -280,7 +280,12 @@ class TestDegenerateEdges:
 
 class TestChunking:
     def test_chunking_is_invariant(self, monkeypatch):
-        """Any chunk size yields the same result as one big chunk."""
+        """Any chunk size yields the same result as one big chunk here.
+
+        Exactly on this small synthetic graph; on real modules BLAS rounds
+        by the chunk shape, so only to 1e-9
+        (``TestChunkSizer::test_one_edge_chunks_on_a_real_module``).
+        """
         graph = _build_graph(11, 3, 3, 10)
         analysis = AllPairsTiming.analyze(graph)
         whole = edge_criticality_batch(analysis)
@@ -458,3 +463,143 @@ class TestChunkSizer:
         monkeypatch.setattr(criticality, "CRITICALITY_CHUNK_PAIRS", 1)
         tiny = edge_criticality_batch(analysis)
         _assert_results_close(reference, tiny)
+
+    def test_one_edge_chunks_on_a_real_module(self, c432_graph, monkeypatch):
+        # On a real module another chunking moves values within the 1e-9
+        # contract, not bitwise (BLAS rounds by the chunk shape), and the
+        # argmax pairs still attain the maximum.
+        graph = c432_graph
+        analysis = AllPairsTiming.analyze(graph)
+        default = compute_edge_criticalities(graph, analysis)
+        monkeypatch.setattr(criticality, "CRITICALITY_CHUNK_PAIRS", 1)
+        one_edge = compute_edge_criticalities(graph, analysis)
+        _assert_results_close(default, one_edge)
+        _assert_argmax_attains(graph, analysis, one_edge)
+
+
+def _force_threads(monkeypatch, threads):
+    """Run every chunk loop on ``threads`` threads, whatever its length."""
+    monkeypatch.setattr(criticality, "_usable_cpus", lambda: threads)
+    monkeypatch.setattr(criticality, "_CHUNKS_PER_THREAD", 1)
+
+
+def _three_edge_chunks(monkeypatch, analysis):
+    """Cut ``analysis``'s edges into chunks of three."""
+    num_inputs, num_outputs = analysis.num_inputs, analysis.num_outputs
+    num_corr = analysis.arrays.edge_corr.shape[1]
+    per_edge = num_inputs * num_outputs + (num_inputs + num_outputs) * num_corr
+    monkeypatch.setattr(criticality, "CRITICALITY_CHUNK_PAIRS", 3 * per_edge)
+    assert criticality.auto_chunk_edges(num_inputs, num_outputs, num_corr) == 3
+
+
+def _assert_identical(expected, actual):
+    assert actual.max_criticality == expected.max_criticality
+    assert actual.argmax_pairs == expected.argmax_pairs
+
+
+class TestThreads:
+    """Threads split the serial loop's chunks, never re-cut them, so any
+    thread count gives the serial loop's bits, argmax pairs included."""
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_forced_threads_match_the_serial_loop(
+        self, parity_module, monkeypatch, threads
+    ):
+        graph = parity_module[0]
+        analysis = AllPairsTiming.analyze(graph)
+        _three_edge_chunks(monkeypatch, analysis)
+        serial = compute_edge_criticalities(graph, analysis)
+        _force_threads(monkeypatch, threads)
+        _assert_identical(serial, compute_edge_criticalities(graph, analysis))
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_forced_threads_after_a_session_refresh(
+        self, parity_module, monkeypatch, threads
+    ):
+        pristine, variation = parity_module
+        graph = pristine.copy()
+        _three_edge_chunks(monkeypatch, AllPairsTiming.analyze(graph))
+        _force_threads(monkeypatch, threads)
+        session = ExtractionSession(graph, variation)
+        edge = graph.edges[len(graph.edges) // 2]
+        graph.replace_edge_delay(edge, edge.delay.scale(1.3))
+        assert session.refresh().mode == "incremental"
+        _force_threads(monkeypatch, 1)
+        cold = compute_edge_criticalities(graph, AllPairsTiming.analyze(graph))
+        _assert_identical(cold, session.criticalities)
+
+    def test_more_threads_than_chunks(self, parity_module, monkeypatch):
+        graph = parity_module[0]
+        analysis = AllPairsTiming.analyze(graph)
+        _three_edge_chunks(monkeypatch, analysis)
+        serial = compute_edge_criticalities(graph, analysis)
+        monkeypatch.setattr(
+            criticality, "_thread_count", lambda num_chunks: num_chunks + 3
+        )
+        _assert_identical(serial, compute_edge_criticalities(graph, analysis))
+
+    def test_a_failing_chunk_raises_to_the_caller(
+        self, c432_graph, monkeypatch
+    ):
+        import threading
+
+        analysis = AllPairsTiming.analyze(c432_graph)
+        _three_edge_chunks(monkeypatch, analysis)
+        _force_threads(monkeypatch, 2)
+        chunk_terms = criticality._chunk_terms
+
+        def failing_chunk_terms(analysis, rows, moments, work=None):
+            if threading.current_thread() is not threading.main_thread():
+                raise FloatingPointError("chunk at row %d" % rows[0])
+            return chunk_terms(analysis, rows, moments, work)
+
+        monkeypatch.setattr(criticality, "_chunk_terms", failing_chunk_terms)
+        raised = []
+
+        def run():
+            try:
+                compute_edge_criticalities(c432_graph, analysis)
+            except FloatingPointError as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=run, daemon=True)
+        caller.start()
+        caller.join(timeout=60.0)
+        assert not caller.is_alive(), "the chunk loop hung on a failed chunk"
+        assert len(raised) == 1 and "chunk at row" in str(raised[0])
+
+    def test_a_pool_worker_keeps_to_one_thread(self, monkeypatch):
+        import multiprocessing
+        import os
+
+        # BLAS on one thread per call: only the daemon flag can say 1.
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert criticality._usable_cpus() == len(os.sched_getaffinity(0))
+        with multiprocessing.get_context("spawn").Pool(1) as pool:
+            result = pool.apply_async(criticality._usable_cpus)
+            in_worker = result.get(timeout=120)
+        assert in_worker == 1
+
+    @pytest.mark.parametrize(
+        "blas_env, single",
+        [
+            ({}, False),
+            ({"OMP_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, True),
+            ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+        ],
+    )
+    def test_a_threaded_blas_keeps_the_serial_loop(
+        self, monkeypatch, blas_env, single
+    ):
+        import os
+
+        for name in criticality._BLAS_THREADS_ENV:
+            monkeypatch.delenv(name, raising=False)
+        for name, value in blas_env.items():
+            monkeypatch.setenv(name, value)
+        cpus = len(os.sched_getaffinity(0)) if single else 1
+        assert criticality._usable_cpus() == cpus
+        assert criticality._thread_count(10 ** 6) == cpus
+        below_floor = criticality._CHUNKS_PER_THREAD - 1
+        assert criticality._thread_count(below_floor) == 1
