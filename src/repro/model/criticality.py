@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
@@ -635,10 +636,12 @@ def _batched_edge_max(
 
     Returns ``(values, best)``: the maximum of every edge row of
     ``rows_all`` and the flat index of an attaining pair.  The chunks go
-    to :func:`_thread_count` threads, interleaved; each thread owns its
-    scratch and writes only its chunks' slices of the results.  Every
-    chunk is evaluated exactly as the serial loop evaluates it, so any
-    thread count gives the same bits; the threads overlap because the
+    to :func:`_thread_count` threads, each thread taking the next chunk
+    as it finishes one, so a thread on a slow or busy CPU takes fewer
+    chunks instead of holding the others up; each thread owns its scratch
+    and writes only its chunks' slices of the results.  Every chunk is
+    evaluated exactly as the serial loop evaluates it, so any thread count
+    and any order give the same bits; the threads overlap because the
     chunk's numpy calls release the GIL.
     """
     num_inputs = analysis.num_inputs
@@ -653,9 +656,16 @@ def _batched_edge_max(
     values = np.zeros(rows_all.size, dtype=float)
     best_all = np.zeros(rows_all.size, dtype=np.int64)
 
+    pending = iter(starts)
+    pending_lock = threading.Lock()
+
+    def next_start() -> Optional[int]:
+        with pending_lock:
+            return next(pending, None)
+
     def run_chunks(thread: int) -> None:
         work = works[thread]
-        for start in starts[thread::threads]:
+        for start in iter(next_start, None):
             chunk_rows = rows_all[start : start + chunk_edges]
             count = chunk_rows.size
             z, degenerate, tied, valid = _chunk_terms(

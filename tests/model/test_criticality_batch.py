@@ -538,6 +538,46 @@ class TestThreads:
         )
         _assert_identical(serial, compute_edge_criticalities(graph, analysis))
 
+    def test_a_stalled_thread_leaves_its_chunks_to_the_others(
+        self, parity_module, monkeypatch
+    ):
+        import threading
+
+        graph = parity_module[0]
+        analysis = AllPairsTiming.analyze(graph)
+        _three_edge_chunks(monkeypatch, analysis)
+        serial = compute_edge_criticalities(graph, analysis)
+        num_chunks = -(-graph.num_edges // 3)
+        assert num_chunks >= 4
+        _force_threads(monkeypatch, 2)
+        chunk_terms = criticality._chunk_terms
+        lock = threading.Lock()
+        stalled, others = [], []
+        rest_done = threading.Event()
+
+        def stalling_chunk_terms(analysis, rows, moments, work=None):
+            # The first thread to start a chunk stalls in it until the
+            # other thread has evaluated every other chunk.
+            with lock:
+                stall = not stalled
+                if stall:
+                    stalled.append(threading.get_ident())
+            if stall:
+                rest_done.wait(timeout=30.0)
+            else:
+                with lock:
+                    others.append(threading.get_ident())
+                    if len(others) == num_chunks - 1:
+                        rest_done.set()
+            return chunk_terms(analysis, rows, moments, work)
+
+        monkeypatch.setattr(criticality, "_chunk_terms", stalling_chunk_terms)
+        result = compute_edge_criticalities(graph, analysis)
+        assert rest_done.is_set(), "the other thread left chunks unevaluated"
+        assert len(others) == num_chunks - 1
+        assert stalled[0] not in others
+        _assert_identical(serial, result)
+
     def test_a_failing_chunk_raises_to_the_caller(
         self, c432_graph, monkeypatch
     ):
