@@ -234,10 +234,6 @@ class CanonicalForm:
             return 0.0
         return self.covariance(other) / denom
 
-    def with_local_coeffs(self, local_coeffs: np.ndarray) -> "CanonicalForm":
-        """Return a copy with the local coefficient vector replaced."""
-        return CanonicalForm(self._nominal, self._global, local_coeffs, self._random)
-
     def remap_locals(self, matrix: np.ndarray) -> "CanonicalForm":
         """Re-express the local part in a new independent basis.
 

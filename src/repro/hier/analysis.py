@@ -29,13 +29,7 @@ from repro.core.canonical import CanonicalForm
 from repro.errors import HierarchyError
 from repro.hier.design import HierarchicalDesign, ModuleInstance
 from repro.hier.grids import DesignGrids, build_design_grids
-from repro.hier.replacement import (
-    block_diagonal_graph,
-    design_pca,
-    remap_model_graph,
-    replacement_matrix,
-    swap_instance_subgraph,
-)
+from repro.hier.replacement import design_pca, replacement_matrix
 from repro.model.extraction import (
     DEFAULT_CRITICALITY_THRESHOLD,
     ExtractionSession,
@@ -138,26 +132,81 @@ class _InstanceMembership:
     local_offset: int = -1
 
 
-def _instantiate_model_graph(
+def _design_basis(
+    design: HierarchicalDesign, mode: CorrelationMode
+) -> Tuple[Optional[DesignGrids], Optional[PCADecomposition]]:
+    """The design grids and design-level PCA of ``mode``.
+
+    Both are deterministic functions of the placement and the shared
+    correlation profile; ``GLOBAL_ONLY`` needs neither (``None, None``).
+    """
+    if mode is CorrelationMode.REPLACEMENT:
+        grids = build_design_grids(design)
+        return grids, design_pca(grids, _correlation_profile(design))
+    if mode is CorrelationMode.GLOBAL_ONLY:
+        return None, None
+    raise ValueError("unknown correlation mode %r" % mode)  # pragma: no cover
+
+
+def _instance_edges(
     instance: ModuleInstance,
     mode: CorrelationMode,
     grids: Optional[DesignGrids],
     pca: Optional[PCADecomposition],
     num_locals: int,
     local_offset: int,
-) -> TimingGraph:
-    """The instance's model graph re-expressed in the design basis."""
+) -> List[Tuple[str, str, CanonicalForm]]:
+    """The instance's prefixed model edges with their delays in the design basis.
+
+    Both modes are one basis map of shape ``(k_module, num_locals)``
+    applied to every edge's local coefficients: the eq. 19 replacement
+    matrix in ``REPLACEMENT`` mode, the identity placed at the instance's
+    private block ``[local_offset, local_offset + k_module)`` in
+    ``GLOBAL_ONLY`` mode.  Touches no graph, so a swap that raises here
+    leaves the design graph as it was.
+    """
     if mode is CorrelationMode.REPLACEMENT:
-        replacement = replacement_matrix(instance, grids, pca)
-        return remap_model_graph(instance, replacement, num_locals)
-    return block_diagonal_graph(instance, local_offset, num_locals)
+        basis = replacement_matrix(instance, grids, pca)
+    else:
+        k = instance.model.num_locals
+        basis = np.zeros((k, num_locals))
+        basis[:, local_offset : local_offset + k] = np.eye(k)
+    prefix = instance.prefix
+    return [
+        (
+            prefix + edge.source,
+            prefix + edge.sink,
+            edge.delay.remap_locals(basis[: edge.delay.num_locals]),
+        )
+        for edge in instance.model.graph.edges
+    ]
+
+
+def _splice_instance(
+    graph: TimingGraph,
+    entry: _InstanceMembership,
+    instance: ModuleInstance,
+    edges: List[Tuple[str, str, CanonicalForm]],
+) -> None:
+    """Put ``instance``'s model vertices and ``edges`` in place of ``entry``'s.
+
+    The port vertices stay (the design connections attach there).  Every
+    mutation is journaled, so attached sessions re-time it as one cone.
+    """
+    for edge_id in entry.edge_ids:
+        graph.remove_edge(graph.edge(edge_id))
+    for name in entry.vertices:
+        if name not in entry.ports:
+            graph.remove_vertex(name)
+    entry.vertices = [instance.prefix + vertex for vertex in instance.model.graph.vertices]
+    for vertex in entry.vertices:
+        graph.add_vertex(vertex)
+    entry.edge_ids = [graph.add_edge(*edge).edge_id for edge in edges]
 
 
 def _assemble_design_graph(
     design: HierarchicalDesign,
     mode: CorrelationMode = CorrelationMode.REPLACEMENT,
-    grids: Optional[DesignGrids] = None,
-    pca: Optional[PCADecomposition] = None,
 ) -> Tuple[
     TimingGraph,
     Optional[DesignGrids],
@@ -166,26 +215,16 @@ def _assemble_design_graph(
 ]:
     """Assemble the design graph, tracking per-instance membership."""
     design.validate()
-
-    if mode is CorrelationMode.REPLACEMENT:
-        correlation = _correlation_profile(design)
-        if grids is None:
-            grids = build_design_grids(design)
-        if pca is None:
-            pca = design_pca(grids, correlation)
+    grids, pca = _design_basis(design, mode)
+    if pca is not None:
         num_locals = pca.num_components
         offsets = [-1] * len(design.instances)
-    elif mode is CorrelationMode.GLOBAL_ONLY:
-        grids = None
-        pca = None
-        num_locals = sum(instance.model.num_locals for instance in design.instances)
+    else:
         offsets = []
-        offset = 0
+        num_locals = 0
         for instance in design.instances:
-            offsets.append(offset)
-            offset += instance.model.num_locals
-    else:  # pragma: no cover - exhaustive enum
-        raise ValueError("unknown correlation mode %r" % mode)
+            offsets.append(num_locals)
+            num_locals += instance.model.num_locals
 
     graph = TimingGraph(design.name, num_locals)
     for pi in design.primary_inputs:
@@ -195,20 +234,11 @@ def _assemble_design_graph(
 
     membership: Dict[str, _InstanceMembership] = {}
     for instance, local_offset in zip(design.instances, offsets):
-        instance_graph = _instantiate_model_graph(
-            instance, mode, grids, pca, num_locals, local_offset
-        )
-        for vertex in instance_graph.vertices:
-            graph.add_vertex(vertex)
-        edge_ids = [
-            graph.add_edge(edge.source, edge.sink, edge.delay).edge_id
-            for edge in instance_graph.edges
-        ]
+        edges = _instance_edges(instance, mode, grids, pca, num_locals, local_offset)
         ports = {instance.port_vertex(port) for port in instance.model.inputs}
         ports.update(instance.port_vertex(port) for port in instance.model.outputs)
-        membership[instance.name] = _InstanceMembership(
-            edge_ids, list(instance_graph.vertices), ports, local_offset
-        )
+        entry = membership[instance.name] = _InstanceMembership([], [], ports, local_offset)
+        _splice_instance(graph, entry, instance, edges)
 
     for connection in design.connections:
         delay = CanonicalForm.constant(connection.delay, num_locals)
@@ -221,15 +251,13 @@ def _assemble_design_graph(
 def build_design_graph(
     design: HierarchicalDesign,
     mode: CorrelationMode = CorrelationMode.REPLACEMENT,
-    grids: Optional[DesignGrids] = None,
-    pca: Optional[PCADecomposition] = None,
 ) -> Tuple[TimingGraph, Optional[DesignGrids], Optional[PCADecomposition]]:
     """Assemble the design-level timing graph for the requested mode.
 
     Returns ``(graph, grids, pca)``; the latter two are ``None`` in
     ``GLOBAL_ONLY`` mode (no design-level decomposition is needed there).
     """
-    graph, grids, pca, _unused = _assemble_design_graph(design, mode, grids, pca)
+    graph, grids, pca, _unused = _assemble_design_graph(design, mode)
     return graph, grids, pca
 
 
@@ -382,7 +410,7 @@ class DesignTimer:
         The new model must keep the instance's port interface and die
         footprint (and, in ``GLOBAL_ONLY`` mode, its local-variable count —
         the combined independent space is frozen at assembly).  The design
-        object is updated, the model subgraph is spliced into the live
+        object is updated, the model's edges are spliced into the live
         design graph, and the swap's timing impact is repropagated
         incrementally by the next query.
         """
@@ -413,28 +441,21 @@ class DesignTimer:
                 "spatial correlation profile" % (instance_name, model.name)
             )
         # replace_instance validates the port interface and footprint; if
-        # the subgraph instantiation then fails (e.g. grid-count mismatch),
-        # the old instance is restored so a failed swap leaves the design
-        # and the graph untouched.
+        # the new edges then cannot be built (e.g. grid-count mismatch),
+        # the old instance is restored before any graph mutation, so a
+        # failed swap leaves the design and the graph untouched.
         instance = self._design.replace_instance(
             instance_name, model, netlist=netlist, placement=placement
         )
         try:
-            subgraph = _instantiate_model_graph(
-                instance,
-                self._mode,
-                self._grids,
-                self._pca,
-                self.graph.num_locals,
-                entry.local_offset,
+            edges = _instance_edges(
+                instance, self._mode, self._grids, self._pca,
+                self.graph.num_locals, entry.local_offset,
             )
         except Exception:
-            # Put the exact old instance object back (no re-validation).
             self._design.restore_instance(old_instance)
             raise
-        entry.edge_ids, entry.vertices = swap_instance_subgraph(
-            self.graph, entry.edge_ids, entry.vertices, entry.ports, subgraph
-        )
+        _splice_instance(self.graph, entry, instance, edges)
         return instance
 
     # ------------------------------------------------------------------

@@ -10,6 +10,7 @@ Monte Carlo reference analysis.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -281,14 +282,20 @@ class HierarchicalDesign:
     def validate(self) -> None:
         """Check that the design is analyzable.
 
-        Every instance input must be driven by exactly one connection and
-        the design must declare at least one primary input and output.
+        Every instance input must be driven by exactly one connection, no
+        connection sink (instance input or primary output) by more than
+        one, and the design must declare at least one primary input and
+        output.
         """
         if not self._primary_inputs or not self._primary_outputs:
             raise HierarchyError("design %r needs primary inputs and outputs" % self._name)
-        sink_counts: Dict[str, int] = {}
-        for connection in self._connections:
-            sink_counts[connection.sink] = sink_counts.get(connection.sink, 0) + 1
+        sink_counts = Counter(connection.sink for connection in self._connections)
+        multiple = [sink for sink, count in sink_counts.items() if count > 1]
+        if multiple:
+            raise HierarchyError(
+                "design %r has multiple drivers for %s"
+                % (self._name, ", ".join(repr(sink) for sink in multiple))
+            )
         dangling = self.unconnected_instance_inputs()
         if dangling:
             raise HierarchyError(

@@ -13,28 +13,26 @@ where ``B_n`` holds the rows of ``B`` corresponding to the module's grids.
 Applying this substitution to every edge delay of every instantiated model
 makes all instances share the design-level independent set ``x^t``, which
 restores the spatial correlation *between* modules.
+
+This module derives the design-level PCA and the per-instance matrix
+``A^{-1} B_n``; :mod:`repro.hier.analysis` applies it, edge by edge, while
+it adds each instance's model edges to the design graph.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import HierarchyError
 from repro.hier.design import ModuleInstance
 from repro.hier.grids import DesignGrids
-from repro.model.timing_model import TimingModel
-from repro.timing.graph import TimingGraph
 from repro.variation.pca import PCADecomposition, decompose_covariance
 from repro.variation.spatial import SpatialCorrelation
 
 __all__ = [
     "design_pca",
     "replacement_matrix",
-    "remap_model_graph",
     "subblock_consistency_error",
-    "swap_instance_subgraph",
 ]
 
 
@@ -97,100 +95,3 @@ def replacement_matrix(
         )
     b_n = pca.transform[indices, :]
     return module_pca.inverse_transform @ b_n
-
-
-def remap_model_graph(
-    instance: ModuleInstance,
-    replacement: np.ndarray,
-    num_design_locals: int,
-) -> TimingGraph:
-    """Instantiate a model graph with its local variables replaced.
-
-    The returned graph's vertices carry the instance prefix
-    (``"instance/port"``) and every edge delay is re-expressed in the
-    design-level independent variable basis via ``replacement``.
-    """
-    model = instance.model
-    prefix = instance.prefix
-    graph = TimingGraph(instance.name, num_design_locals)
-    for vertex in model.graph.vertices:
-        graph.add_vertex(prefix + vertex)
-    for vertex in model.graph.inputs:
-        graph.mark_input(prefix + vertex)
-    for vertex in model.graph.outputs:
-        graph.mark_output(prefix + vertex)
-    for edge in model.graph.edges:
-        delay = edge.delay
-        remapped = delay.remap_locals(replacement[: delay.num_locals, :])
-        graph.add_edge(prefix + edge.source, prefix + edge.sink, remapped)
-    return graph
-
-
-def swap_instance_subgraph(
-    graph: TimingGraph,
-    edge_ids: Sequence[int],
-    vertices: Sequence[str],
-    ports: Iterable[str],
-    subgraph: TimingGraph,
-) -> Tuple[List[int], List[str]]:
-    """Splice a re-instantiated model subgraph into a design graph in place.
-
-    Removes the instance's current model edges (``edge_ids``) and its
-    internal vertices (``vertices`` minus ``ports`` — the port vertices
-    stay because the design connections attach there), then adds the
-    vertices and edges of ``subgraph`` (whose vertex names must already
-    carry the instance prefix).  The design graph object — and therefore
-    every incremental session attached to it — survives the swap: the
-    mutations land in the change journal and re-time as one dirty cone.
-
-    Returns ``(new_edge_ids, new_vertices)`` for the caller's membership
-    bookkeeping.
-    """
-    port_set: Set[str] = set(ports)
-    for edge_id in edge_ids:
-        graph.remove_edge(graph.edge(edge_id))
-    for name in vertices:
-        if name not in port_set:
-            graph.remove_vertex(name)
-    new_vertices = list(subgraph.vertices)
-    for name in new_vertices:
-        graph.add_vertex(name)
-    new_edge_ids = [
-        graph.add_edge(edge.source, edge.sink, edge.delay).edge_id
-        for edge in subgraph.edges
-    ]
-    return new_edge_ids, new_vertices
-
-
-def block_diagonal_graph(
-    instance: ModuleInstance,
-    local_offset: int,
-    num_total_locals: int,
-) -> TimingGraph:
-    """Instantiate a model graph without variable replacement.
-
-    Used by the "only correlation from global variation" baseline: each
-    instance keeps its own private copy of its local variables, placed in a
-    disjoint block ``[local_offset, local_offset + k_module)`` of a combined
-    independent space, so no local correlation exists between instances
-    while the shared global variable is kept.
-    """
-    model = instance.model
-    prefix = instance.prefix
-    graph = TimingGraph(instance.name, num_total_locals)
-    for vertex in model.graph.vertices:
-        graph.add_vertex(prefix + vertex)
-    for vertex in model.graph.inputs:
-        graph.mark_input(prefix + vertex)
-    for vertex in model.graph.outputs:
-        graph.mark_output(prefix + vertex)
-    for edge in model.graph.edges:
-        delay = edge.delay
-        locals_ = np.zeros(num_total_locals, dtype=float)
-        locals_[local_offset : local_offset + delay.num_locals] = delay.local_coeffs
-        graph.add_edge(
-            prefix + edge.source,
-            prefix + edge.sink,
-            delay.with_local_coeffs(locals_),
-        )
-    return graph

@@ -66,12 +66,8 @@ def flatten_design(design: HierarchicalDesign) -> Tuple[Netlist, Placement]:
             )
 
     # Map every connection sink (an instance input port or a design primary
-    # output) onto its driving net.
-    alias: Dict[str, str] = {}
-    for connection in design.connections:
-        if connection.sink in alias:
-            raise HierarchyError("multiple drivers for %r" % connection.sink)
-        alias[connection.sink] = connection.source
+    # output; validate() checked each has one driver) onto its driving net.
+    alias = {connection.sink: connection.source for connection in design.connections}
 
     gates: List[Gate] = []
     locations: Dict[str, Tuple[float, float]] = {}

@@ -39,7 +39,7 @@ from repro.errors import StoreCorruptError, StoreKeyError
 from repro.hier.analysis import (
     CorrelationMode,
     DesignTimer,
-    _correlation_profile,
+    _design_basis,
     _InstanceMembership,
 )
 from repro.store.format import read_entry, write_entry
@@ -154,18 +154,7 @@ def load_design_timer(
     self = DesignTimer.__new__(DesignTimer)
     self._design = design
     self._mode = mode
-    if mode is CorrelationMode.REPLACEMENT:
-        # Deterministic functions of the placement and the shared
-        # correlation profile — recomputed, not persisted (the same policy
-        # the model-exchange JSON uses for the per-module PCA).
-        from repro.hier.grids import build_design_grids
-        from repro.hier.replacement import design_pca
-
-        self._grids = build_design_grids(design)
-        self._pca = design_pca(self._grids, _correlation_profile(design))
-    else:
-        self._grids = None
-        self._pca = None
+    self._grids, self._pca = _design_basis(design, mode)
     self._membership = {
         name: _InstanceMembership(
             [int(edge_id) for edge_id in data["edge_ids"]],

@@ -8,12 +8,13 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure7 import build_multiplier_design, build_multiplier_module
 from repro.hier.analysis import (
     CorrelationMode,
+    DesignTimer,
     analyze_hierarchical_design,
     build_design_graph,
 )
 from repro.hier.design import HierarchicalDesign, ModuleInstance
 from repro.model.extraction import extract_timing_model
-from repro.montecarlo.hierarchical import monte_carlo_hierarchical
+from repro.montecarlo.hierarchical import flatten_design, monte_carlo_hierarchical
 from repro.variation.grid import Die
 
 
@@ -59,6 +60,20 @@ class TestDesignGraph:
         design.add_primary_output("PO")
         with pytest.raises(HierarchyError):
             build_design_graph(design)
+
+    def test_doubly_driven_sinks_rejected(self, small_module):
+        """A second driver of an instance input or a primary output is
+        rejected by every consumer of the design, not silently maxed."""
+        module, _unused = small_module
+        design = build_multiplier_design(module)
+        outputs = module.model.outputs
+        design.connect("m0_0/%s" % outputs[-1], "m0_1/A0")
+        design.connect("m1_1/%s" % outputs[1], "PO_m1_1_%s" % outputs[0])
+        for consumer in (build_design_graph, DesignTimer, flatten_design):
+            with pytest.raises(HierarchyError, match="multiple drivers") as info:
+                consumer(design)
+            assert "'m0_1/A0'" in str(info.value)
+            assert "'PO_m1_1_%s'" % outputs[0] in str(info.value)
 
 
 class TestAnalysis:

@@ -202,6 +202,21 @@ class TestReplaceInstanceValidation:
         after = session.circuit_delay()
         assert after.mean == pytest.approx(before.mean, rel=1e-12)
 
+    def test_rejected_replacement_swap_is_atomic(self, module_pair, quad_design):
+        """A model the design basis cannot map is rejected after
+        replace_instance accepted it: the design and graph stay as they were."""
+        config = ExperimentConfig(max_cells_per_grid=4)
+        finer = build_multiplier_module(bits=4, config=config).model
+        session = DesignTimer(quad_design)
+        before = session.circuit_delay()
+        revision = session.graph.revision
+        old_instance = quad_design.instance("m0_0")
+        with pytest.raises(HierarchyError, match="maps 1 design grids onto 25 module grids"):
+            session.swap_instance_model("m0_0", finer)
+        assert quad_design.instance("m0_0") is old_instance
+        assert session.graph.revision == revision
+        assert session.circuit_delay() == before
+
     def test_unknown_instance_rejected(self, module_pair, quad_design):
         _module, alternate = module_pair
         session = DesignTimer(quad_design)

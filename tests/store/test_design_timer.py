@@ -8,7 +8,7 @@ import pytest
 from repro.errors import StoreKeyError
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.figure7 import build_multiplier_design, build_multiplier_module
-from repro.hier.analysis import DesignTimer
+from repro.hier.analysis import CorrelationMode, DesignTimer
 from repro.hier.design import HierarchicalDesign, ModuleInstance
 from repro.liberty.library import standard_library
 from repro.model.extraction import extract_timing_model
@@ -35,10 +35,14 @@ def design_setup():
 
 
 @pytest.fixture
-def saved_bundle(design_setup, tmp_path):
-    """A fresh warm timer (delay + MC + one extraction session), saved."""
+def saved_bundle(design_setup, tmp_path, request):
+    """A fresh warm timer (delay + MC + one extraction session), saved.
+
+    Assembled in ``REPLACEMENT`` mode unless a test parametrizes the
+    fixture indirectly with a :class:`CorrelationMode`.
+    """
     module, design, library, full_graph, _unused = design_setup
-    timer = DesignTimer(design)
+    timer = DesignTimer(design, getattr(request, "param", CorrelationMode.REPLACEMENT))
     timer.circuit_delay()
     timer.revalidate_monte_carlo(num_samples=300, seed=1, library=library)
     timer.attach_module_source(
@@ -46,6 +50,11 @@ def saved_bundle(design_setup, tmp_path):
     )
     timer.save(tmp_path / "bundle")
     return timer, tmp_path / "bundle"
+
+
+both_modes = pytest.mark.parametrize(
+    "saved_bundle", list(CorrelationMode), ids=lambda mode: mode.value, indirect=True
+)
 
 
 class TestBundleParity:
@@ -56,6 +65,7 @@ class TestBundleParity:
         assert (root / "montecarlo.npz").is_file()
         assert len(list((root / "extraction").iterdir())) == 1
 
+    @both_modes
     def test_delay_and_monte_carlo_parity(self, design_setup, saved_bundle):
         _module, design, library, _graph, _alt = design_setup
         timer, root = saved_bundle
@@ -69,12 +79,15 @@ class TestBundleParity:
         )
         assert np.array_equal(restored.samples, reference.samples)
 
+    @both_modes
     def test_post_load_swap_stays_bit_identical(self, design_setup, saved_bundle):
         """Edits after the restart flow through the ordinary journaled paths."""
         module, design, library, _graph, alternate = design_setup
         timer, root = saved_bundle
         loaded = DesignTimer.load(root, design, library=library)
-        swapped = design.instances[0].name
+        # The last instance: in GLOBAL_ONLY mode its locals sit at a
+        # nonzero offset, which only the saved membership knows.
+        swapped = design.instances[-1].name
         for session in (timer, loaded):
             session.swap_instance_model(
                 swapped, alternate,
