@@ -282,10 +282,10 @@ class HierarchicalDesign:
     def validate(self) -> None:
         """Check that the design is analyzable.
 
-        Every instance input must be driven by exactly one connection, no
-        connection sink (instance input or primary output) by more than
-        one, and the design must declare at least one primary input and
-        output.
+        The design must declare at least one primary input and output.  A
+        bare-name connection source must be a declared primary input and a
+        bare-name sink a declared primary output.  Every instance input and
+        every primary output must be driven by exactly one connection.
         """
         if not self._primary_inputs or not self._primary_outputs:
             raise HierarchyError("design %r needs primary inputs and outputs" % self._name)
@@ -296,6 +296,23 @@ class HierarchicalDesign:
                 "design %r has multiple drivers for %s"
                 % (self._name, ", ".join(repr(sink) for sink in multiple))
             )
+        inputs, outputs = set(self._primary_inputs), set(self._primary_outputs)
+        bare_sources = (c.source for c in self._connections if "/" not in c.source)
+        bare_sinks = (c.sink for c in self._connections if "/" not in c.sink)
+        problems = [
+            "%s: %s" % (what, ", ".join(repr(name) for name in dict.fromkeys(names)))
+            for what, names in (
+                ("connection sources that are not primary inputs",
+                 [name for name in bare_sources if name not in inputs]),
+                ("connection sinks that are not primary outputs",
+                 [name for name in bare_sinks if name not in outputs]),
+                ("undriven primary outputs",
+                 [name for name in self._primary_outputs if name not in sink_counts]),
+            )
+            if names
+        ]
+        if problems:
+            raise HierarchyError("design %r has %s" % (self._name, "; ".join(problems)))
         dangling = self.unconnected_instance_inputs()
         if dangling:
             raise HierarchyError(

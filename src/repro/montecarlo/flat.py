@@ -39,7 +39,9 @@ sampled ``(E, S)`` edge-delay matrix alive as a cache keyed to the graph's
 revisioned change journal: after an ECO, only the rows named by the
 coalesced retime window are resampled (structural windows migrate the
 surviving rows, journal overflow / IO changes fall back to a full
-resample) and only the affected sample cone is repropagated.
+resample) and only the affected sample cone is repropagated, walked by
+:func:`~repro.timing.arrays._sweep_cone`, the one dirty-cone walker of the
+three incremental sessions.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 import numpy as np
 
 from repro.errors import TimingGraphError
-from repro.timing.arrays import GraphArrays
+from repro.timing.arrays import GraphArrays, _sweep_cone
 from repro.timing.graph import TimingGraph
 
 __all__ = [
@@ -1195,32 +1197,31 @@ class MonteCarloSession:
     def _propagate_dirty(self, seed_rows: np.ndarray) -> np.ndarray:
         """Recompute only the structural fan-out cone of the retimed edges.
 
-        ``seed_rows`` are the sink rows of the resampled delay rows; every
-        vertex reachable from them is recomputed level by level from the
-        cached arrivals of its (possibly clean) predecessors — the same
-        fold as the full kernel, so the refreshed cache is bit-identical
-        to a full repropagation of the patched matrix.
+        ``seed_rows`` are the sink rows of the resampled delay rows.  The
+        cone is walked by :func:`~repro.timing.arrays._sweep_cone`, every
+        refolded row reported as moved (every sample moves), while the walk
+        records each level's dirty rows with their fanin edges; the chunk
+        loop then recomputes them level by level from the cached arrivals
+        of their (possibly clean) predecessors — the same fold as the full
+        kernel, so the refreshed cache is bit-identical to a full
+        repropagation of the patched matrix.
         """
         arrays = self._arrays
-        mask = np.zeros(arrays.num_vertices, dtype=bool)
-        mask[seed_rows] = True
+        dirty = np.zeros(arrays.num_vertices, dtype=bool)
+        dirty[seed_rows] = True
         edge_source = arrays.edge_source
         is_input = np.zeros(arrays.num_vertices, dtype=bool)
         is_input[arrays.input_rows] = True
 
         levels = []
-        for level in arrays.forward_levels():
-            rows = level.vertex_rows
-            edge_rows, starts = _level_fanin(arrays, rows)
-            dirty = mask[rows]
-            incoming = np.logical_or.reduceat(mask[edge_source[edge_rows]], starts)
-            dirty |= incoming
-            if not dirty.any():
-                continue
-            mask[rows[dirty]] = True
-            rows_d = rows[dirty]
-            edge_rows_d, starts_d = _level_fanin(arrays, rows_d)
-            levels.append((rows_d, edge_rows_d, starts_d, is_input[rows_d]))
+
+        def plan(rows: np.ndarray, edge_matrix: Optional[np.ndarray]) -> np.ndarray:
+            if edge_matrix is not None:  # a fanin-free row keeps its arrivals
+                edge_rows, starts = _level_fanin(arrays, rows)
+                levels.append((rows, edge_rows, starts, is_input[rows]))
+            return rows
+
+        _sweep_cone(arrays, dirty, False, plan)
 
         chunk_size = self._chunk()
         done = 0

@@ -30,7 +30,9 @@ Two entry points share the tensors:
 * :class:`AllPairsSession` — an incremental session keyed to the graph's
   revisioned change journal that refreshes the tensors by repropagating
   only the dirty cone of each edit burst, serving threshold sweeps and
-  repeated model extraction at what-if speed.
+  repeated model extraction at what-if speed.  Its cone walk is
+  :func:`~repro.timing.arrays._sweep_cone`, the one walker of the three
+  incremental sessions, and its write-back the incremental timer's.
 
 Memory budget
 -------------
@@ -64,9 +66,9 @@ import numpy as np
 from repro.core.batch import FoldWorkspace, clark_max_arrays
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
-from repro.timing.arrays import GraphArrays, _merge_dirty
+from repro.timing.arrays import GraphArrays, _merge_dirty, _migrate_rows, _sweep_cone
 from repro.timing.graph import TimingGraph
-from repro.timing.propagation import _fold_levels, _fold_rounds
+from repro.timing.propagation import _fold_levels, _fold_rounds, _write_moved
 
 __all__ = [
     "ALLPAIRS_BUDGET_FLOATS",
@@ -719,27 +721,14 @@ class AllPairsSession:
         """Re-index the tensors and bookkeeping through a vertex row map."""
         analysis = self._analysis
         num_vertices = self._arrays.num_vertices
-        keep = row_map >= 0
-        dest = row_map[keep]
-
-        def _move(tensor: np.ndarray) -> np.ndarray:
-            shape = (num_vertices,) + tensor.shape[1:]
-            moved = np.zeros(shape, dtype=tensor.dtype)
-            moved[dest] = tensor[keep]
-            return moved
-
-        analysis.arrival_mean = _move(analysis.arrival_mean)
-        analysis.arrival_corr = _move(analysis.arrival_corr)
-        analysis.arrival_randvar = _move(analysis.arrival_randvar)
-        analysis.arrival_valid = _move(analysis.arrival_valid)
-        analysis.to_output_mean = _move(analysis.to_output_mean)
-        analysis.to_output_corr = _move(analysis.to_output_corr)
-        analysis.to_output_randvar = _move(analysis.to_output_randvar)
-        analysis.to_output_valid = _move(analysis.to_output_valid)
+        for name in self._TENSOR_FIELDS:
+            if not name.startswith("matrix_"):  # the (I, O) matrix has no vertex rows
+                tensor = getattr(analysis, name)
+                setattr(analysis, name, _migrate_rows(tensor, row_map, num_vertices))
         if self._dirty_fwd is not None:
-            self._dirty_fwd = _move(self._dirty_fwd)
+            self._dirty_fwd = _migrate_rows(self._dirty_fwd, row_map, num_vertices)
         if self._dirty_bwd is not None:
-            self._dirty_bwd = _move(self._dirty_bwd)
+            self._dirty_bwd = _migrate_rows(self._dirty_bwd, row_map, num_vertices)
         self._index_positions()
 
     def _index_positions(self) -> None:
@@ -763,46 +752,33 @@ class AllPairsSession:
     def _sweep(self, backward: bool) -> int:
         """Repropagate one direction's dirty cone; returns its vertex count.
 
-        Processes, per topological level, only the dirty subset of the
-        level's vertices through the shared fold round body, as the
-        incremental timer's sweep does.  The subset inherits the level's
-        descending-degree order, so round ``r`` still folds a contiguous
-        prefix; every vertex folds its seed row first and then its fanin
-        (fanout) candidates in graph order, exactly the fold of the
-        from-scratch engine.  Dirty vertices with no fold edges take their
-        seed row.  A vertex only dirties its dependents when one of its
-        tensor entries actually moved (early termination on convergence).
-        The forward sweep also copies each moved output row into its
-        matrix column, so the delay matrix is current when it returns.
+        Walks the cone with :func:`~repro.timing.arrays._sweep_cone`, as
+        the incremental timer does, folding each level's dirty subset
+        across all inputs (outputs) through the shared fold round body.
+        Every vertex folds its seed row first and then its fanin (fanout)
+        candidates in graph order, exactly the fold of the from-scratch
+        engine; a dirty vertex with no fold edges takes its seed row.  Only
+        rows with a moved tensor entry are written back and dirty their
+        dependents (early termination on convergence).  The forward sweep
+        also copies each moved output row into its matrix column, so the
+        delay matrix is current when it returns.
         """
         dirty = self._dirty_bwd if backward else self._dirty_fwd
         if dirty is None:
             return 0
         analysis = self._analysis
         arrays = self._arrays
-        self._graph.topological_order()  # raises on a cycle before any state write
-        if backward:
-            levels = arrays.backward_levels()
-            degree = arrays.fanout_counts()
-            neighbor_rows, dependents = arrays.edge_sink, arrays.edge_source
-            state = (
-                analysis.to_output_mean, analysis.to_output_corr,
-                analysis.to_output_randvar, analysis.to_output_valid,
-            )
-            positions = self._output_position
-        else:
-            levels = arrays.forward_levels()
-            degree = arrays.fanin_counts()
-            neighbor_rows, dependents = arrays.edge_source, arrays.edge_sink
-            state = (
-                analysis.arrival_mean, analysis.arrival_corr,
-                analysis.arrival_randvar, analysis.arrival_valid,
-            )
-            positions = self._input_position
-        tensor_mean, tensor_corr, tensor_randvar, tensor_valid = state
-        width = tensor_mean.shape[1]
+        prefix = "to_output" if backward else "arrival"
+        state = tuple(
+            getattr(analysis, "%s_%s" % (prefix, name))
+            for name in ("mean", "corr", "randvar", "valid")
+        )
+        neighbor_rows = arrays.edge_sink if backward else arrays.edge_source
+        width = state[0].shape[1]
         seed_column = np.full(arrays.num_vertices, -1, dtype=np.int64)
-        for row, position in positions.items():
+        for row, position in (
+            self._output_position if backward else self._input_position
+        ).items():
             seed_column[row] = position
         # Forward only: the matrix column of each output vertex's row.
         matrix_column = np.full(arrays.num_vertices, -1, dtype=np.int64)
@@ -811,9 +787,9 @@ class AllPairsSession:
                 matrix_column[row] = position
         work = FoldWorkspace()
 
-        def seed(rows: np.ndarray) -> Tuple[np.ndarray, ...]:
-            # Zeros everywhere, valid only at the vertex's own input
-            # (output) position: the from-scratch engine's seed row.
+        def refold(rows: np.ndarray, edge_matrix: Optional[np.ndarray]) -> np.ndarray:
+            # Seed row: zeros everywhere, valid only at the vertex's own
+            # input (output) position, as in the from-scratch engine.
             num = rows.shape[0]
             acc = (
                 work.view("acc_mean", (num, width)),
@@ -826,59 +802,20 @@ class AllPairsSession:
             columns = seed_column[rows]
             seeded = np.nonzero(columns >= 0)[0]
             acc[3][seeded, columns[seeded]] = True
-            return acc
-
-        def settle(rows, mean, corr, randvar, valid) -> None:
-            # Write back only the rows that moved (and the matrix columns
-            # of the moved output rows); dirty the moved rows' dependents.
-            old_valid = tensor_valid[rows]
-            entry_changed = (old_valid != valid) | (
-                old_valid
-                & valid
-                & (
-                    (tensor_mean[rows] != mean)
-                    | (tensor_randvar[rows] != randvar)
-                    | np.any(tensor_corr[rows] != corr, axis=-1)
+            if edge_matrix is not None:
+                _fold_rounds(
+                    edge_matrix, (edge_matrix >= 0).sum(axis=0), neighbor_rows,
+                    arrays.edge_mean, arrays.edge_corr, arrays.edge_randvar,
+                    *state, *acc, init_round0=False, work=work,
                 )
-            )
-            moved = np.nonzero(entry_changed.any(axis=1))[0]
-            if moved.size == 0:
-                return
-            moved_rows = rows[moved]
-            tensor_mean[moved_rows] = mean[moved]
-            tensor_corr[moved_rows] = corr[moved]
-            tensor_randvar[moved_rows] = randvar[moved]
-            tensor_valid[moved_rows] = valid[moved]
-            columns = matrix_column[moved_rows]
+            moved = _write_moved(state, rows, acc)
+            columns = matrix_column[moved]
             outputs = columns >= 0
             if outputs.any():
-                self._write_matrix_columns(moved_rows[outputs], columns[outputs])
-            edges = (
-                arrays.in_edges_of(moved_rows) if backward
-                else arrays.out_edges_of(moved_rows)
-            )
-            dirty[dependents[edges]] = True
+                self._write_matrix_columns(moved[outputs], columns[outputs])
+            return moved
 
-        rows = np.nonzero(dirty & (degree == 0))[0]
-        processed = int(rows.size)
-        if processed:
-            settle(rows, *seed(rows))
-        for level in levels:
-            selected = np.nonzero(dirty[level.vertex_rows])[0]
-            if selected.size == 0:
-                continue
-            rows = level.vertex_rows[selected]
-            edge_matrix = level.edge_matrix[selected]
-            acc = seed(rows)
-            _fold_rounds(
-                edge_matrix, (edge_matrix >= 0).sum(axis=0), neighbor_rows,
-                arrays.edge_mean, arrays.edge_corr, arrays.edge_randvar,
-                tensor_mean, tensor_corr, tensor_randvar, tensor_valid,
-                *acc, init_round0=False, work=work,
-            )
-            settle(rows, *acc)
-            processed += int(rows.size)
-
+        processed = _sweep_cone(arrays, dirty, backward, refold)
         if backward:
             self._dirty_bwd = None
         else:

@@ -26,15 +26,16 @@ never patched, after an edit.  Sessions keep a private view current with
 Pure delay retimes are patched into the edge arrays in place (the
 levelized schedules stay valid); structural edits rebuild the edge arrays
 and invalidate the schedules while reporting how vertex rows moved so
-per-vertex engine state can be migrated; only a journal overflow forces
-the blind full rebuild.
+per-vertex engine state can be migrated (:func:`_migrate_rows`); only a
+journal overflow forces the blind full rebuild.  The sessions walk their
+dirty cones through one function, :func:`_sweep_cone`.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -681,3 +682,59 @@ def _merge_dirty(
         return dirty
     pending |= dirty
     return pending
+
+
+def _migrate_rows(
+    array: np.ndarray, row_map: np.ndarray, num_vertices: int
+) -> np.ndarray:
+    """``array`` re-indexed through a refresh's vertex row map.
+
+    Rows of removed vertices are dropped; rows of added vertices are zero
+    (``False`` for masks).
+    """
+    keep = row_map >= 0
+    moved = np.zeros((num_vertices,) + array.shape[1:], dtype=array.dtype)
+    moved[row_map[keep]] = array[keep]
+    return moved
+
+
+def _sweep_cone(
+    arrays: GraphArrays,
+    dirty: np.ndarray,
+    backward: bool,
+    refold: Callable[[np.ndarray, Optional[np.ndarray]], np.ndarray],
+) -> int:
+    """Walk one direction's dirty cone level by level; returns its size.
+
+    The dirty-cone walk of every incremental session.  The level schedule
+    is built first, so a cycle raises before ``refold`` writes anything.
+    ``refold(rows, edge_matrix)`` then gets the dirty vertices that fold no
+    edge (``edge_matrix`` is ``None``) and each level's dirty subset with
+    its fold edges, in level order, and returns the rows whose value moved;
+    their dependents (fanout sinks forward, fanin sources backward) are
+    marked in ``dirty``, which the later levels read.  A subset keeps its
+    level's descending-degree order, so fold round ``r`` still covers a
+    prefix and every vertex folds its candidates in full-pass order.
+    """
+    if not dirty.any():
+        return 0
+    levels = arrays.backward_levels() if backward else arrays.forward_levels()
+    degree = arrays.fanout_counts() if backward else arrays.fanin_counts()
+    dependents = arrays.edge_source if backward else arrays.edge_sink
+    dependent_edges = arrays.in_edges_of if backward else arrays.out_edges_of
+
+    def settle(rows: np.ndarray, edge_matrix: Optional[np.ndarray]) -> int:
+        moved = refold(rows, edge_matrix)
+        if moved.size:
+            dirty[dependents[dependent_edges(moved)]] = True
+        return int(rows.size)
+
+    rows = np.nonzero(dirty & (degree == 0))[0]
+    processed = settle(rows, None) if rows.size else 0
+    for level in levels:
+        selected = np.nonzero(dirty[level.vertex_rows])[0]
+        if selected.size:
+            processed += settle(
+                level.vertex_rows[selected], level.edge_matrix[selected]
+            )
+    return processed

@@ -11,7 +11,11 @@ with the one-shot passes' per-level fold
 (:func:`~repro.timing.propagation._fold_level`: scalar on narrow levels,
 batched on wide ones) — processing, per topological level, just the dirty
 subset of its vertices and stopping a branch of the sweep as soon as a
-recomputed time converges back to the cached value.
+recomputed time converges back to the cached value.  The walk is
+:func:`~repro.timing.arrays._sweep_cone`, the one dirty-cone walker of the
+three incremental sessions (this timer, the all-pairs session and the Monte
+Carlo session): it builds the level schedule before any write, so an edit
+that closes a cycle raises with the state untouched and the cone queued.
 
 Because the dirty subset preserves each level's descending-degree order,
 the per-vertex candidate fold order is identical to the full pass, so
@@ -37,7 +41,7 @@ import numpy as np
 from repro.core.batch import CanonicalBatch, FoldWorkspace, pad_corr, tightness_arrays
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
-from repro.timing.arrays import GraphArrays, _merge_dirty
+from repro.timing.arrays import GraphArrays, _merge_dirty, _migrate_rows, _sweep_cone
 from repro.timing.graph import TimingGraph
 from repro.timing.propagation import (
     State,
@@ -46,6 +50,7 @@ from repro.timing.propagation import (
     _required_times,
     _seed_arrivals,
     _seed_required,
+    _write_moved,
 )
 
 __all__ = ["IncrementalTimer", "UpdateStats"]
@@ -112,12 +117,9 @@ class _PassState:
         the new vertex indexing.
         """
         new = _PassState(num_vertices, self.width)
-        keep = row_map >= 0
-        dest = row_map[keep]
-        new.mean[dest] = self.mean[keep]
-        new.corr[dest] = self.corr[keep]
-        new.randvar[dest] = self.randvar[keep]
-        new.valid[dest] = self.valid[keep]
+        new.mean, new.corr, new.randvar, new.valid = (
+            _migrate_rows(array, row_map, num_vertices) for array in self.values
+        )
         return new
 
     def clear_seeds(self) -> None:
@@ -470,9 +472,7 @@ class IncrementalTimer:
     ) -> Optional[np.ndarray]:
         if pending is None:
             return None
-        migrated = np.zeros(num_vertices, dtype=bool)
-        keep = row_map >= 0
-        migrated[row_map[keep]] = pending[keep]
+        migrated = _migrate_rows(pending, row_map, num_vertices)
         return migrated if migrated.any() else None
 
     def _drain(self, backward: bool) -> int:
@@ -565,148 +565,38 @@ class IncrementalTimer:
     def _sweep(self, dirty: np.ndarray, backward: bool) -> int:
         """Repropagate the dirty cone in one direction; returns cone size.
 
-        Processes, per topological level, only the dirty subset of the
-        level's vertices through the one-shot passes' per-level fold
-        (:func:`~repro.timing.propagation._fold_level`), seeded from the
-        session's boundary conditions.  The subset inherits the level's
-        descending-degree order, so the participants of fold round ``r``
-        remain a contiguous prefix and the candidate order per vertex is
-        bit-identical to a full pass.  A recomputed vertex only dirties its
-        dependents when its time actually moved (early termination on
+        Walks the cone with :func:`~repro.timing.arrays._sweep_cone`,
+        folding each level's dirty subset through the one-shot passes'
+        per-level fold (:func:`~repro.timing.propagation._fold_level`),
+        seeded from the session's boundary conditions; a dirty vertex that
+        folds no edge takes its seed.  The subset inherits the level's
+        descending-degree order, so the candidate order per vertex is
+        bit-identical to a full pass.  Only the rows whose time moved are
+        written back and dirty their dependents (early termination on
         convergence).
         """
-        if not dirty.any():
-            return 0
         arrays = self._arrays
         state = self._bwd if backward else self._fwd
-        neighbor_rows = arrays.edge_sink if backward else arrays.edge_source
-        dependents = arrays.edge_source if backward else arrays.edge_sink
-        processed = 0
-
-        # Vertices outside every level (no folded edges): time == seed.
-        degree = arrays.fanout_counts() if backward else arrays.fanin_counts()
-        rows0 = np.nonzero(dirty & (degree == 0))[0]
-        if rows0.size:
-            changed = self._write_back(
-                state, rows0, *(seed[rows0] for seed in state.seeds)
-            )
-            self._mark_dependents(dirty, changed, backward, dependents)
-            processed += int(rows0.size)
-
         values, seeds = state.values, state.seeds
+        neighbor_rows = arrays.edge_sink if backward else arrays.edge_source
         work = FoldWorkspace()
-        levels = arrays.backward_levels() if backward else arrays.forward_levels()
-        for level in levels:
-            sel = np.nonzero(dirty[level.vertex_rows])[0]
-            if sel.size == 0:
-                continue
-            sub_rows = level.vertex_rows[sel]
-            sub_matrix = level.edge_matrix[sel]
-            acc, scalar = _fold_level(
-                sub_rows, sub_matrix, (sub_matrix >= 0).sum(axis=0), neighbor_rows,
-                arrays.edge_mean, self._edge_corr_w, arrays.edge_randvar,
-                values, seeds, backward, work,
-            )
-            if scalar:
-                self.scalar_level_folds += 1
-                changed = self._scalar_write_back(state, sub_rows, *acc)
+
+        def refold(rows: np.ndarray, edge_matrix: Optional[np.ndarray]) -> np.ndarray:
+            if edge_matrix is None:
+                acc = tuple(seed[rows] for seed in seeds)
             else:
-                self.batched_level_folds += 1
-                changed = self._write_back(state, sub_rows, *acc)
-            self._mark_dependents(dirty, changed, backward, dependents)
-            processed += int(sel.size)
-        return processed
+                acc, scalar = _fold_level(
+                    rows, edge_matrix, (edge_matrix >= 0).sum(axis=0), neighbor_rows,
+                    arrays.edge_mean, self._edge_corr_w, arrays.edge_randvar,
+                    values, seeds, backward, work,
+                )
+                if scalar:
+                    self.scalar_level_folds += 1
+                else:
+                    self.batched_level_folds += 1
+            return _write_moved(values, rows, acc)
 
-    def _mark_dependents(
-        self,
-        dirty: np.ndarray,
-        changed: np.ndarray,
-        backward: bool,
-        dependents: np.ndarray,
-    ) -> None:
-        if changed.size == 0:
-            return
-        arrays = self._arrays
-        if changed.size <= 4:
-            # Small changed sets (the scalar-sweep regime): per-row CSR
-            # slices beat the generic vectorized multi-row gather.
-            order, starts, counts = (
-                arrays._sink_adjacency() if backward else arrays._source_adjacency()
-            )
-            for row in changed:
-                start = starts[row]
-                edges = order[start : start + counts[row]]
-                if edges.size:
-                    dirty[dependents[edges]] = True
-            return
-        edges = (
-            arrays.in_edges_of(changed) if backward else arrays.out_edges_of(changed)
-        )
-        if edges.size:
-            dirty[dependents[edges]] = True
-
-    def _scalar_write_back(
-        self,
-        state: _PassState,
-        rows: np.ndarray,
-        new_mean: np.ndarray,
-        new_corr: np.ndarray,
-        new_randvar: np.ndarray,
-        new_valid: np.ndarray,
-    ) -> np.ndarray:
-        """Row-by-row variant of :meth:`_write_back` for tiny level subsets.
-
-        Identical change semantics (exact comparison); per-row scalar
-        compares beat the fancy-indexed array expressions when only a
-        handful of rows were folded.
-        """
-        changed = []
-        for position in range(rows.shape[0]):
-            row = int(rows[position])
-            old_valid = bool(state.valid[row])
-            valid = bool(new_valid[position])
-            if old_valid == valid:
-                if not valid:
-                    continue
-                if (
-                    state.mean[row] == new_mean[position]
-                    and state.randvar[row] == new_randvar[position]
-                    and bool(np.array_equal(state.corr[row], new_corr[position]))
-                ):
-                    continue
-            state.mean[row] = new_mean[position]
-            state.corr[row] = new_corr[position]
-            state.randvar[row] = new_randvar[position]
-            state.valid[row] = valid
-            changed.append(row)
-        return np.asarray(changed, dtype=np.int64)
-
-    def _write_back(
-        self,
-        state: _PassState,
-        rows: np.ndarray,
-        new_mean: np.ndarray,
-        new_corr: np.ndarray,
-        new_randvar: np.ndarray,
-        new_valid: np.ndarray,
-    ) -> np.ndarray:
-        """Store recomputed rows whose value moved; returns the moved rows."""
-        old_mean = state.mean[rows]
-        old_randvar = state.randvar[rows]
-        old_valid = state.valid[rows]
-        num_diff = (
-            (old_mean != new_mean)
-            | (old_randvar != new_randvar)
-            | np.any(state.corr[rows] != new_corr, axis=1)
-        )
-        changed_mask = (old_valid != new_valid) | (old_valid & new_valid & num_diff)
-        changed = rows[changed_mask]
-        if changed.size:
-            state.mean[changed] = new_mean[changed_mask]
-            state.corr[changed] = new_corr[changed_mask]
-            state.randvar[changed] = new_randvar[changed_mask]
-            state.valid[changed] = new_valid[changed_mask]
-        return changed
+        return _sweep_cone(arrays, dirty, backward, refold)
 
     # ------------------------------------------------------------------
     # Queries (all lazily synchronise what they need)

@@ -18,7 +18,8 @@ Both fold a vertex's candidates in the same order with the same formulas,
 so the choice never changes a bit of the result; it only spares deep,
 narrow graphs (ripple-carry chains) the per-level numpy overhead.  The
 :class:`~repro.timing.incremental.IncrementalTimer` sweeps its dirty cones
-through the same per-level fold.
+through the same per-level fold and writes them back with
+:func:`_write_moved`, which it shares with the all-pairs session.
 
 Boundary conditions: a ``minus_infinity`` input arrival, the identity of
 ``max``, leaves that input unseeded, so vertices reachable only from such
@@ -484,6 +485,37 @@ def _state_views(
         work.view(prefix + "_randvar", shape),
         work.view(prefix + "_valid", shape, dtype=bool),
     )
+
+
+def _write_moved(state: State, rows: np.ndarray, acc: State) -> np.ndarray:
+    """Write the refolded ``acc`` of ``rows`` where it moved; returns those rows.
+
+    A session's exact-compare write-back: a row moved when its validity
+    flipped or, valid before and after, any of its numbers differs.  With
+    ``(V, B)`` state (the all-pairs tensors) a row moved when any of its
+    ``B`` entries did, and the whole row is written.
+    """
+    mean, corr, randvar, valid = state
+    acc_mean, acc_corr, acc_randvar, acc_valid = acc
+    old_valid = valid[rows]
+    moved = (old_valid != acc_valid) | (
+        old_valid
+        & acc_valid
+        & (
+            (mean[rows] != acc_mean)
+            | (randvar[rows] != acc_randvar)
+            | np.any(corr[rows] != acc_corr, axis=-1)
+        )
+    )
+    if moved.ndim == 2:
+        moved = moved.any(axis=1)
+    moved_rows = rows[moved]
+    if moved_rows.size:
+        mean[moved_rows] = acc_mean[moved]
+        corr[moved_rows] = acc_corr[moved]
+        randvar[moved_rows] = acc_randvar[moved]
+        valid[moved_rows] = acc_valid[moved]
+    return moved_rows
 
 
 def _fold_levels(

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import HierarchyError
+from repro.hier.analysis import DesignTimer, analyze_hierarchical_design
 from repro.hier.design import HierarchicalDesign, ModuleInstance
 from repro.model.extraction import extract_timing_model
+from repro.montecarlo.hierarchical import flatten_design
 from repro.variation.grid import Die
 
 
@@ -77,6 +79,37 @@ class TestConnections:
         assert design.primary_outputs == ("PO0",)
 
 
+def _wire(design, module_model, undeclared=()):
+    """Drive every instance input from a primary input and connect the
+    right instance's outputs to primary outputs; the port names in
+    ``undeclared`` are connected but never declared."""
+    for instance in ("left", "right"):
+        for port in module_model.inputs:
+            pi = "PI_%s_%s" % (instance, port)
+            if pi not in undeclared:
+                design.add_primary_input(pi)
+            design.connect(pi, "%s/%s" % (instance, port))
+    for port in module_model.outputs:
+        po = "PO_%s" % port
+        if po not in undeclared:
+            design.add_primary_output(po)
+        design.connect("right/%s" % port, po)
+
+
+def _assert_rejected(design, *fragments):
+    """Validation and every consumer of the design raise, naming each fault."""
+    for consumer in (
+        HierarchicalDesign.validate,
+        analyze_hierarchical_design,
+        DesignTimer,
+        flatten_design,
+    ):
+        with pytest.raises(HierarchyError) as info:
+            consumer(design)
+        for fragment in fragments:
+            assert fragment in str(info.value), consumer
+
+
 class TestValidation:
     def test_validate_requires_primary_ports(self, design):
         with pytest.raises(HierarchyError):
@@ -90,14 +123,29 @@ class TestValidation:
         assert len(design.unconnected_instance_inputs()) == 2 * len(module_model.inputs)
 
     def test_fully_wired_design_validates(self, design, module_model):
-        for instance in ("left", "right"):
-            for port in module_model.inputs:
-                pi = "PI_%s_%s" % (instance, port)
-                design.add_primary_input(pi)
-                design.connect(pi, "%s/%s" % (instance, port))
-        for port in module_model.outputs:
-            po = "PO_%s" % port
-            design.add_primary_output(po)
-            design.connect("right/%s" % port, po)
+        _wire(design, module_model)
         design.validate()
         assert design.unconnected_instance_inputs() == []
+
+    def test_undeclared_bare_source_rejected(self, design, module_model):
+        ghost = "PI_left_%s" % module_model.inputs[0]
+        _wire(design, module_model, undeclared={ghost})
+        _assert_rejected(design, "not primary inputs: %r" % ghost)
+
+    def test_undeclared_bare_sink_rejected(self, design, module_model):
+        stray = "PO_%s" % module_model.outputs[0]
+        _wire(design, module_model, undeclared={stray})
+        _assert_rejected(design, "not primary outputs: %r" % stray)
+
+    def test_undriven_primary_output_rejected(self, design, module_model):
+        _wire(design, module_model)
+        design.add_primary_output("PO_UNDRIVEN")
+        _assert_rejected(design, "undriven primary outputs: 'PO_UNDRIVEN'")
+
+    def test_every_bare_name_fault_is_named(self, design, module_model):
+        ghost = "PI_right_%s" % module_model.inputs[-1]
+        stray = "PO_%s" % module_model.outputs[-1]
+        _wire(design, module_model, undeclared={ghost, stray})
+        design.add_primary_output("PO_UNDRIVEN")
+        _assert_rejected(design, repr(ghost), repr(stray), "'PO_UNDRIVEN'")
+

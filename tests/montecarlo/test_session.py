@@ -47,6 +47,23 @@ def _assert_warm_matches_cold(session: MonteCarloSession, graph: TimingGraph):
     return kind
 
 
+def _assert_warm_is_full_repropagation(session: MonteCarloSession):
+    """The warm cone repropagation equals a full one of the same matrix.
+
+    Bit for bit, on the arrival cache and the samples: unlike a cold
+    session, which samples its matrix through BLAS products of other
+    shapes, the full kernel here reads the session's own matrix.
+    """
+    samples = session.revalidate().samples
+    columns, _meta = session.snapshot_state()
+    arrays = session.arrays
+    full = flat._longest_paths_levelized(
+        arrays, session.edge_delay_samples, arrays.input_rows
+    )
+    assert np.array_equal(columns["mc.arrivals"], full)
+    assert np.array_equal(samples, full[arrays.output_rows].max(axis=0))
+
+
 class TestSessionLifecycle:
     def test_initial_result_matches_distribution(self, parity_module):
         graph = parity_module[0].copy()
@@ -94,6 +111,7 @@ class TestRetimeParity:
                     edge, edge.delay.scale(rng.uniform(0.7, 1.3))
                 )
             assert _assert_warm_matches_cold(session, edit_graph) == "rows"
+            _assert_warm_is_full_repropagation(session)
 
     def test_retimed_fanin_of_an_input_keeps_its_seed(self):
         # Input ``b`` also has fanin: the dirty-cone sweep must refold its
@@ -112,6 +130,7 @@ class TestRetimeParity:
         for factor in (0.05, 0.5, 1.5):
             graph.replace_edge_delay(fanin, original.scale(factor))
             assert _assert_warm_matches_cold(session, graph) == "rows"
+            _assert_warm_is_full_repropagation(session)
 
     def test_retime_parity_without_arrival_cache(self, edit_graph, monkeypatch):
         monkeypatch.setattr(flat, "MC_ARRIVALS_CACHE_MAX_FLOATS", 0)

@@ -293,6 +293,62 @@ class TestStaleSessionsAndJournal:
         timer.update()
 
 
+class TestCycleMidUpdate:
+    def test_cycle_writes_no_state_and_keeps_the_queued_cones(self, c432_graph):
+        graph = c432_graph.copy()
+        timer = IncrementalTimer(graph, required_time=_constraint(graph))
+        timer.update()
+        order = graph.topological_order()
+        position = {vertex: rank for rank, vertex in enumerate(order)}
+        last = order[-1]
+        ancestors, frontier = set(), [last]
+        while frontier:
+            for predecessor in graph.predecessors(frontier.pop()):
+                if predecessor not in ancestors:
+                    ancestors.add(predecessor)
+                    frontier.append(predecessor)
+        middle = min(ancestors, key=lambda v: abs(position[v] - len(order) // 2))
+
+        # 1. Queue a retime away from the back edge's endpoints.
+        vertex = next(
+            v for v in order[len(order) // 3 :] if graph.fanin_edges(v) and v != middle
+        )
+        edge = graph.fanin_edges(vertex)[0]
+        graph.replace_edge_delay(edge, edge.delay.scale(1.3))
+
+        # 2. Cut a vertex outside the cycle off from its fanin: a dirty
+        #    row that folds no edge and whose time would move.
+        cut = next(
+            v for v in order
+            if graph.fanin_edges(v) and v not in ancestors and v != last
+        )
+        for fanin in graph.fanin_edges(cut):
+            graph.remove_edge(fanin)
+
+        # 3. A back edge from the last topological vertex to a middle
+        #    vertex that reaches it closes a cycle.
+        back = graph.add_edge(last, middle, CanonicalForm(1.0, 0.0, None, 0.0))
+
+        # 4. The update raises before writing any state.
+        states = {"fwd": timer._fwd, "bwd": timer._bwd}
+        before = {
+            (tag, name): getattr(state, name).copy()
+            for tag, state in states.items()
+            for name in state.__slots__
+        }
+        with pytest.raises(TimingGraphError, match="cycle"):
+            timer.update()
+        for (tag, name), array in before.items():
+            np.testing.assert_array_equal(
+                getattr(states[tag], name), array, err_msg="%s.%s" % (tag, name)
+            )
+
+        # 5. Without the back edge the queued cones are recomputed.
+        graph.remove_edge(back)
+        assert timer.update().mode == "incremental"
+        _assert_parity(timer, graph, "after the cycle")
+
+
 class TestCornerStaSessionReuse:
     def test_corner_sta_accepts_session(self, edit_graph):
         graph = edit_graph
