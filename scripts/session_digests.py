@@ -20,9 +20,13 @@ against its parent, run the script over both ``src/`` trees with BLAS
 pinned to one thread and diff the outputs::
 
     export OPENBLAS_NUM_THREADS=1 OMP_NUM_THREADS=1
-    PYTHONPATH=src python scripts/session_digests.py > change.txt
-    PYTHONPATH=../parent/src python scripts/session_digests.py > parent.txt
-    diff parent.txt change.txt
+    rm -rf /tmp/parent && mkdir /tmp/parent
+    git archive <base> | tar -x -C /tmp/parent
+    PYTHONPATH=src python scripts/session_digests.py > /tmp/change.txt
+    PYTHONPATH=/tmp/parent/src python scripts/session_digests.py > /tmp/parent.txt
+    diff /tmp/parent.txt /tmp/change.txt
+
+where ``<base>`` is the commit the change starts from.
 
 The defaults are toy sizes (a few seconds); ``--bits 16 --rounds 12
 --samples 2000`` runs the module part at perfbench's sizes.
@@ -56,6 +60,12 @@ CONFIG = DEFAULT_CONFIG
 #: The design instance whose module the retime rounds edit.
 INSTANCE = "m0_0"
 
+#: Number of mixed edits on c432.
+EDITS = 30
+
+#: Seed of the edit choices in both parts.
+SEED = 1
+
 
 def state_digest(session) -> str:
     """sha256 over a session's snapshot columns: names, dtypes, shapes, bytes."""
@@ -74,7 +84,7 @@ def cones(update) -> str:
     )
 
 
-def module_rounds(bits: int, rounds: int, samples: int, seed: int) -> None:
+def module_rounds(bits: int, rounds: int, samples: int) -> None:
     """Retime rounds through the extraction, design-timer and MC sessions."""
     library = standard_library()
     netlist = array_multiplier(bits, name="mult%d" % bits)
@@ -95,7 +105,7 @@ def module_rounds(bits: int, rounds: int, samples: int, seed: int) -> None:
     montecarlo = MonteCarloSession(graph, num_samples=samples, seed=CONFIG.seed)
     montecarlo.revalidate()
     edges = graph.edges
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SEED)
     for round_index in range(rounds):
         chosen = rng.choice(len(edges), size=3, replace=False)
         factors = rng.uniform(0.9, 1.1, size=3)
@@ -124,7 +134,7 @@ def module_rounds(bits: int, rounds: int, samples: int, seed: int) -> None:
         )
 
 
-def c432_edits(edits: int, seed: int) -> None:
+def c432_edits() -> None:
     """Mixed edits on c432 through an incremental timer and all-pairs.
 
     Retimes, edge removals and re-additions of removed edges, plus splits
@@ -141,10 +151,10 @@ def c432_edits(edits: int, seed: int) -> None:
     timer = IncrementalTimer(graph)
     timer.update()
     allpairs = AllPairsSession(graph)
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     removed = []  # (source, sink, delay) of removed edges
     splits = []  # (vertex, (source, sink, delay) of the split edge)
-    for step in range(edits):
+    for step in range(EDITS):
         kind = rng.choice(["retime", "retime", "remove", "re-add", "split", "unsplit"])
         if (kind == "re-add" and not removed) or (kind == "unsplit" and not splits):
             kind = "retime"
@@ -186,11 +196,9 @@ def main() -> None:
     parser.add_argument("--bits", type=int, default=4, help="multiplier width")
     parser.add_argument("--rounds", type=int, default=3, help="module retime rounds")
     parser.add_argument("--samples", type=int, default=256, help="Monte Carlo samples")
-    parser.add_argument("--edits", type=int, default=30, help="c432 edits")
-    parser.add_argument("--seed", type=int, default=1, help="edit seed")
     args = parser.parse_args()
-    module_rounds(args.bits, args.rounds, args.samples, args.seed)
-    c432_edits(args.edits, args.seed)
+    module_rounds(args.bits, args.rounds, args.samples)
+    c432_edits()
 
 
 if __name__ == "__main__":
