@@ -1,8 +1,12 @@
 """Run every reproduction experiment with paper-faithful settings.
 
-Writes the rendered artifacts (Table I, Fig. 6, Fig. 7, ablations) to
-``results/``.  This is the long-running companion of the benchmark
-harness; expect a few minutes of runtime.
+Writes the rendered artifacts to ``results/``: Table I on all ten ISCAS85
+circuits, Fig. 6 on c7552 and Fig. 7 with 16x16 multipliers, each
+validated with 10 000 Monte Carlo samples, plus the two ablations.
+``perfbench/run.py`` measures the same flows; this script prints the
+paper's tables.  Expect a few minutes of runtime::
+
+    PYTHONPATH=src python scripts/run_full_experiments.py
 """
 
 from __future__ import annotations

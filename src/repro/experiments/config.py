@@ -72,6 +72,6 @@ class ExperimentConfig:
 #: Paper-faithful defaults.
 DEFAULT_CONFIG = ExperimentConfig()
 
-#: A reduced-cost configuration used by the test suite and the default
-#: benchmark runs (fewer Monte Carlo samples; everything else identical).
+#: A reduced-cost configuration for quick runs (fewer Monte Carlo
+#: samples; everything else identical).
 FAST_CONFIG = ExperimentConfig(monte_carlo_samples=2000)

@@ -18,8 +18,6 @@ from repro.model.criticality import (
     CriticalityResult,
     compute_edge_criticalities,
     edge_criticality_batch,
-    edge_criticality_matrix,
-    edge_criticality_tensor,
 )
 from repro.model.reduction import (
     parallel_merge,
@@ -49,8 +47,6 @@ __all__ = [
     "CriticalityResult",
     "compute_edge_criticalities",
     "edge_criticality_batch",
-    "edge_criticality_matrix",
-    "edge_criticality_tensor",
     "DEFAULT_CRITICALITY_THRESHOLD",
     "ExtractionSession",
     "sweep_thresholds",

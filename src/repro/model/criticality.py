@@ -24,9 +24,9 @@ move thousands of c7552 values, by up to 2e-11).  A run of at least
 :data:`_CHUNKS_PER_THREAD` chunks per thread therefore spreads the same
 chunks over the usable CPUs (:func:`_thread_count`) instead of cutting
 new ones, and its values are bit-identical to the serial loop's.
-:func:`edge_criticality_matrix` is the one-edge-at-a-time **scalar
-reference** the kernel is verified against; only tests and benchmarks
-call it.  Both execute the same floating-point expressions
+The one-edge-at-a-time **scalar reference** the kernel is verified
+against, ``edge_criticality_matrix``, lives with the other test oracles
+in ``tests/oracles.py``.  Both execute the same floating-point expressions
 (the probability tail is the single shared
 :func:`repro.core.batch.tightness_from_moments` kernel), so they agree to
 BLAS round-off; the parity contract asserted by the property suite is
@@ -46,7 +46,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import tightness_from_moments
 from repro.core.gaussian import normal_cdf
 from repro.errors import ModelExtractionError
 from repro.timing.allpairs import (
@@ -64,8 +63,6 @@ __all__ = [
     "auto_chunk_edges",
     "compute_edge_criticalities",
     "edge_criticality_batch",
-    "edge_criticality_matrix",
-    "edge_criticality_tensor",
 ]
 
 _MEAN_EPSILON = 1e-9
@@ -188,85 +185,6 @@ def _require_dense(analysis: AllPairsTiming) -> None:
             % (arrays.graph.name, footprint, allpairs_budget_floats(),
                ALLPAIRS_BUDGET_ENV)
         )
-
-
-def edge_criticality_matrix(
-    analysis: AllPairsTiming, edge: TimingEdge
-) -> np.ndarray:
-    """Criticality ``c_ij`` of one edge for every input/output pair.
-
-    Returns an ``(I, O)`` array; pairs with no path through the edge (or no
-    path at all) have criticality 0.  This is the scalar reference the
-    batched kernel is verified against, to 1e-9: BLAS blocks the two
-    kernels' contractions differently.
-    """
-    _require_dense(analysis)
-    arrays = analysis.arrays
-    edge_row = arrays.edge_rows[edge.edge_id]
-    source_row = int(arrays.edge_source[edge_row])
-    sink_row = int(arrays.edge_sink[edge_row])
-
-    # Arrival side (per input), including the edge's own delay.
-    a_mean = analysis.arrival_mean[source_row] + arrays.edge_mean[edge_row]
-    a_corr = analysis.arrival_corr[source_row] + arrays.edge_corr[edge_row]
-    a_randvar = analysis.arrival_randvar[source_row] + arrays.edge_randvar[edge_row]
-    a_valid = analysis.arrival_valid[source_row]
-
-    # Path-to-output side (per output).
-    r_mean = analysis.to_output_mean[sink_row]
-    r_corr = analysis.to_output_corr[sink_row]
-    r_randvar = analysis.to_output_randvar[sink_row]
-    r_valid = analysis.to_output_valid[sink_row]
-
-    # d_e statistics for every pair (i, j).
-    de_mean = a_mean[:, np.newaxis] + r_mean[np.newaxis, :]
-    corr_cross = a_corr @ r_corr.T
-    a_corr_sq = np.einsum("ik,ik->i", a_corr, a_corr)
-    r_corr_sq = np.einsum("jk,jk->j", r_corr, r_corr)
-    de_randvar = a_randvar[:, np.newaxis] + r_randvar[np.newaxis, :]
-    de_var = (
-        a_corr_sq[:, np.newaxis]
-        + r_corr_sq[np.newaxis, :]
-        + 2.0 * corr_cross
-        + de_randvar
-    )
-
-    # Covariance between d_e and M_ij.  The correlated (global + local)
-    # contribution follows from the coefficient dot products.  The private
-    # random parts of the two quantities also overlap, because every path
-    # through ``e`` is one of the paths aggregated into ``M_ij``, but the
-    # canonical form no longer tracks which share of the lumped random
-    # coefficient each path contributed.  The overlap therefore lies
-    # somewhere between zero (no shared paths dominate M) and the smaller of
-    # the two random variances (the paths through ``e`` dominate M).  The
-    # criticality is evaluated under both bounds and the larger probability
-    # is kept: an edge lying on every path of a pair correctly gets
-    # criticality 1 (shared bound) while balanced parallel paths correctly
-    # split the criticality (independent bound), and edge removal errs on
-    # the conservative side.
-    m_corr = analysis.matrix_corr
-    m_randvar = analysis.matrix_randvar
-    cov_correlated = np.einsum("ik,ijk->ij", a_corr, m_corr) + np.einsum(
-        "jk,ijk->ij", r_corr, m_corr
-    )
-    shared_randvar = np.minimum(de_randvar, m_randvar)
-
-    m_mean = analysis.matrix_mean
-    m_var = np.einsum("ijk,ijk->ij", m_corr, m_corr) + m_randvar
-    mean_tolerance = _MEAN_EPSILON * np.maximum(1.0, np.abs(m_mean))
-
-    criticality = np.zeros_like(m_mean)
-    for cov in (cov_correlated, cov_correlated + shared_randvar):
-        probability = tightness_from_moments(
-            de_mean, de_var, m_mean, m_var, cov, mean_tolerance,
-            relative_epsilon=THETA_RELATIVE_EPSILON,
-        )
-        criticality = np.maximum(criticality, probability)
-
-    pair_valid = (
-        a_valid[:, np.newaxis] & r_valid[np.newaxis, :] & analysis.matrix_valid
-    )
-    return np.where(pair_valid, criticality, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -550,32 +468,6 @@ def _edge_rows(analysis: AllPairsTiming, edges: List[TimingEdge]) -> np.ndarray:
     return np.fromiter(
         (edge_rows[edge.edge_id] for edge in edges), np.int64, len(edges)
     )
-
-
-def edge_criticality_tensor(
-    analysis: AllPairsTiming,
-    edges: Iterable[TimingEdge],
-) -> np.ndarray:
-    """Criticality matrices of several edges stacked into an ``(E, I, O)``.
-
-    The materialised form of the batched kernel, row ``e`` matching
-    ``edge_criticality_matrix(analysis, edges[e])`` to 1e-9.  Memory is the
-    caller's responsibility (``E * I * O`` doubles per temporary) — use
-    :func:`edge_criticality_batch` for the memory-bounded driver.
-    """
-    _require_dense(analysis)
-    edge_list = list(edges)
-    if not edge_list:
-        return np.zeros(
-            (0, analysis.num_inputs, analysis.num_outputs), dtype=float
-        )
-    z, degenerate, tied, valid = _chunk_terms(
-        analysis,
-        _edge_rows(analysis, edge_list),
-        _matrix_moments(analysis),
-    )
-    criticality = np.where(degenerate, tied.astype(float), normal_cdf(z))
-    return np.where(valid, criticality, 0.0)
 
 
 def edge_criticality_batch(

@@ -29,10 +29,10 @@ kernel as a single sample.  The kernel generalises to a third
 longest paths of a group of ``g`` inputs in one ``(V, g, chunk)`` pass,
 every group sharing one sampled delay matrix, instead of ``|I|`` full
 propagations per chunk (``g`` is sized to the chunk budget, see
-:func:`_io_group_size`).  :func:`_longest_paths_object`, the original
-per-vertex loop over ``fanin_edges``, stays as the readable bitwise
-reference the tests check the kernel against (``max`` and ``+`` are
-exact, so the fold order does not matter).
+:func:`_io_group_size`).  ``_longest_paths_object`` in
+``tests/oracles.py``, the original per-vertex loop over ``fanin_edges``,
+is the readable bitwise reference the tests check the kernel against
+(``max`` and ``+`` are exact, so the fold order does not matter).
 
 On top of the one-shot simulators, :class:`MonteCarloSession` keeps the
 sampled ``(E, S)`` edge-delay matrix alive as a cache keyed to the graph's
@@ -132,7 +132,7 @@ def auto_chunk_size(
     chunk redraws the same ``(E, block)`` matrix once per chunk instead of
     once per block.  At million-edge scale the budget used to resolve the
     chunk to 1, turning one block draw into up to 128 — a ~27x Monte Carlo
-    throughput collapse (BENCH_scaling.json, 10^6 edges).  One whole block
+    throughput collapse on a generated 10^6-edge design.  One whole block
     is therefore the working-set floor (it is already the peak allocation
     the sampler makes regardless of the chunk), and larger budget-sized
     chunks round down to block multiples; ``num_samples`` clips last, so
@@ -294,33 +294,6 @@ def _sample_delay_range(
 # ----------------------------------------------------------------------
 # Longest-path kernels
 # ----------------------------------------------------------------------
-def _longest_paths_object(
-    arrays: GraphArrays,
-    delays: np.ndarray,
-    source_rows: np.ndarray,
-) -> np.ndarray:
-    """Per-sample longest paths: the original per-vertex reference loop.
-
-    Returns a ``(V, num_samples)`` matrix; vertices unreachable from every
-    source hold ``-inf``.
-    """
-    graph = arrays.graph
-    index = arrays.vertex_index
-    num_samples = delays.shape[1]
-    arrivals = np.full((graph.num_vertices, num_samples), _NEG_INF)
-    arrivals[source_rows] = 0.0
-
-    for vertex in arrays.topo_order:
-        vertex_row = index[vertex]
-        for edge in graph.fanin_edges(vertex):
-            edge_row = arrays.edge_rows[edge.edge_id]
-            source_row = arrays.edge_source[edge_row]
-            source_arrival = arrivals[source_row]
-            candidate = source_arrival + delays[edge_row]
-            np.maximum(arrivals[vertex_row], candidate, out=arrivals[vertex_row])
-    return arrivals
-
-
 def _level_fanin(
     arrays: GraphArrays, rows: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -427,10 +400,11 @@ def _longest_paths_levelized(
 ) -> np.ndarray:
     """Level-scheduled longest paths from a single set of sources.
 
-    Bit-identical to :func:`_longest_paths_object` (``+`` and ``max`` are
-    exact, so the per-vertex fold order is immaterial), but each level's
-    fanin edges are folded as whole prefix rounds over the pre-permuted
-    delay matrix instead of a per-vertex Python loop.
+    Bit-identical to the tests' per-vertex oracle ``_longest_paths_object``
+    (``+`` and ``max`` are exact, so the per-vertex fold order is
+    immaterial), but each level's fanin edges are folded as whole prefix
+    rounds over the pre-permuted delay matrix instead of a per-vertex
+    Python loop.
     """
     schedule = _forward_schedule(arrays)
     num_samples = delays.shape[1]

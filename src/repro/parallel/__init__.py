@@ -7,12 +7,13 @@ experiment sweeps across worker processes:
   snapshot into ``multiprocessing.shared_memory`` once and lets every
   worker attach zero-copy;
 * :mod:`repro.parallel.pool` is the persistent spawn-safe
-  :class:`~repro.parallel.pool.ShardedExecutor` behind the uniform
-  ``engine="auto"|"serial"|"process"`` selection pattern, with graceful
-  serial fallback — and a **fault-tolerant** submission loop: per-task
-  deadlines (``REPRO_TASK_TIMEOUT``), bounded deterministic retries, one
-  respawn-and-resubmit cycle for dead pools and final serial degradation,
-  all accounted in a :class:`~repro.parallel.pool.MapReport`;
+  :class:`~repro.parallel.pool.ShardedExecutor`, which runs a process
+  pool when more than one worker is requested and shared memory works,
+  with graceful serial fallback otherwise — and a **fault-tolerant**
+  submission loop: per-task deadlines (``REPRO_TASK_TIMEOUT``), bounded
+  deterministic retries, one respawn-and-resubmit cycle for dead pools
+  and final serial degradation, all accounted in a
+  :class:`~repro.parallel.pool.MapReport`;
 * :mod:`repro.parallel.shard` holds the work partitioners and the task
   registry.
 

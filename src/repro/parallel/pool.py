@@ -3,10 +3,10 @@
 :class:`ShardedExecutor` runs registered task functions (see
 :mod:`repro.parallel.shard`) over lists of payloads, either in-process
 (serial engine) or on a persistent pool of **spawned** worker processes
-(process engine).  The executor follows the repo's uniform engine-selection
-pattern — ``engine="auto"|"serial"|"process"`` — and degrades gracefully:
+(process engine).  The executor picks the engine itself and degrades
+gracefully:
 
-* ``"auto"`` picks the process engine only when more than one worker is
+* it runs the process engine only when more than one worker is
   requested *and* shared memory actually works on the host; otherwise it
   falls back to the serial engine and records why in
   :attr:`ShardedExecutor.fallback_reason`;
@@ -201,7 +201,9 @@ def retry_backoff() -> float:
     """Base seconds of the deterministic backoff schedule (default 0.05).
 
     Retry ``k`` (1-based) of a task sleeps ``base * 2**(k-1)`` seconds —
-    exponential, jitter-free, so recovery timing is reproducible.
+    exponential, jitter-free, so recovery timing is reproducible.  A
+    non-numeric, negative or non-finite value raises ``ValueError`` naming
+    the variable.
     """
     raw = os.environ.get(RETRY_BACKOFF_ENV)
     if raw is None:
@@ -212,9 +214,10 @@ def retry_backoff() -> float:
         raise ValueError(
             "%s must be a number of seconds, got %r" % (RETRY_BACKOFF_ENV, raw)
         ) from None
-    if backoff < 0 or backoff != backoff:
+    if not 0 <= backoff < float("inf"):
         raise ValueError(
-            "%s must be non-negative, got %r" % (RETRY_BACKOFF_ENV, raw)
+            "%s must be a non-negative finite number of seconds, got %r"
+            % (RETRY_BACKOFF_ENV, raw)
         )
     return backoff
 
@@ -272,27 +275,16 @@ def _invoke(item: Tuple[str, object, object]):
 class ShardedExecutor:
     """A reusable executor sharding task payloads across worker processes."""
 
-    def __init__(self, workers: Optional[int] = None, engine: str = "auto") -> None:
-        if engine not in ("auto", "serial", "process"):
-            raise ValueError("unknown executor engine %r" % engine)
+    def __init__(self, workers: Optional[int] = None) -> None:
         self._workers = resolve_workers(workers)
         self.fallback_reason: Optional[str] = None
         #: Report of the most recent :meth:`run` (``None`` before any run).
         self.last_report: Optional[MapReport] = None
-        if engine == "auto":
-            if self._workers <= 1:
-                engine = "serial"
-                self.fallback_reason = "single worker requested"
-            elif not shared_memory_available():
-                engine = "serial"
-                self.fallback_reason = "shared memory unavailable"
-            else:
-                engine = "process"
-        elif engine == "process" and not shared_memory_available():
-            raise ValueError(
-                "engine='process' requires working shared memory on this host"
-            )
-        self._engine = engine
+        if self._workers <= 1:
+            self.fallback_reason = "single worker requested"
+        elif not shared_memory_available():
+            self.fallback_reason = "shared memory unavailable"
+        self._engine = "serial" if self.fallback_reason else "process"
         self._pool = None
         self._closed = False
         # graph id -> (strong ref to the source arrays, published snapshot).
@@ -420,7 +412,9 @@ class ShardedExecutor:
         return self._run_process(task, task_name, payloads, arrays, report), report
 
     # ------------------------------------------------------------------
-    def _harvest(self, async_result, timeout: Optional[float]):
+    def _harvest(
+        self, async_result, timeout: Optional[float], baseline: Optional[frozenset]
+    ):
         """Collect one task result: ``(status, value)``.
 
         ``status`` is ``"ok"`` (value holds the result), ``"error"``
@@ -428,13 +422,16 @@ class ShardedExecutor:
         expired) or ``"lost"`` (a worker died and the result never
         arrived).  Polling keeps dead workers detectable even with no
         deadline configured — the PID set of a pool that repopulated a
-        crashed worker changes, and a result that stays pending for
-        :data:`_LOST_GRACE_POLLS` polls after that is declared lost.
+        crashed worker differs from ``baseline``, and a result that stays
+        pending for :data:`_LOST_GRACE_POLLS` polls after that is declared
+        lost.  ``baseline`` is the PID set taken before the round's tasks
+        were submitted: a baseline taken when this harvest starts would
+        already hold the replacement of a worker that died while an
+        earlier task was harvested, and would never see the change.
         """
         import multiprocessing
 
         deadline = None if timeout is None else time.monotonic() + timeout
-        baseline = self._worker_pids()
         deaths_seen = 0
         while True:
             remaining = None if deadline is None else deadline - time.monotonic()
@@ -476,6 +473,7 @@ class ShardedExecutor:
         while pending:
             pool = self._ensure_pool()
             handle = self._publish(arrays).handle if arrays is not None else None
+            baseline = self._worker_pids()
             batch = []
             submit_error: Optional[BaseException] = None
             for index in pending:
@@ -511,7 +509,7 @@ class ShardedExecutor:
                     if not async_result.ready():
                         retry_next.append(index)
                         continue
-                status, value = self._harvest(async_result, timeout)
+                status, value = self._harvest(async_result, timeout, baseline)
                 report.attempts += 1
                 if status == "ok":
                     results[index] = value
@@ -625,7 +623,7 @@ def shared_executor(workers: Optional[int] = None) -> ShardedExecutor:
     count = resolve_workers(workers)
     executor = _SHARED.get(count)
     if executor is None or executor.closed:
-        executor = ShardedExecutor(workers=count, engine="auto")
+        executor = ShardedExecutor(workers=count)
         _SHARED[count] = executor
     return executor
 

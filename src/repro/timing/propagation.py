@@ -28,8 +28,8 @@ non-finite required time, raises ``ValueError`` naming the vertex.
 
 The dictionary functions (:func:`propagate_arrival_times`, ...) are
 ``as_dict()`` views of the batched ones.  The object-level per-edge loop
-survives only as :func:`_reference_fold`, the oracle the tests and
-benchmarks compare the fold against (to 1e-9).
+survives only as ``_reference_fold`` in ``tests/oracles.py``, the oracle
+the tests compare the fold against (to 1e-9).
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from repro.core.batch import (
 )
 from repro.core.canonical import CanonicalForm
 from repro.core.gaussian import DEGENERATE_THETA
-from repro.core.ops import statistical_max
 from repro.errors import TimingGraphError
 from repro.timing.arrays import GraphArrays
 from repro.timing.graph import TimingGraph
@@ -746,45 +745,3 @@ def compute_slacks(
 ) -> Dict[str, CanonicalForm]:
     """:func:`compute_slacks_batch` as a vertex-to-form dictionary."""
     return compute_slacks_batch(graph, required_time, input_arrivals).as_dict()
-
-
-# ----------------------------------------------------------------------
-# The reference oracle
-# ----------------------------------------------------------------------
-def _reference_fold(
-    graph: TimingGraph,
-    seeds: Mapping[str, CanonicalForm],
-    backward: bool = False,
-) -> Dict[str, CanonicalForm]:
-    """The object-level per-edge loop over immutable canonical forms.
-
-    Kept only as the oracle the levelized fold is tested and benchmarked
-    against; nothing in the library calls it.  Forward, ``seeds`` are the
-    input arrivals and each vertex folds its fanin candidates
-    ``source + delay`` with :func:`~repro.core.ops.statistical_max`, then
-    its own seed.  Backward, ``seeds`` sit at the outputs and each vertex
-    folds its seed first, then its fanout candidates ``sink + delay`` —
-    the delay to the outputs, or the negated required times when the seeds
-    are negated required times.  Non-finite seeds follow the scalar
-    operators' algebra (``minus_infinity`` is the identity of ``max``).
-    Vertices no seed reaches get no entry.
-    """
-    times: Dict[str, CanonicalForm] = dict(seeds)
-    order = graph.topological_order()
-    for vertex in (reversed(order) if backward else order):
-        edges = graph.fanout_edges(vertex) if backward else graph.fanin_edges(vertex)
-        if not edges:
-            continue
-        best: Optional[CanonicalForm] = times.get(vertex) if backward else None
-        for edge in edges:
-            neighbor = times.get(edge.sink if backward else edge.source)
-            if neighbor is None:
-                continue
-            candidate = neighbor.add(edge.delay)
-            best = candidate if best is None else statistical_max(best, candidate)
-        if best is None:
-            continue
-        if not backward and vertex in times:
-            best = statistical_max(best, times[vertex])
-        times[vertex] = best
-    return times

@@ -267,7 +267,8 @@ def criticality_reference():
     attaining it — the oracle the batched kernel and the extraction
     session are checked against (to 1e-9).
     """
-    from repro.model.criticality import CriticalityResult, edge_criticality_matrix
+    from oracles import edge_criticality_matrix
+    from repro.model.criticality import CriticalityResult
 
     def reference(graph, analysis):
         values, pairs = {}, {}
@@ -301,8 +302,8 @@ def propagation_reference():
     """
     from types import SimpleNamespace
 
+    from oracles import _reference_fold
     from repro.core.ops import statistical_max
-    from repro.timing.propagation import _reference_fold
 
     def arrival_times(graph, input_arrivals=None):
         zero = CanonicalForm.constant(0.0, graph.num_locals)
@@ -372,10 +373,10 @@ def mc_reference():
     """
     from types import SimpleNamespace
 
+    from oracles import _longest_paths_object
     from repro.montecarlo.flat import (
         MC_SAMPLE_BLOCK,
         IoDelayStatistics,
-        _longest_paths_object,
         _sample_delay_range,
     )
     from repro.timing.arrays import GraphArrays

@@ -25,6 +25,13 @@ class TestThresholdSweep:
     def test_zero_threshold_is_accurate(self, threshold_sweep):
         assert threshold_sweep.points[0].mean_error < 0.02
 
+    def test_paper_threshold_keeps_mean_error_small(self, threshold_sweep):
+        """The paper's delta = 0.05 keeps the mean input/output delay
+        error under 3 %, which is what justifies that choice."""
+        paper_point = threshold_sweep.points[1]
+        assert paper_point.threshold == 0.05
+        assert paper_point.mean_error < 0.03
+
     def test_render(self, threshold_sweep):
         text = threshold_sweep.render()
         assert "delta" in text and "c432" in text
@@ -34,10 +41,13 @@ class TestCorrelationSweep:
     def test_sigma_grows_with_correlation(self):
         config = ExperimentConfig(monte_carlo_samples=200)
         sweep = run_correlation_sweep(
-            bits=4, neighbor_correlations=(0.5, 0.92), config=config
+            bits=4, neighbor_correlations=(0.5, 0.7, 0.92), config=config
         )
-        assert len(sweep.points) == 2
-        assert sweep.points[0].proposed_std <= sweep.points[1].proposed_std * 1.05
+        assert len(sweep.points) == 3
+        assert sweep.points[0].proposed_std <= sweep.points[-1].proposed_std * 1.05
+        # The global-only baseline never overestimates the spread.
+        for point in sweep.points:
+            assert point.global_only_std <= point.proposed_std + 1e-9
 
     def test_global_only_underestimates_sigma(self):
         config = ExperimentConfig(monte_carlo_samples=200)

@@ -46,7 +46,7 @@ def chaos_executor_factory():
     built = []
 
     def factory(workers: int = CHAOS_WORKERS) -> ShardedExecutor:
-        executor = ShardedExecutor(workers=workers, engine="auto")
+        executor = ShardedExecutor(workers=workers)
         if executor.engine != "process":
             reason = executor.fallback_reason
             executor.close()

@@ -147,7 +147,7 @@ def test_sharded_c7552_sweep_survives_an_armed_store_plan(tmp_path):
 
     serial = simulate_graph_delay(graph, num_samples=MC_SAMPLES)
 
-    executor = ShardedExecutor(workers=2, engine="auto")
+    executor = ShardedExecutor(workers=2)
     if executor.engine != "process":
         executor.close()
         pytest.skip("process engine unavailable: %s" % executor.fallback_reason)

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
+from oracles import edge_criticality_matrix
 from repro.core.canonical import CanonicalForm
 from repro.errors import ModelExtractionError, TimingGraphError
 from repro.model.criticality import (
     CriticalityResult,
     compute_edge_criticalities,
     edge_criticality_batch,
-    edge_criticality_matrix,
-    edge_criticality_tensor,
 )
 from repro.model.extraction import extract_timing_model
 from repro.timing.allpairs import AllPairsSession, AllPairsTiming
@@ -197,8 +196,6 @@ class TestAnalysisChecks:
             "compute(analysis)": lambda: compute_edge_criticalities(graph, blocked),
             "extract": lambda: extract_timing_model(graph, variation),
             "batch": lambda: edge_criticality_batch(blocked),
-            "tensor": lambda: edge_criticality_tensor(blocked, graph.edges[:2]),
-            "matrix": lambda: edge_criticality_matrix(blocked, graph.edges[0]),
         }
         arrays = blocked.arrays
         footprint = arrays.num_vertices * (

@@ -2,9 +2,9 @@
 
 The edge-chunked kernel of :mod:`repro.model.criticality` shares its
 floating-point expressions with the one-edge-at-a-time scalar reference
-:func:`edge_criticality_matrix`, so on *any* module every edge's maximum
-must agree with the maximum of its reference matrix (the
-``criticality_reference`` fixture) to 1e-9 — asserted here on
+``edge_criticality_matrix`` (``tests/oracles.py``), so on *any* module
+every edge's maximum must agree with the maximum of its reference matrix
+(the ``criticality_reference`` fixture) to 1e-9 — asserted here on
 hypothesis-randomized layered DAGs, including the degenerate corners the
 shared tie rule exists for (zero-variance delays, exactly tied maxima,
 single-input/single-output modules), and after randomized retime bursts
@@ -18,13 +18,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import edge_criticality_matrix, edge_criticality_tensor
 from repro.core.canonical import CanonicalForm
 from repro.model import criticality
 from repro.model.criticality import (
     compute_edge_criticalities,
     edge_criticality_batch,
-    edge_criticality_matrix,
-    edge_criticality_tensor,
 )
 from repro.model.extraction import ExtractionSession
 from repro.timing.allpairs import AllPairsTiming

@@ -3,13 +3,13 @@
 The level-scheduled kernels replace only the *order* in which per-sample
 longest-path candidates are folded — ``+`` and ``max`` are exact, so on
 *any* graph the simulators must produce **bit-identical** results to the
-object-level reference ``_longest_paths_object`` run on the same
-``_sample_delay_range`` delays (the ``mc_reference`` fixture).  Asserted
-here on hypothesis-randomized layered DAGs (including dangling inputs,
-unreachable vertices and single-IO corners), on the multi-source
-``(V, g, chunk)`` kernel against the one-propagation-per-input reference
-for every input-group size, and on the empty-IO / unreachable
-regressions.
+object-level reference ``_longest_paths_object`` (``tests/oracles.py``)
+run on the same ``_sample_delay_range`` delays (the ``mc_reference``
+fixture).  Asserted here on hypothesis-randomized layered DAGs (including
+dangling inputs, unreachable vertices and single-IO corners), on the
+multi-source ``(V, g, chunk)`` kernel against the
+one-propagation-per-input reference for every input-group size, and on
+the empty-IO / unreachable regressions.
 """
 
 import dataclasses
@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import _longest_paths_object
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
 from repro.montecarlo import flat
@@ -27,7 +28,6 @@ from repro.montecarlo.flat import (
     MC_MAX_CHUNK,
     MC_MIN_CHUNK,
     MC_SAMPLE_BLOCK,
-    _longest_paths_object,
     _multi_source_groups,
     auto_chunk_size,
     simulate_graph_delay,
@@ -348,7 +348,7 @@ class TestAutoChunkSize:
         # Regression for the 10^6-edge throughput collapse: the budget
         # used to drive the chunk to 1 here, so every chunk re-drew its
         # whole 128-sample block for one column (~27x redundant sampling
-        # at the BENCH_scaling 10^6-edge shape).
+        # on a generated 10^6-edge pipeline design).
         assert auto_chunk_size(10 ** 6, 5 * 10 ** 5) == MC_SAMPLE_BLOCK
         # num_samples still clips last: short runs keep one exact chunk.
         assert auto_chunk_size(10 ** 6, 5 * 10 ** 5, num_samples=16) == 16

@@ -14,7 +14,7 @@ from repro.parallel.pool import ShardedExecutor
 
 
 def _process_pool(workers: int) -> ShardedExecutor:
-    executor = ShardedExecutor(workers=workers, engine="auto")
+    executor = ShardedExecutor(workers=workers)
     if executor.engine != "process":
         reason = executor.fallback_reason
         executor.close()

@@ -1,7 +1,8 @@
-"""Engine selection, worker resolution and lifecycle of the sharded pool."""
+"""Engine selection, worker resolution, lifecycle and crash detection of the pool."""
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -12,10 +13,12 @@ import numpy as np
 import pytest
 
 from repro.parallel.pool import (
+    _LOST_GRACE_POLLS,
     RETRY_BACKOFF_ENV,
     TASK_RETRIES_ENV,
     TASK_TIMEOUT_ENV,
     WORKERS_ENV,
+    MapReport,
     ShardedExecutor,
     maybe_executor,
     resolve_workers,
@@ -106,7 +109,7 @@ def test_task_retries_env_resolution(monkeypatch):
     assert task_retries() == 0
 
 
-@pytest.mark.parametrize("raw", ["slow", "-0.1", "nan"])
+@pytest.mark.parametrize("raw", ["slow", "-0.1", "nan", "inf"])
 def test_retry_backoff_env_validation(monkeypatch, raw):
     monkeypatch.setenv(RETRY_BACKOFF_ENV, raw)
     with pytest.raises(ValueError, match=RETRY_BACKOFF_ENV):
@@ -123,14 +126,9 @@ def test_retry_backoff_env_resolution(monkeypatch):
 # ----------------------------------------------------------------------
 # Engine selection and graceful fallback
 # ----------------------------------------------------------------------
-def test_unknown_engine_rejected():
-    with pytest.raises(ValueError, match="engine"):
-        ShardedExecutor(workers=2, engine="thread")
-
-
 def test_single_worker_falls_back_to_serial(adder_graph):
     arrays = GraphArrays.from_graph(adder_graph)
-    with ShardedExecutor(workers=1, engine="auto") as executor:
+    with ShardedExecutor(workers=1) as executor:
         assert executor.engine == "serial"
         assert executor.fallback_reason == "single worker requested"
         results = executor.run("corner_delay", [0.0, 1.5], arrays)
@@ -246,7 +244,8 @@ def test_pool_shutdown_leaves_no_resource_tracker_noise(tmp_path):
                     "m", "z", CanonicalForm(4.0, 0.1, np.array([0.05, 0.05]), 0.1)
                 )
                 arrays = GraphArrays.from_graph(graph)
-                with ShardedExecutor(workers=2, engine="process") as executor:
+                with ShardedExecutor(workers=2) as executor:
+                    assert executor.engine == "process", executor.fallback_reason
                     results = executor.run("corner_delay", [0.0, 3.0, -3.0], arrays)
                 assert len(results) == 3
 
@@ -282,7 +281,7 @@ def test_close_timeout_escalates_past_a_hung_worker(monkeypatch, tmp_path):
     monkeypatch.setenv(
         "REPRO_FAULT_PLAN", "worker-hang@1:seconds=300"
     )
-    executor = ShardedExecutor(workers=2, engine="auto")
+    executor = ShardedExecutor(workers=2)
     if executor.engine != "process":
         executor.close()
         pytest.skip("process engine unavailable: %s" % executor.fallback_reason)
@@ -334,3 +333,87 @@ def test_atexit_close_warns_instead_of_passing_silently(monkeypatch):
     assert pool_module._SHARED == {}
     (warning,) = [w for w in caught if w.category is RuntimeWarning]
     assert "semaphore already gone" in str(warning.message)
+
+
+# ----------------------------------------------------------------------
+# Crash detection
+# ----------------------------------------------------------------------
+class _FakeWorker:
+    def __init__(self, pid):
+        self.pid = pid
+
+
+class _FakePool:
+    """A pool whose worker PIDs and task results a test scripts."""
+
+    def __init__(self, pids, results=()):
+        self._pool = [_FakeWorker(pid) for pid in pids]
+        self.results = list(results)
+
+    def apply_async(self, _function, _args):
+        return self.results.pop(0)
+
+    def terminate(self):
+        pass
+
+    def close(self):
+        pass
+
+    def join(self):
+        pass
+
+
+class _ScriptedResult:
+    """An async result whose ``get`` calls ``answer(poll)`` (1-based)."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.polls = 0
+
+    def get(self, _timeout):
+        self.polls += 1
+        return self.answer(self.polls)
+
+    def ready(self):
+        return False
+
+
+def test_harvest_sees_a_worker_replaced_before_it_started(monkeypatch):
+    """A worker dies while an earlier task of the round is harvested, and
+    the pool replaces it before the next harvest starts.  The task the dead
+    worker owned must be declared lost within ``_LOST_GRACE_POLLS`` polls
+    of its harvest, with no deadline set: a PID baseline taken when that
+    harvest starts already holds the replacement and never sees a change.
+    """
+    monkeypatch.delenv(TASK_TIMEOUT_ENV, raising=False)
+    first = _FakePool([101, 102])
+
+    def replace_worker_then_finish(_poll):
+        first._pool[1] = _FakeWorker(103)  # worker 102 died and was replaced
+        return "result 0"
+
+    def never_arrives(poll):
+        if poll > 10 * _LOST_GRACE_POLLS:
+            return "stale"  # ends a harvest that missed the death
+        raise multiprocessing.TimeoutError
+
+    lost = _ScriptedResult(never_arrives)
+    first.results = [_ScriptedResult(replace_worker_then_finish), lost]
+    pools = [first, _FakePool([201, 202], [_ScriptedResult(lambda _poll: "result 1")])]
+
+    executor = ShardedExecutor(workers=2)
+
+    def ensure_pool():
+        if executor._pool is None:
+            executor._pool = pools.pop(0)
+        return executor._pool
+
+    monkeypatch.setattr(executor, "_ensure_pool", ensure_pool)
+    report = MapReport(task="corner_delay", engine="process", tasks=2)
+    with executor:
+        results = executor._run_process(
+            None, "corner_delay", [0.0, 1.0], None, report
+        )
+    assert results == ["result 0", "result 1"]
+    assert lost.polls == _LOST_GRACE_POLLS
+    assert (report.timeouts, report.respawns, report.degraded) == (1, 1, 0)

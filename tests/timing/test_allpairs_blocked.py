@@ -22,6 +22,7 @@ from repro.netlist.generators import (
     layered_random_circuit,
 )
 from repro.core.batch import FoldWorkspace
+from repro.montecarlo.flat import simulate_graph_delay
 from repro.timing.allpairs import (
     ALLPAIRS_BUDGET_FLOATS,
     AllPairsSession,
@@ -32,6 +33,7 @@ from repro.timing.allpairs import (
 )
 from repro.timing.arrays import GraphArrays
 from repro.timing.builder import synthetic_timing_graph
+from repro.timing.propagation import propagate_arrival_times_batch
 
 PARITY_TOLERANCE = 0.0
 
@@ -209,3 +211,24 @@ class TestMemoryAccounting:
         after = session.nbytes_report()
         assert after["analysis"] >= before["analysis"]
         assert after["total"] == after["analysis"] + after["dirty_state"]
+
+
+class TestGeneratedPipeline:
+    def test_engines_run_over_one_held_view(self):
+        """A generated pipeline design, at its requested size, runs
+        propagation, one blocked column block and Monte Carlo over the
+        graph's one held view, and propagation reaches every vertex."""
+        netlist = design_for_edge_count("pipeline", 2_000, seed=13)
+        graph = synthetic_timing_graph(netlist, seed=13)
+        arrays = GraphArrays.of(graph)
+        assert abs(arrays.edge_ids.size - 2_000) <= 200
+        times = propagate_arrival_times_batch(graph)
+        assert times.arrays is arrays
+        assert times.valid.all()
+        analysis = AllPairsTiming(arrays, materialize=False)
+        columns = range(min(8, analysis.num_inputs))
+        *_moments, valid = analysis._column_block(columns, False, FoldWorkspace())
+        assert valid.any()
+        result = simulate_graph_delay(graph, 16, seed=9)
+        assert GraphArrays.of(graph) is arrays
+        assert result.samples.shape == (16,)

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import _longest_paths_object
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
 from repro.experiments.table1 import TABLE1_CIRCUITS, characterize_circuit
-from repro.montecarlo.flat import _longest_paths_object
 from repro.timing.arrays import GraphArrays
 from repro.timing.graph import TimingGraph
 from repro.timing.propagation import circuit_delay
