@@ -5,7 +5,8 @@ This subpackage implements Section II of the paper: the general linear form
     d = a0 + ag * xg + sum_i(ai * xi) + ar * xr
 
 (eq. 3) together with the statistical ``sum`` and ``max`` operators of
-Visweswariah et al. / Clark that the rest of the system builds upon.
+Visweswariah et al. / Clark that the rest of the system builds upon, and
+:mod:`repro.core.chunk_threads`, the thread loop of the chunked kernels.
 """
 
 from repro.core.batch import CanonicalBatch

@@ -18,7 +18,7 @@ from typing import Optional
 from repro.variation.parameters import ParameterSet, nassif_parameters
 from repro.variation.spatial import SpatialCorrelation
 
-__all__ = ["ExperimentConfig", "DEFAULT_CONFIG", "FAST_CONFIG"]
+__all__ = ["ExperimentConfig", "DEFAULT_CONFIG"]
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,3 @@ class ExperimentConfig:
 
 #: Paper-faithful defaults.
 DEFAULT_CONFIG = ExperimentConfig()
-
-#: A reduced-cost configuration for quick runs (fewer Monte Carlo
-#: samples; everything else identical).
-FAST_CONFIG = ExperimentConfig(monte_carlo_samples=2000)

@@ -54,10 +54,6 @@ TABLE1_CIRCUITS: Tuple[str, ...] = (
     "c7552",
 )
 
-#: Subset used by the default benchmark/test configuration (kept small so a
-#: full run finishes in CI time; the full suite is one flag away).
-TABLE1_DEFAULT_SUBSET: Tuple[str, ...] = ("c432", "c499", "c880", "c1355", "c1908")
-
 
 @dataclass
 class CharacterizedCircuit:

@@ -20,10 +20,10 @@ hoisted out of the per-edge loop.  The chunks are sized from
 :data:`CRITICALITY_CHUNK_PAIRS` alone (:func:`auto_chunk_edges`).  Another
 chunking gives the same values within the 1e-9 contract, not bitwise: BLAS
 rounds a contraction differently for another stack shape (one-edge chunks
-move thousands of c7552 values, by up to 2e-11).  A run of at least
-:data:`_CHUNKS_PER_THREAD` chunks per thread therefore spreads the same
-chunks over the usable CPUs (:func:`_thread_count`) instead of cutting
-new ones, and its values are bit-identical to the serial loop's.
+move thousands of c7552 values, by up to 2e-11).  A long run therefore
+spreads the same chunks over the usable CPUs through the shared thread
+loop of :mod:`repro.core.chunk_threads` instead of cutting new ones, and
+its values are bit-identical to the serial loop's.
 The one-edge-at-a-time **scalar reference** the kernel is verified
 against, ``edge_criticality_matrix``, lives with the other test oracles
 in ``tests/oracles.py``.  Both execute the same floating-point expressions
@@ -37,15 +37,12 @@ all-pairs tensors, which past the all-pairs memory budget do not exist.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core import chunk_threads
 from repro.core.gaussian import normal_cdf
 from repro.errors import ModelExtractionError
 from repro.timing.allpairs import (
@@ -88,16 +85,6 @@ THETA_RELATIVE_EPSILON = 1e-12
 # Another budget gives the same values within the 1e-9 contract, not
 # bitwise: BLAS rounding depends on the chunk shape.
 CRITICALITY_CHUNK_PAIRS = 1 << 19
-
-# A run gets one thread per this many chunks, up to the usable CPUs.
-# Fewer chunks run on the serial loop: on a 2-CPU host, two threads made
-# the 12-chunk refresh of a 16-bit multiplier module slower, not faster.
-_CHUNKS_PER_THREAD = 32
-
-# The variables numpy's bundled OpenBLAS takes its thread count from,
-# in its order of precedence; unset, it runs a thread per CPU.
-_BLAS_THREADS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
 
 def auto_chunk_edges(num_inputs: int, num_outputs: int, num_corr: int) -> int:
     """Edge-chunk size bounding the batched kernel's float working set.
@@ -247,41 +234,6 @@ def _analysis_work(
     while len(works) < threads:
         works.append({})
     return works[:threads]
-
-
-def _usable_cpus() -> int:
-    """CPUs the chunk loop may keep busy with threads of its own.
-
-    These are the CPUs this process may run on, but only one:
-
-    * inside a pool worker, a daemonic process that runs one shard of a
-      parallel map beside its siblings (the test by which
-      :func:`repro.parallel.pool.maybe_executor` refuses nested pools);
-    * unless BLAS runs each call on one thread, that is unless the first
-      set of :data:`_BLAS_THREADS_ENV` reads 1.  A threaded BLAS already
-      spreads the contractions over the CPUs, and OpenBLAS serialises
-      threaded calls made from several threads at once: two threads over
-      a two-thread BLAS ran c7552 about 1.7x slower than the serial loop
-      on a 2-CPU host.
-    """
-    if multiprocessing.current_process().daemon:
-        return 1
-    blas_threads = next(
-        (os.environ[name] for name in _BLAS_THREADS_ENV if name in os.environ),
-        None,
-    )
-    if blas_threads != "1":
-        return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _thread_count(num_chunks: int) -> int:
-    """Threads for ``num_chunks`` chunks: one per :data:`_CHUNKS_PER_THREAD`
-    chunks, up to the usable CPUs, and at least one."""
-    return max(1, min(_usable_cpus(), num_chunks // _CHUNKS_PER_THREAD))
 
 
 def _view(
@@ -490,8 +442,8 @@ def edge_criticality_batch(
     the scalar argmax between tied pairs.  Another chunk budget moves the
     values within that contract too, not bitwise, since BLAS rounds by the
     chunk shape.  That is why a run of many chunks spreads the same chunks
-    over threads (:func:`_thread_count`) instead of re-cutting them: any
-    thread count gives the same bits.  On an empty edge set or an
+    over threads (:mod:`repro.core.chunk_threads`) instead of re-cutting
+    them: any thread count gives the same bits.  On an empty edge set or an
     empty pair space the result is returned empty/zero instead of raising
     from an empty-array reduction.
     """
@@ -528,13 +480,11 @@ def _batched_edge_max(
 
     Returns ``(values, best)``: the maximum of every edge row of
     ``rows_all`` and the flat index of an attaining pair.  The chunks go
-    to :func:`_thread_count` threads, each thread taking the next chunk
-    as it finishes one, so a thread on a slow or busy CPU takes fewer
-    chunks instead of holding the others up; each thread owns its scratch
-    and writes only its chunks' slices of the results.  Every chunk is
-    evaluated exactly as the serial loop evaluates it, so any thread count
-    and any order give the same bits; the threads overlap because the
-    chunk's numpy calls release the GIL.
+    to the shared thread loop (:func:`repro.core.chunk_threads.run_chunks`
+    on :func:`~repro.core.chunk_threads._thread_count` threads); each
+    thread owns its scratch and writes only its chunks' slices of the
+    results.  Every chunk is evaluated exactly as the serial loop
+    evaluates it, so any thread count and any order give the same bits.
     """
     num_inputs = analysis.num_inputs
     num_outputs = analysis.num_outputs
@@ -543,56 +493,38 @@ def _batched_edge_max(
         num_inputs, num_outputs, analysis.arrays.edge_corr.shape[1]
     )
     starts = range(0, rows_all.size, chunk_edges)
-    threads = _thread_count(len(starts))
+    threads = chunk_threads._thread_count(len(starts))
     works = _analysis_work(analysis, threads)
     values = np.zeros(rows_all.size, dtype=float)
     best_all = np.zeros(rows_all.size, dtype=np.int64)
 
-    pending = iter(starts)
-    pending_lock = threading.Lock()
-
-    def next_start() -> Optional[int]:
-        with pending_lock:
-            return next(pending, None)
-
-    def run_chunks(thread: int) -> None:
+    def run_chunk(thread: int, start: int) -> None:
         work = works[thread]
-        for start in iter(next_start, None):
-            chunk_rows = rows_all[start : start + chunk_edges]
-            count = chunk_rows.size
-            z, degenerate, tied, valid = _chunk_terms(
-                analysis, chunk_rows, moments, work
-            )
-            # Pairs whose value is nd(z): valid and not resolved through
-            # the degenerate 0/1 rule; everything else scores -inf
-            # (nd == 0.0).
-            unscored = _view(work, "unscored", valid.shape, bool)
-            np.logical_not(valid, out=unscored)
-            unscored |= degenerate
-            np.copyto(z, -np.inf, where=unscored)
-            z_flat = z.reshape(count, num_pairs)
-            best = np.argmax(z_flat, axis=1)
-            arange = np.arange(count)
-            chunk_values = normal_cdf(z_flat[arange, best])  # nd(-inf) == 0.0
-            # Degenerate ties contribute exactly 1.0 (criticality of a pair
-            # whose maximum is attained by this edge's path identically).
-            tied_flat = tied.reshape(count, num_pairs)
-            has_tie = tied_flat.any(axis=1)
-            tie_first = np.argmax(tied_flat, axis=1)
-            take_tie = has_tie & (chunk_values < 1.0)
-            values[start : start + count] = np.where(
-                take_tie, 1.0, chunk_values
-            )
-            best_all[start : start + count] = np.where(
-                take_tie, tie_first, best
-            )
+        chunk_rows = rows_all[start : start + chunk_edges]
+        count = chunk_rows.size
+        z, degenerate, tied, valid = _chunk_terms(
+            analysis, chunk_rows, moments, work
+        )
+        # Pairs whose value is nd(z): valid and not resolved through the
+        # degenerate 0/1 rule; everything else scores -inf (nd == 0.0).
+        unscored = _view(work, "unscored", valid.shape, bool)
+        np.logical_not(valid, out=unscored)
+        unscored |= degenerate
+        np.copyto(z, -np.inf, where=unscored)
+        z_flat = z.reshape(count, num_pairs)
+        best = np.argmax(z_flat, axis=1)
+        arange = np.arange(count)
+        chunk_values = normal_cdf(z_flat[arange, best])  # nd(-inf) == 0.0
+        # Degenerate ties contribute exactly 1.0 (criticality of a pair
+        # whose maximum is attained by this edge's path identically).
+        tied_flat = tied.reshape(count, num_pairs)
+        has_tie = tied_flat.any(axis=1)
+        tie_first = np.argmax(tied_flat, axis=1)
+        take_tie = has_tie & (chunk_values < 1.0)
+        values[start : start + count] = np.where(take_tie, 1.0, chunk_values)
+        best_all[start : start + count] = np.where(take_tie, tie_first, best)
 
-    if threads == 1:
-        run_chunks(0)
-    else:
-        with ThreadPoolExecutor(threads) as pool:
-            # Reading every result re-raises a chunk's exception here.
-            list(pool.map(run_chunks, range(threads)))
+    chunk_threads.run_chunks(threads, starts, run_chunk)
     return values, best_all
 
 

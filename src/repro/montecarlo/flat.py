@@ -10,9 +10,11 @@ Sampling is **counter-based per block**: the sample axis is divided into
 fixed :data:`MC_SAMPLE_BLOCK`-sample blocks and block ``b`` is drawn from
 its own keyed stream ``(seed, 2, b)``.  A block's draws therefore depend
 only on the seed and the block index — never on the chunk size, the number
-of workers, or which process draws it — so the one-shot simulators are
-bit-identical across chunkings and across any sharding of the sample axis
-(see :mod:`repro.parallel`).  Per-pair moments accumulate per block in
+of workers or threads, or which process draws it — so the one-shot
+simulators are bit-identical across chunkings and across any sharding of
+the sample axis (see :mod:`repro.parallel`), and
+:func:`simulate_graph_delay` spreads its chunks over threads
+(:mod:`repro.core.chunk_threads`).  Per-pair moments accumulate per block in
 ascending block order for the same reason.  No entry point takes a size:
 chunks and input groups derive from :data:`MC_CHUNK_BUDGET_FLOATS` and the
 graph (:func:`auto_chunk_size`, :func:`_io_plan`), and a session's arrival
@@ -52,6 +54,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.core import chunk_threads
 from repro.errors import TimingGraphError
 from repro.timing.arrays import GraphArrays, _sweep_cone
 from repro.timing.graph import TimingGraph
@@ -406,13 +409,28 @@ def _longest_paths_levelized(
     rounds over the pre-permuted delay matrix instead of a per-vertex
     Python loop.
     """
+    return _longest_paths_permuted(
+        arrays, delays[_forward_schedule(arrays).perm], source_rows
+    )
+
+
+def _longest_paths_permuted(
+    arrays: GraphArrays,
+    permuted_delays: np.ndarray,
+    source_rows: np.ndarray,
+) -> np.ndarray:
+    """:func:`_longest_paths_levelized` of delays already in fold order.
+
+    ``permuted_delays`` is ``delays[_forward_schedule(arrays).perm]``.  A
+    caller that permutes a freshly sampled block itself holds no reference
+    to the sampled block while the levels fold.
+    """
     schedule = _forward_schedule(arrays)
-    num_samples = delays.shape[1]
+    num_samples = permuted_delays.shape[1]
     arrivals = np.full((arrays.num_vertices, num_samples), _NEG_INF)
     arrivals[source_rows] = 0.0
     is_source = np.zeros(arrays.num_vertices, dtype=bool)
     is_source[source_rows] = True
-    permuted_delays = delays[schedule.perm]
 
     for rows, rounds in schedule.levels:
         acc = _fold_level_rounds(arrivals, permuted_delays, rounds, multi=False)
@@ -505,20 +523,30 @@ def _simulate_delay_range(
     The unit of work of the sharded delay simulation: per-sample values are
     exact (``max`` and ``+`` have no rounding), so any partitioning of the
     sample axis into ranges — and any chunking within a range — reproduces
-    the same values bit for bit.
+    the same values bit for bit.  For the same reason the chunks go to the
+    shared thread loop (:mod:`repro.core.chunk_threads`): each thread draws
+    and propagates the next block-aligned chunk and writes only its own
+    slice of the samples.
     """
     input_rows = arrays.input_rows
     output_rows = arrays.output_rows
     samples = np.empty(stop - start, dtype=float)
-    done = start
-    while done < stop:
-        chunk = min(chunk_size, stop - done)
-        delays = _sample_delay_range(arrays, seed, num_samples, done, done + chunk)
-        arrivals = _longest_paths_levelized(arrays, delays, input_rows)
-        samples[done - start : done - start + chunk] = arrivals[output_rows].max(
-            axis=0
-        )
-        done += chunk
+    # The chunks read the levelized schedules and the fold plan built on
+    # them; build both here, before any thread starts.
+    perm = _forward_schedule(arrays).perm
+
+    def run_chunk(_thread: int, low: int) -> None:
+        high = min(low + chunk_size, stop)
+        # Permuted as it is drawn, so no name holds the sampled block and
+        # it is freed before the fold: one block per thread, not two.
+        permuted = _sample_delay_range(arrays, seed, num_samples, low, high)[perm]
+        arrivals = _longest_paths_permuted(arrays, permuted, input_rows)
+        samples[low - start : high - start] = arrivals[output_rows].max(axis=0)
+
+    starts = range(start, stop, chunk_size)
+    chunk_threads.run_chunks(
+        chunk_threads._thread_count(len(starts)), starts, run_chunk
+    )
     return samples
 
 

@@ -221,6 +221,27 @@ def mc_chunk(monkeypatch):
 
 
 @pytest.fixture
+def force_threads(monkeypatch):
+    """Set the thread count of the kernels' shared chunk loop.
+
+    Returns ``force(threads)``: it lowers the chunks-per-thread floor to
+    one and sets the usable-CPU count to ``threads``, so every run of at
+    least ``threads`` chunks takes that many threads.  ``threads=None``
+    lowers only the floor: the host's usable CPUs set the count, one
+    unless BLAS is pinned to one thread (as CI's thread-parity step pins
+    it).
+    """
+    from repro.core import chunk_threads
+
+    def force(threads):
+        if threads is not None:
+            monkeypatch.setattr(chunk_threads, "_usable_cpus", lambda: threads)
+        monkeypatch.setattr(chunk_threads, "_CHUNKS_PER_THREAD", 1)
+
+    return force
+
+
+@pytest.fixture
 def io_group(monkeypatch):
     """Force the input-group size of ``simulate_io_delays`` via its budget.
 

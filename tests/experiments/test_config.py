@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.config import DEFAULT_CONFIG, FAST_CONFIG, ExperimentConfig
+from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 
 
 class TestExperimentConfig:
@@ -32,10 +32,6 @@ class TestExperimentConfig:
         assert config.criticality_threshold == 0.1
         assert config.seed == 1
         assert DEFAULT_CONFIG.criticality_threshold == 0.05
-
-    def test_fast_config_differs_only_in_sampling(self):
-        assert FAST_CONFIG.monte_carlo_samples < DEFAULT_CONFIG.monte_carlo_samples
-        assert FAST_CONFIG.criticality_threshold == DEFAULT_CONFIG.criticality_threshold
 
     def test_frozen(self):
         with pytest.raises(Exception):

@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.table1 import (
     TABLE1_CIRCUITS,
-    TABLE1_DEFAULT_SUBSET,
     characterize_circuit,
     run_table1,
 )
@@ -31,7 +30,6 @@ class TestCharacterization:
 class TestRunTable1:
     def test_circuit_lists(self):
         assert len(TABLE1_CIRCUITS) == 10
-        assert set(TABLE1_DEFAULT_SUBSET) <= set(TABLE1_CIRCUITS)
 
     def test_rows_reproduce_table_columns(self, small_result):
         assert [row.circuit for row in small_result.rows] == ["c432", "c499"]

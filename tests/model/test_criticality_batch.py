@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import edge_criticality_matrix, edge_criticality_tensor
+from repro.core import chunk_threads
 from repro.core.canonical import CanonicalForm
 from repro.model import criticality
 from repro.model.criticality import (
@@ -476,12 +477,6 @@ class TestChunkSizer:
         _assert_argmax_attains(graph, analysis, one_edge)
 
 
-def _force_threads(monkeypatch, threads):
-    """Run every chunk loop on ``threads`` threads, whatever its length."""
-    monkeypatch.setattr(criticality, "_usable_cpus", lambda: threads)
-    monkeypatch.setattr(criticality, "_CHUNKS_PER_THREAD", 1)
-
-
 def _three_edge_chunks(monkeypatch, analysis):
     """Cut ``analysis``'s edges into chunks of three."""
     num_inputs, num_outputs = analysis.num_inputs, analysis.num_outputs
@@ -500,30 +495,32 @@ class TestThreads:
     """Threads split the serial loop's chunks, never re-cut them, so any
     thread count gives the serial loop's bits, argmax pairs included."""
 
-    @pytest.mark.parametrize("threads", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "threads", [1, 2, 3, pytest.param(None, id="host")]
+    )
     def test_forced_threads_match_the_serial_loop(
-        self, parity_module, monkeypatch, threads
+        self, parity_module, monkeypatch, force_threads, threads
     ):
         graph = parity_module[0]
         analysis = AllPairsTiming.analyze(graph)
         _three_edge_chunks(monkeypatch, analysis)
         serial = compute_edge_criticalities(graph, analysis)
-        _force_threads(monkeypatch, threads)
+        force_threads(threads)
         _assert_identical(serial, compute_edge_criticalities(graph, analysis))
 
     @pytest.mark.parametrize("threads", [2, 3])
     def test_forced_threads_after_a_session_refresh(
-        self, parity_module, monkeypatch, threads
+        self, parity_module, monkeypatch, force_threads, threads
     ):
         pristine, variation = parity_module
         graph = pristine.copy()
         _three_edge_chunks(monkeypatch, AllPairsTiming.analyze(graph))
-        _force_threads(monkeypatch, threads)
+        force_threads(threads)
         session = ExtractionSession(graph, variation)
         edge = graph.edges[len(graph.edges) // 2]
         graph.replace_edge_delay(edge, edge.delay.scale(1.3))
         assert session.refresh().mode == "incremental"
-        _force_threads(monkeypatch, 1)
+        force_threads(1)
         cold = compute_edge_criticalities(graph, AllPairsTiming.analyze(graph))
         _assert_identical(cold, session.criticalities)
 
@@ -533,12 +530,12 @@ class TestThreads:
         _three_edge_chunks(monkeypatch, analysis)
         serial = compute_edge_criticalities(graph, analysis)
         monkeypatch.setattr(
-            criticality, "_thread_count", lambda num_chunks: num_chunks + 3
+            chunk_threads, "_thread_count", lambda num_chunks: num_chunks + 3
         )
         _assert_identical(serial, compute_edge_criticalities(graph, analysis))
 
     def test_a_stalled_thread_leaves_its_chunks_to_the_others(
-        self, parity_module, monkeypatch
+        self, parity_module, monkeypatch, force_threads
     ):
         import threading
 
@@ -548,7 +545,7 @@ class TestThreads:
         serial = compute_edge_criticalities(graph, analysis)
         num_chunks = -(-graph.num_edges // 3)
         assert num_chunks >= 4
-        _force_threads(monkeypatch, 2)
+        force_threads(2)
         chunk_terms = criticality._chunk_terms
         lock = threading.Lock()
         stalled, others = [], []
@@ -578,13 +575,13 @@ class TestThreads:
         _assert_identical(serial, result)
 
     def test_a_failing_chunk_raises_to_the_caller(
-        self, c432_graph, monkeypatch
+        self, c432_graph, monkeypatch, force_threads
     ):
         import threading
 
         analysis = AllPairsTiming.analyze(c432_graph)
         _three_edge_chunks(monkeypatch, analysis)
-        _force_threads(monkeypatch, 2)
+        force_threads(2)
         chunk_terms = criticality._chunk_terms
 
         def failing_chunk_terms(analysis, rows, moments, work=None):
@@ -613,9 +610,9 @@ class TestThreads:
 
         # BLAS on one thread per call: only the daemon flag can say 1.
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        assert criticality._usable_cpus() == len(os.sched_getaffinity(0))
+        assert chunk_threads._usable_cpus() == len(os.sched_getaffinity(0))
         with multiprocessing.get_context("spawn").Pool(1) as pool:
-            result = pool.apply_async(criticality._usable_cpus)
+            result = pool.apply_async(chunk_threads._usable_cpus)
             in_worker = result.get(timeout=120)
         assert in_worker == 1
 
@@ -633,12 +630,12 @@ class TestThreads:
     ):
         import os
 
-        for name in criticality._BLAS_THREADS_ENV:
+        for name in chunk_threads._BLAS_THREADS_ENV:
             monkeypatch.delenv(name, raising=False)
         for name, value in blas_env.items():
             monkeypatch.setenv(name, value)
         cpus = len(os.sched_getaffinity(0)) if single else 1
-        assert criticality._usable_cpus() == cpus
-        assert criticality._thread_count(10 ** 6) == cpus
-        below_floor = criticality._CHUNKS_PER_THREAD - 1
-        assert criticality._thread_count(below_floor) == 1
+        assert chunk_threads._usable_cpus() == cpus
+        assert chunk_threads._thread_count(10 ** 6) == cpus
+        below_floor = chunk_threads._CHUNKS_PER_THREAD - 1
+        assert chunk_threads._thread_count(below_floor) == 1
