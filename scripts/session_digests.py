@@ -12,7 +12,10 @@ session's ``snapshot_state()`` columns:
   module graph;
 * mixed retime / remove / re-add / edge-split edits on c432, each
   followed by an ``IncrementalTimer`` update and an ``AllPairsSession``
-  refresh.
+  refresh;
+* near-input retimes on a 64-bit ripple-carry adder, each followed by an
+  ``IncrementalTimer`` update whose forward cone can run the length of
+  the carry chain, through levels of one or two vertices.
 
 The sessions are deterministic, so two source trees whose sweeps and
 refreshes agree bit for bit print the same lines.  To check a change
@@ -46,6 +49,7 @@ from repro.hier.analysis import DesignTimer
 from repro.liberty.library import standard_library
 from repro.model.extraction import extract_timing_model
 from repro.montecarlo.flat import MonteCarloSession
+from repro.netlist.generators import ripple_carry_adder
 from repro.netlist.iscas85 import iscas85_surrogate
 from repro.netlist.multiplier import array_multiplier
 from repro.placement.placer import place_netlist
@@ -63,7 +67,15 @@ INSTANCE = "m0_0"
 #: Number of mixed edits on c432.
 EDITS = 30
 
-#: Seed of the edit choices in both parts.
+#: Width of the ripple-carry adder and number of its retimes.
+ADDER_BITS = 64
+ADDER_EDITS = 12
+
+#: The adder's carry-in and the operand bits of its first three full
+#: adders, whose fanout edges the adder part retimes.
+ADDER_SOURCES = ["CIN", "A0", "B0", "A1", "B1", "A2", "B2"]
+
+#: Seed of the edit choices in every part.
 SEED = 1
 
 
@@ -76,6 +88,15 @@ def state_digest(session) -> str:
         digest.update(("%s %s %s" % (name, array.dtype.str, array.shape)).encode())
         digest.update(array.tobytes())
     return digest.hexdigest()[:16]
+
+
+def placed_graph(netlist):
+    """The timing graph of ``netlist``, placed with the standard library."""
+    library = standard_library()
+    placement = place_netlist(netlist, library)
+    return build_timing_graph(
+        netlist, library, placement, default_variation_for(netlist, placement)
+    )
 
 
 def cones(update) -> str:
@@ -142,12 +163,7 @@ def c432_edits() -> None:
     too.  Every edit keeps the graph acyclic: it stays a subgraph of the
     original with some edges subdivided.
     """
-    library = standard_library()
-    netlist = iscas85_surrogate("c432")
-    placement = place_netlist(netlist, library)
-    graph = build_timing_graph(
-        netlist, library, placement, default_variation_for(netlist, placement)
-    )
+    graph = placed_graph(iscas85_surrogate("c432"))
     timer = IncrementalTimer(graph)
     timer.update()
     allpairs = AllPairsSession(graph)
@@ -191,6 +207,26 @@ def c432_edits() -> None:
         )
 
 
+def adder_retimes() -> None:
+    """Near-input retimes on a ripple-carry adder through an incremental timer.
+
+    The deep, narrow cones here are what the other two parts do not
+    reach: most of the adder's levels hold one or two vertices.
+    """
+    graph = placed_graph(ripple_carry_adder(ADDER_BITS))
+    timer = IncrementalTimer(graph)
+    timer.update()
+    rng = random.Random(SEED)
+    for step in range(ADDER_EDITS):
+        edge = rng.choice(graph.fanout_edges(rng.choice(ADDER_SOURCES)))
+        graph.replace_edge_delay(edge, edge.delay.scale(rng.uniform(0.7, 1.3)))
+        print(
+            "adder %d %s->%s: timer %s"
+            % (step, edge.source, edge.sink, cones(timer.update()))
+        )
+        print("adder %d: timer %s" % (step, state_digest(timer)))
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--bits", type=int, default=4, help="multiplier width")
@@ -199,6 +235,7 @@ def main() -> None:
     args = parser.parse_args()
     module_rounds(args.bits, args.rounds, args.samples)
     c432_edits()
+    adder_retimes()
 
 
 if __name__ == "__main__":

@@ -54,6 +54,7 @@ import numpy as np
 
 from repro.core.canonical import CanonicalForm
 from repro.core.gaussian import (
+    DEGENERATE_THETA,
     normal_cdf,
     normal_cdf_into,
     normal_pdf,
@@ -67,15 +68,12 @@ __all__ = [
     "batch_covariance",
     "clark_max_arrays",
     "clark_max_into",
-    "merge_max_with_validity",
     "merge_max_with_validity_into",
     "pad_corr",
     "tightness_arrays",
     "tightness_from_moments",
     "clark_max_reduce",
 ]
-
-_THETA_EPSILON = 1e-12
 
 Number = Union[int, float]
 
@@ -138,7 +136,7 @@ def tightness_from_moments(
     moments.
     """
     theta_sq = np.maximum(var_a + var_b - 2.0 * cov, 0.0)
-    floor = _THETA_EPSILON * _THETA_EPSILON
+    floor = DEGENERATE_THETA * DEGENERATE_THETA
     if relative_epsilon:
         floor = np.maximum(floor, relative_epsilon * (var_a + var_b))
     degenerate = theta_sq <= floor
@@ -191,7 +189,7 @@ def clark_max_arrays(
 
     theta_sq = np.maximum(var_a + var_b - 2.0 * cov, 0.0)
     theta = np.sqrt(theta_sq)
-    degenerate = theta <= _THETA_EPSILON
+    degenerate = theta <= DEGENERATE_THETA
     safe_theta = np.where(degenerate, 1.0, theta)
 
     alpha = (mean_a - mean_b) / safe_theta
@@ -214,39 +212,6 @@ def clark_max_arrays(
     linear_variance = np.einsum("...k,...k->...", corr, corr)
     randvar = np.maximum(variance - linear_variance, 0.0)
     return mean, corr, randvar
-
-
-def merge_max_with_validity(
-    mean_a: np.ndarray,
-    corr_a: np.ndarray,
-    randvar_a: np.ndarray,
-    valid_a: np.ndarray,
-    mean_b: np.ndarray,
-    corr_b: np.ndarray,
-    randvar_b: np.ndarray,
-    valid_b: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Clark max that honours per-entry validity masks.
-
-    Entries valid on only one side copy that side; entries valid on neither
-    side stay invalid (their numeric content is meaningless).
-    """
-    mean, corr, randvar = clark_max_arrays(
-        mean_a, corr_a, randvar_a, mean_b, corr_b, randvar_b
-    )
-    if valid_a.all() and valid_b.all():
-        # Fast path for the common fully-reachable case: no masking needed.
-        return mean, corr, randvar, valid_a | valid_b
-    both = valid_a & valid_b
-    only_a = valid_a & ~valid_b
-
-    out_mean = np.where(both, mean, np.where(only_a, mean_a, mean_b))
-    out_randvar = np.where(both, randvar, np.where(only_a, randvar_a, randvar_b))
-    both_e = both[..., np.newaxis]
-    only_a_e = only_a[..., np.newaxis]
-    out_corr = np.where(both_e, corr, np.where(only_a_e, corr_a, corr_b))
-    out_valid = valid_a | valid_b
-    return out_mean, out_corr, out_randvar, out_valid
 
 
 class FoldWorkspace:
@@ -325,7 +290,7 @@ def clark_max_into(
     np.maximum(theta, 0.0, out=theta)
     np.sqrt(theta, out=theta)
     degenerate = work.view("degenerate", shape, dtype=bool)
-    np.less_equal(theta, _THETA_EPSILON, out=degenerate)
+    np.less_equal(theta, DEGENERATE_THETA, out=degenerate)
     safe_theta = work.view("safe_theta", shape)
     np.copyto(safe_theta, theta)
     np.copyto(safe_theta, 1.0, where=degenerate)
@@ -398,11 +363,13 @@ def merge_max_with_validity_into(
     out_valid: np.ndarray,
     work: FoldWorkspace,
 ) -> None:
-    """Allocation-free :func:`merge_max_with_validity` writing into ``out_*``.
+    """Clark max that honours per-entry validity masks, into ``out_*``.
 
-    Bitwise-identical results to the allocating kernel (the masked selection
-    is pure elementwise choice).  The ``out_*`` arrays must not alias any
-    input.
+    Entries valid on only one side copy that side; entries valid on neither
+    side stay invalid (their numeric content is meaningless).  Bitwise equal
+    to the allocating oracle ``merge_max_with_validity`` of
+    ``tests/oracles.py`` (the masked selection is pure elementwise choice).
+    The ``out_*`` arrays must not alias any input.
     """
     clark_max_into(
         mean_a, corr_a, randvar_a, mean_b, corr_b, randvar_b,

@@ -43,7 +43,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core import chunk_threads
-from repro.core.gaussian import normal_cdf
+from repro.core.gaussian import DEGENERATE_THETA, normal_cdf
 from repro.errors import ModelExtractionError
 from repro.timing.allpairs import (
     ALLPAIRS_BUDGET_ENV,
@@ -63,7 +63,6 @@ __all__ = [
 ]
 
 _MEAN_EPSILON = 1e-9
-_THETA_EPSILON = 1e-12
 
 # Relative degeneracy floor shared by the batched kernel and the scalar
 # reference (see
@@ -370,7 +369,7 @@ def _chunk_terms(
     # reference classify analytically-tied operands identically.
     floor = _view(work, "floor", shape)
     np.multiply(var_sum, THETA_RELATIVE_EPSILON, out=floor)
-    np.maximum(floor, _THETA_EPSILON * _THETA_EPSILON, out=floor)
+    np.maximum(floor, DEGENERATE_THETA * DEGENERATE_THETA, out=floor)
 
     # theta^2 of the independent bound, in place over the covariance.
     cov *= -2.0

@@ -9,9 +9,8 @@ shared view (:meth:`~repro.timing.arrays.GraphArrays.of`, one per graph
 and revision), while sessions patch a private view in place.  The engines:
 
 * :mod:`repro.timing.propagation` — block-based SSTA for module-level and
-  design-level arrival/required/slack propagation: one levelized fold
-  that runs each level scalar or batched by its edge count, with
-  bit-identical results either way;
+  design-level arrival/required/slack propagation: one batched
+  levelized fold;
 * :mod:`repro.timing.allpairs` — a vectorized engine that computes, for a
   module, the arrival times from *every* input, the path delays to *every*
   output and the all-pairs input/output delay matrix needed by the

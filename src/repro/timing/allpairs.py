@@ -21,8 +21,7 @@ global coefficient, components ``1..K`` are the local PCA coefficients, and
 the private random part is tracked as a variance.  The graph's view
 (:meth:`~repro.timing.arrays.GraphArrays.of`), the levelized fold and the
 batched Clark kernels are the same ones the levelized SSTA propagation
-uses; ``GraphArrays`` and :func:`~repro.core.batch.clark_max_arrays` are
-re-exported here for backwards compatibility.
+uses.
 
 Two entry points share the tensors:
 
@@ -63,7 +62,7 @@ from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import FoldWorkspace, clark_max_arrays
+from repro.core.batch import FoldWorkspace
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
 from repro.timing.arrays import GraphArrays, _merge_dirty, _migrate_rows, _sweep_cone
@@ -75,9 +74,7 @@ __all__ = [
     "AllPairsSession",
     "AllPairsTiming",
     "AllPairsUpdate",
-    "GraphArrays",
     "allpairs_budget_floats",
-    "clark_max_arrays",
     "dense_tensor_floats",
 ]
 

@@ -8,10 +8,10 @@ graph's coalesced change journal, patches the session's private
 :class:`~repro.timing.arrays.GraphArrays` view, seeds a dirty-vertex
 frontier from the edited edges, and repropagates **only the affected cone**
 with the one-shot passes' per-level fold
-(:func:`~repro.timing.propagation._fold_level`: scalar on narrow levels,
-batched on wide ones) — processing, per topological level, just the dirty
-subset of its vertices and stopping a branch of the sweep as soon as a
-recomputed time converges back to the cached value.  The walk is
+(:func:`~repro.timing.propagation._fold_level`) — processing, per
+topological level, just the dirty subset of its vertices and stopping a
+branch of the sweep as soon as a recomputed time converges back to the
+cached value.  The walk is
 :func:`~repro.timing.arrays._sweep_cone`, the one dirty-cone walker of the
 three incremental sessions (this timer, the all-pairs session and the Monte
 Carlo session): it builds the level schedule before any write, so an edit
@@ -207,11 +207,6 @@ class IncrementalTimer:
         self._pending_bwd: Optional[np.ndarray] = None
         self._delay_cache: Optional[Tuple[int, CanonicalForm]] = None
         self.last_update: Optional[UpdateStats] = None
-        # Cumulative path counters of the dirty sweeps (levels folded by
-        # the scalar path vs the batched one; full passes do not count) —
-        # observability for benchmarks and the per-level rule's tests.
-        self.scalar_level_folds = 0
-        self.batched_level_folds = 0
         # Why a warm start fell back to a cold rebuild (None for cold
         # sessions and for genuinely warm loads); set by repro.store.
         self.store_fallback_reason: Optional[str] = None
@@ -331,8 +326,6 @@ class IncrementalTimer:
         self._pending_bwd = None
         self._delay_cache = None
         self.last_update = None
-        self.scalar_level_folds = 0
-        self.batched_level_folds = 0
         self.store_fallback_reason = None
         return self
 
@@ -585,15 +578,11 @@ class IncrementalTimer:
             if edge_matrix is None:
                 acc = tuple(seed[rows] for seed in seeds)
             else:
-                acc, scalar = _fold_level(
+                acc = _fold_level(
                     rows, edge_matrix, (edge_matrix >= 0).sum(axis=0), neighbor_rows,
                     arrays.edge_mean, self._edge_corr_w, arrays.edge_randvar,
                     values, seeds, backward, work,
                 )
-                if scalar:
-                    self.scalar_level_folds += 1
-                else:
-                    self.batched_level_folds += 1
             return _write_moved(values, rows, acc)
 
         return _sweep_cone(arrays, dirty, backward, refold)

@@ -10,16 +10,12 @@ design-level hierarchical propagation (Section V, step 4).
 Every pass keeps its per-vertex times in the structure-of-arrays layout of
 :class:`~repro.core.batch.CanonicalBatch` on the graph's shared
 :meth:`~repro.timing.arrays.GraphArrays.of` view and folds the graph one
-topological level at a time.  Each level picks its path by size: a level
-that folds at most :data:`SCALAR_SWEEP_MAX_LEVEL_EDGES` edges runs a scalar
-transcription of the batched Clark kernel vertex by vertex, and a wider one
-runs one batched Clark reduction per fold round (:func:`_fold_rounds`).
-Both fold a vertex's candidates in the same order with the same formulas,
-so the choice never changes a bit of the result; it only spares deep,
-narrow graphs (ripple-carry chains) the per-level numpy overhead.  The
-:class:`~repro.timing.incremental.IncrementalTimer` sweeps its dirty cones
-through the same per-level fold and writes them back with
-:func:`_write_moved`, which it shares with the all-pairs session.
+topological level at a time: every level runs one batched Clark merge
+per fold round (:func:`_fold_rounds`), the round body the all-pairs folds
+share.  The :class:`~repro.timing.incremental.IncrementalTimer` sweeps its
+dirty cones through the same per-level fold (:func:`_fold_level`) and
+writes them back with :func:`_write_moved`, which it shares with the
+all-pairs session.
 
 Boundary conditions: a ``minus_infinity`` input arrival, the identity of
 ``max``, leaves that input unseeded, so vertices reachable only from such
@@ -39,7 +35,6 @@ from dataclasses import dataclass
 from typing import Dict, Mapping, Optional, Tuple
 
 import numpy as np
-from scipy.special import ndtr
 
 from repro.core.batch import (
     CanonicalBatch,
@@ -48,13 +43,11 @@ from repro.core.batch import (
     pad_corr,
 )
 from repro.core.canonical import CanonicalForm
-from repro.core.gaussian import DEGENERATE_THETA
 from repro.errors import TimingGraphError
 from repro.timing.arrays import GraphArrays
 from repro.timing.graph import TimingGraph
 
 __all__ = [
-    "SCALAR_SWEEP_MAX_LEVEL_EDGES",
     "VertexTimes",
     "propagate_arrival_times",
     "propagate_arrival_times_batch",
@@ -66,18 +59,6 @@ __all__ = [
     "longest_path_to_outputs",
     "longest_path_to_outputs_batch",
 ]
-
-#: A level (or a session's dirty subset of one) that folds at most this
-#: many edges runs the scalar fold; wider ones run the batched rounds.  The
-#: batched fold launches a fixed number of numpy kernels per level however
-#: few vertices it updates, which dominates on the two-to-three-vertex
-#: levels of deep, narrow graphs.  ``circuit_delay`` medians on a 2-CPU
-#: host: a 64-bit ripple-carry adder takes 4.8 ms against 19.8 ms
-#: all-batched and 6.1 ms for the object-level loop; c880 and c7552 have
-#: no level this narrow.
-SCALAR_SWEEP_MAX_LEVEL_EDGES = 12
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 #: Per-vertex SoA state ``(mean, corr, randvar, valid)``.
 State = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -215,10 +196,10 @@ def _fold_rounds(
     Round ``r`` adds the neighbor time of every vertex's ``r``-th edge to
     that edge's delay and merges the candidate batch into the accumulator
     prefix ``[:round_counts[r]]`` with one masked Clark max — the same
-    left-fold order per vertex as :func:`_scalar_level_fold` and the
-    reference loop.  This is the single shared round body of the levelized
-    passes, the incremental dirty-cone sweep and the all-pairs folds: their
-    bit-identical candidate fold order lives here and nowhere else.
+    left-fold order per vertex as the reference loop.  This is the single
+    shared round body of the levelized passes, the incremental dirty-cone
+    sweep and the all-pairs folds: their bit-identical candidate fold order
+    lives here and nowhere else.
     ``init_round0`` makes round 0 initialise the accumulators (the arrival
     fold's ``best = candidate``); otherwise round 0 merges into pre-seeded
     accumulators (the backward folds' seed-first fold).
@@ -282,131 +263,6 @@ def _fold_rounds(
         acc_randvar[:count], acc_valid[:count] = merged_randvar, merged_valid
 
 
-def _scalar_clark_merge(
-    mean_a: float,
-    corr_a: np.ndarray,
-    var_a: float,
-    randvar_a: float,
-    valid_a: bool,
-    mean_b: float,
-    corr_b: np.ndarray,
-    var_b: float,
-    randvar_b: float,
-    valid_b: bool,
-) -> Tuple[float, np.ndarray, float, float, bool]:
-    """Scalar transcription of :func:`~repro.core.batch.merge_max_with_validity`.
-
-    Operates on one canonical form per side (``corr_*`` are the fused
-    ``(width,)`` coefficient rows; ``var_*`` the precomputed total
-    variances, carried between merges so the accumulator's is not
-    re-derived per fold).  The formula sequence — including the
-    degenerate-theta cutoff, the variance clamps, the exact
-    ``ndtr``/``np.exp`` special-function implementations and the masked
-    selection (``a`` only when ``a`` alone is valid, else ``b`` unless both
-    are) — mirrors the batched kernel step for step: the residual private
-    variance is a cancellation-prone difference whose square root
-    amplifies even ulp-level divergence, so the scalar path must reproduce
-    the batched arithmetic bit for bit, not merely closely.  Returns
-    ``(mean, corr, var, randvar, valid)``.
-    """
-    if not valid_a:
-        return mean_b, corr_b, var_b, randvar_b, valid_b
-    if not valid_b:
-        return mean_a, corr_a, var_a, randvar_a, True
-    cov = float(np.einsum("k,k->", corr_a, corr_b))
-    theta_sq = var_a + var_b - 2.0 * cov
-    theta = math.sqrt(theta_sq) if theta_sq > 0.0 else 0.0
-    if theta <= DEGENERATE_THETA:
-        tp = 1.0 if mean_a >= mean_b else 0.0
-        phi = 0.0
-    else:
-        alpha = (mean_a - mean_b) / theta
-        tp = float(ndtr(alpha))
-        phi = float(_INV_SQRT_2PI * np.exp(-0.5 * alpha * alpha))
-    mean = tp * mean_a + (1.0 - tp) * mean_b + theta * phi
-    second = (
-        tp * (var_a + mean_a * mean_a)
-        + (1.0 - tp) * (var_b + mean_b * mean_b)
-        + (mean_a + mean_b) * theta * phi
-    )
-    variance = max(second - mean * mean, 0.0)
-    corr = tp * corr_a + (1.0 - tp) * corr_b
-    linear = float(np.einsum("k,k->", corr, corr))
-    randvar = max(variance - linear, 0.0)
-    return mean, corr, linear + randvar, randvar, True
-
-
-def _scalar_level_fold(
-    rows: np.ndarray,
-    edge_matrix: np.ndarray,
-    neighbor_rows: np.ndarray,
-    edge_mean: np.ndarray,
-    edge_corr: np.ndarray,
-    edge_randvar: np.ndarray,
-    state: State,
-    seeds: State,
-    seed_first: bool,
-) -> State:
-    """The batched level fold, vertex by vertex with scalar Clark merges.
-
-    Replicates :func:`_fold_level`'s batched path on every valid row —
-    seed-first backward, first candidate initialises forward with a valid
-    seed merged after — on single state rows, skipping the per-level
-    batched kernel launches.
-    """
-    state_mean, state_corr, state_randvar, state_valid = state
-    seed_mean, seed_corr, seed_randvar, seed_valid = seeds
-    num = rows.shape[0]
-    acc_mean = np.empty(num, dtype=float)
-    acc_corr = np.empty((num, state_corr.shape[1]), dtype=float)
-    acc_randvar = np.empty(num, dtype=float)
-    acc_valid = np.empty(num, dtype=bool)
-    for position in range(num):
-        row = int(rows[position])
-        if seed_first:
-            mean = float(seed_mean[row])
-            corr = seed_corr[row]
-            randvar = float(seed_randvar[row])
-            var = float(np.einsum("k,k->", corr, corr)) + randvar
-            valid = bool(seed_valid[row])
-        first = not seed_first
-        for edge_row in edge_matrix[position]:
-            if edge_row < 0:
-                break  # padding: this vertex has no further edges
-            neighbor = neighbor_rows[edge_row]
-            cand_mean = float(state_mean[neighbor]) + float(edge_mean[edge_row])
-            cand_corr = state_corr[neighbor] + edge_corr[edge_row]
-            cand_randvar = float(state_randvar[neighbor]) + float(edge_randvar[edge_row])
-            cand_var = float(np.einsum("k,k->", cand_corr, cand_corr)) + cand_randvar
-            cand_valid = bool(state_valid[neighbor])
-            if first:
-                mean, corr, var, randvar, valid = (
-                    cand_mean, cand_corr, cand_var, cand_randvar, cand_valid,
-                )
-                first = False
-                continue
-            mean, corr, var, randvar, valid = _scalar_clark_merge(
-                mean, corr, var, randvar, valid,
-                cand_mean, cand_corr, cand_var, cand_randvar, cand_valid,
-            )
-        if not seed_first and seed_valid[row]:
-            # An input vertex that also has fanin merges its seed after the
-            # fold, like the batched path.
-            s_corr = seed_corr[row]
-            s_randvar = float(seed_randvar[row])
-            mean, corr, var, randvar, valid = _scalar_clark_merge(
-                mean, corr, var, randvar, valid,
-                float(seed_mean[row]), s_corr,
-                float(np.einsum("k,k->", s_corr, s_corr)) + s_randvar,
-                s_randvar, True,
-            )
-        acc_mean[position] = mean
-        acc_corr[position] = corr
-        acc_randvar[position] = randvar
-        acc_valid[position] = valid
-    return acc_mean, acc_corr, acc_randvar, acc_valid
-
-
 def _fold_level(
     rows: np.ndarray,
     edge_matrix: np.ndarray,
@@ -419,7 +275,7 @@ def _fold_level(
     seeds: State,
     seed_first: bool,
     work: FoldWorkspace,
-) -> Tuple[State, bool]:
+) -> State:
     """Fold one level (or a dirty subset of one); the state is not written.
 
     ``rows`` are the level's vertex rows in descending-degree order with
@@ -430,21 +286,10 @@ def _fold_level(
     one-shot pass passes its state as the seeds — each row's seed is read
     before that row is written.
 
-    Single-column state folds at most :data:`SCALAR_SWEEP_MAX_LEVEL_EDGES`
-    edges with :func:`_scalar_level_fold`, wider levels (and the all-pairs
-    column blocks, ``mean.ndim == 2``) with :func:`_fold_rounds`.  Returns
-    the folded ``(mean, corr, randvar, valid)`` of ``rows`` — workspace
-    views on the batched path, valid until the next fold — and whether the
-    scalar path ran.
+    Returns the folded ``(mean, corr, randvar, valid)`` of ``rows`` as
+    workspace views, valid until the next fold.
     """
     mean = state[0]
-    if mean.ndim == 1 and int(round_counts.sum()) <= SCALAR_SWEEP_MAX_LEVEL_EDGES:
-        acc = _scalar_level_fold(
-            rows, edge_matrix, neighbor_rows, edge_mean, edge_corr, edge_randvar,
-            state, seeds, seed_first,
-        )
-        return acc, True
-
     shape = (rows.shape[0],) + mean.shape[1:]
     width = state[1].shape[-1]
     acc = _state_views(work, "acc", shape, width)
@@ -459,11 +304,11 @@ def _fold_level(
         *state, *acc, init_round0=not seed_first, work=work,
     )
     if seed_first:
-        return acc, False
+        return acc
     seed_valid = work.view("seed_valid", shape, dtype=bool)
     np.take(seeds[3], rows, axis=0, out=seed_valid)
     if not seed_valid.any():
-        return acc, False
+        return acc
     # Merge a pre-seeded state (an input vertex that also has fanin) after
     # the fold.
     seed = _state_views(work, "seed", shape, width)
@@ -471,7 +316,7 @@ def _fold_level(
         np.take(values, rows, axis=0, out=into)
     merged = _state_views(work, "merged", shape, width)
     merge_max_with_validity_into(*acc, *seed, *merged, work)
-    return merged, False
+    return merged
 
 
 def _state_views(
@@ -546,7 +391,7 @@ def _fold_levels(
     state = (mean, corr, randvar, valid)
     for level in levels:
         rows = level.vertex_rows
-        acc, _scalar = _fold_level(
+        acc = _fold_level(
             rows, level.edge_matrix, level.round_counts, neighbor_rows,
             arrays.edge_mean, edge_corr, arrays.edge_randvar,
             state, state, seed_first, work,

@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import merge_max_with_validity
 from repro.core.batch import (
     CanonicalBatch,
     batch_covariance,
     batch_variance,
     clark_max_arrays,
     clark_max_reduce,
-    merge_max_with_validity,
     tightness_arrays,
 )
 from repro.core.canonical import CanonicalForm

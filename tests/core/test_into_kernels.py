@@ -16,11 +16,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import merge_max_with_validity
 from repro.core.batch import (
     FoldWorkspace,
     clark_max_arrays,
     clark_max_into,
-    merge_max_with_validity,
     merge_max_with_validity_into,
 )
 from repro.core.canonical import CanonicalForm

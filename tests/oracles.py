@@ -14,7 +14,9 @@ against; nothing in ``src/`` calls them.
   :mod:`repro.montecarlo.flat`;
 * :func:`_reference_fold` — the object-level SSTA fold over immutable
   canonical forms, against which :mod:`repro.timing.propagation` is
-  checked (to 1e-9).
+  checked (to 1e-9);
+* :func:`merge_max_with_validity` — the allocating masked Clark max,
+  bitwise equal to :func:`~repro.core.batch.merge_max_with_validity_into`.
 
 Test modules import them as ``from oracles import ...``: ``tests/`` is on
 ``sys.path`` once pytest has loaded ``tests/conftest.py``.
@@ -22,11 +24,11 @@ Test modules import them as ``from oracles import ...``: ``tests/`` is on
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import tightness_from_moments
+from repro.core.batch import clark_max_arrays, tightness_from_moments
 from repro.core.canonical import CanonicalForm
 from repro.core.gaussian import normal_cdf
 from repro.core.ops import statistical_max
@@ -213,3 +215,36 @@ def _reference_fold(
             best = statistical_max(best, times[vertex])
         times[vertex] = best
     return times
+
+
+def merge_max_with_validity(
+    mean_a: np.ndarray,
+    corr_a: np.ndarray,
+    randvar_a: np.ndarray,
+    valid_a: np.ndarray,
+    mean_b: np.ndarray,
+    corr_b: np.ndarray,
+    randvar_b: np.ndarray,
+    valid_b: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Clark max that honours per-entry validity masks.
+
+    Entries valid on only one side copy that side; entries valid on neither
+    side stay invalid (their numeric content is meaningless).
+    """
+    mean, corr, randvar = clark_max_arrays(
+        mean_a, corr_a, randvar_a, mean_b, corr_b, randvar_b
+    )
+    if valid_a.all() and valid_b.all():
+        # Fast path for the common fully-reachable case: no masking needed.
+        return mean, corr, randvar, valid_a | valid_b
+    both = valid_a & valid_b
+    only_a = valid_a & ~valid_b
+
+    out_mean = np.where(both, mean, np.where(only_a, mean_a, mean_b))
+    out_randvar = np.where(both, randvar, np.where(only_a, randvar_a, randvar_b))
+    both_e = both[..., np.newaxis]
+    only_a_e = only_a[..., np.newaxis]
+    out_corr = np.where(both_e, corr, np.where(only_a_e, corr_a, corr_b))
+    out_valid = valid_a | valid_b
+    return out_mean, out_corr, out_randvar, out_valid

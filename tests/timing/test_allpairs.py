@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.batch import clark_max_arrays
 from repro.core.canonical import CanonicalForm
 from repro.core.ops import statistical_max, statistical_sum
 from repro.errors import TimingGraphError
 from repro.montecarlo.flat import simulate_io_delays
-from repro.timing.allpairs import AllPairsTiming, GraphArrays, clark_max_arrays
+from repro.timing.allpairs import AllPairsTiming
+from repro.timing.arrays import GraphArrays
 from repro.timing.graph import TimingGraph
 from repro.timing.propagation import propagate_arrival_times
 

@@ -15,7 +15,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.core.batch import merge_max_with_validity
+from oracles import merge_max_with_validity
 from repro.timing.allpairs import AllPairsSession, AllPairsTiming
 from repro.timing.arrays import GraphArrays
 

@@ -4,8 +4,8 @@ The level fold folds every vertex's fanin/fanout candidates in the same
 order as the object-level oracle (the ``propagation_reference`` fixture),
 so the two must agree to floating-point round-off (1e-9) on every vertex —
 asserted here on the real ISCAS c17 netlist, on a generated array
-multiplier and on an ISCAS85 surrogate.  The per-level choice between the
-scalar and the batched fold path must not change a single bit.
+multiplier, on an ISCAS85 surrogate and on a 64-bit ripple-carry adder,
+whose forward levels past the first hold one or two vertices each.
 """
 
 import math
@@ -25,7 +25,6 @@ from repro.placement.placer import place_netlist
 from repro.timing.arrays import GraphArrays
 from repro.timing.builder import build_timing_graph, default_variation_for
 from repro.timing.graph import TimingGraph
-from repro.timing import propagation
 from repro.timing.propagation import (
     circuit_delay,
     compute_slacks,
@@ -62,12 +61,14 @@ def _graph_for(netlist: Netlist) -> TimingGraph:
     return build_timing_graph(netlist, library, placement, variation)
 
 
-@pytest.fixture(scope="module", params=["c17", "mult4", "c432"])
+@pytest.fixture(scope="module", params=["c17", "mult4", "c432", "rca64"])
 def parity_graph(request) -> TimingGraph:
     if request.param == "c17":
         return _graph_for(c17_netlist())
     if request.param == "mult4":
         return _graph_for(array_multiplier(4))
+    if request.param == "rca64":
+        return _graph_for(ripple_carry_adder(64))
     return _graph_for(iscas85_surrogate("c432"))
 
 
@@ -366,65 +367,3 @@ class TestNonFiniteBoundaryConditions:
             propagate_required_times_batch(graph, {vertex: bad})
         with pytest.raises(ValueError, match=re.escape(repr(graph.outputs[0]))):
             compute_slacks_batch(graph, bad)
-
-
-@pytest.fixture(scope="module", params=["c17", "mult4", "c432", "rca64"])
-def level_rule_graph(request) -> TimingGraph:
-    """The parity circuits plus a 64-bit ripple-carry adder (deep, narrow)."""
-    netlist = {
-        "c17": c17_netlist,
-        "mult4": lambda: array_multiplier(4),
-        "c432": lambda: iscas85_surrogate("c432"),
-        "rca64": lambda: ripple_carry_adder(64),
-    }[request.param]()
-    return _graph_for(netlist)
-
-
-def _all_passes(graph: TimingGraph):
-    constraint = CanonicalForm(500.0, 1.0, [0.5], 0.25)
-    return {
-        "arrivals": propagate_arrival_times_batch(graph),
-        "offsets": propagate_arrival_times_batch(graph, _offsets(graph)),
-        "required": propagate_required_times_batch(
-            graph, {name: constraint for name in graph.outputs}
-        ),
-        "to_outputs": longest_path_to_outputs_batch(graph),
-        "slacks": compute_slacks_batch(
-            graph, CanonicalForm.constant(1000.0, graph.num_locals)
-        ),
-        "delay": circuit_delay(graph),
-    }
-
-
-class TestPerLevelRule:
-    """The scalar/batched choice per level never changes a bit."""
-
-    @pytest.mark.parametrize("limit", [0, 10**9], ids=["all_batched", "all_scalar"])
-    def test_forced_paths_equal_the_default(self, level_rule_graph, monkeypatch, limit):
-        graph = level_rule_graph
-        default = _all_passes(graph)
-        scalar_levels = []
-        fold = propagation._scalar_level_fold
-
-        def counting_fold(rows, *args):
-            scalar_levels.append(rows.shape[0])
-            return fold(rows, *args)
-
-        monkeypatch.setattr(propagation, "SCALAR_SWEEP_MAX_LEVEL_EDGES", limit)
-        monkeypatch.setattr(propagation, "_scalar_level_fold", counting_fold)
-        forced = _all_passes(graph)
-        arrays = GraphArrays.of(graph)
-        if limit == 0:
-            assert not scalar_levels
-        else:
-            # Every level of all six passes ran scalar.
-            levels = len(arrays.forward_levels()) + len(arrays.backward_levels())
-            assert len(scalar_levels) == 3 * levels + len(arrays.forward_levels())
-        for name, result in default.items():
-            if name == "delay":
-                assert forced[name] == result
-                continue
-            for field in ("mean", "corr", "randvar", "valid"):
-                assert np.array_equal(
-                    getattr(forced[name], field), getattr(result, field)
-                ), (name, field)

@@ -21,7 +21,6 @@ from repro.model.reduction import reduce_graph
 from repro.timing.graph import TimingGraph
 from repro.timing.incremental import IncrementalTimer
 from repro.timing.propagation import (
-    SCALAR_SWEEP_MAX_LEVEL_EDGES,
     compute_slacks_batch,
     propagate_arrival_times_batch,
     propagate_required_times_batch,
@@ -395,8 +394,8 @@ class TestCornerStaSessionReuse:
             corner_sta()
 
 
-class TestObjectEngineDirtySweep:
-    """The scalar path of the per-level fold takes over on narrow dirty levels."""
+class TestDirtySweepParity:
+    """Dirty sweeps through deep, narrow cones and whole-graph wide levels."""
 
     @staticmethod
     def _deep_chain(stages: int = 60, width: int = 2) -> TimingGraph:
@@ -417,22 +416,20 @@ class TestObjectEngineDirtySweep:
             graph.mark_output(sink)
         return graph
 
-    def test_scalar_engine_selected_on_deep_narrow_cones(self):
+    def test_near_input_retime_sweeps_the_deep_chain(self):
         graph = self._deep_chain()
         timer = IncrementalTimer(graph, required_time=_constraint(graph))
         timer.update()
-        assert timer.scalar_level_folds == 0  # full passes are not counted
         edge = graph.edges[0]  # near-input edge: the cone spans every level
         graph.replace_edge_delay(edge, edge.delay.scale(1.2))
-        timer.update()
-        # Every dirty level of the chain folds 2 vertices x 2 edges, well
-        # under the crossover, so the sweep ran on the scalar path.
-        assert SCALAR_SWEEP_MAX_LEVEL_EDGES >= 4
-        assert timer.scalar_level_folds > 0
-        assert timer.batched_level_folds == 0
-        _assert_parity(timer, graph, "scalar sweep")
+        stats = timer.update()
+        # The cone is every vertex but the input and v1_1, the edge sink's
+        # neighbour in its stage.
+        assert stats.mode == "incremental"
+        assert stats.forward_recomputed == graph.num_vertices - 2
+        _assert_parity(timer, graph, "deep chain")
 
-    def test_scalar_and_batched_engines_agree(self):
+    def test_random_retimes_of_the_deep_chain(self):
         graph = self._deep_chain()
         timer = IncrementalTimer(graph, required_time=_constraint(graph))
         timer.update()
@@ -440,23 +437,16 @@ class TestObjectEngineDirtySweep:
         for _unused in range(8):
             edge = rng.choice(graph.edges)
             graph.replace_edge_delay(edge, edge.delay.scale(rng.uniform(0.8, 1.2)))
-            _assert_parity(timer, graph, "scalar parity")
+            _assert_parity(timer, graph, "random retimes")
 
-    def test_wide_dirty_levels_stay_batched(self, edit_graph):
+    def test_whole_graph_retime_sweeps_wide_levels(self, edit_graph):
         graph = edit_graph
         timer = IncrementalTimer(graph, required_time=_constraint(graph))
         timer.update()
-        # Retime every edge: whole-graph dirty cones on the wider ISCAS
-        # fixtures exceed the per-level crossover somewhere.
+        # Retime every edge: the dirty cone is every level, whole.
         for edge in graph.edges:
             graph.replace_edge_delay(edge, edge.delay.scale(1.01))
-        timer.update()
-        levels = timer.arrays.forward_levels()
-        widest = max(
-            int((level.edge_matrix >= 0).sum()) for level in levels
-        )
-        if widest > SCALAR_SWEEP_MAX_LEVEL_EDGES:
-            assert timer.batched_level_folds > 0
+        assert timer.update().mode == "incremental"
         _assert_parity(timer, graph, "wide levels")
 
 
