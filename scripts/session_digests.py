@@ -10,6 +10,10 @@ session's ``snapshot_state()`` columns:
   into a four-instance design through a ``DesignTimer`` (its
   ``IncrementalTimer``) and revalidates a ``MonteCarloSession`` on the
   module graph;
+* a warm restart of that loop: the ``DesignTimer`` bundle and the
+  ``MonteCarloSession`` are saved to a temporary directory and restored,
+  and further seeded rounds run on the live and the restored sessions,
+  each side's digests printed every round;
 * mixed retime / remove / re-add / edge-split edits on c432, each
   followed by an ``IncrementalTimer`` update and an ``AllPairsSession``
   refresh;
@@ -32,14 +36,16 @@ pinned to one thread and diff the outputs::
 where ``<base>`` is the commit the change starts from.
 
 The defaults are toy sizes (a few seconds); ``--bits 16 --rounds 12
---samples 2000`` runs the module part at perfbench's sizes.
+--samples 2000`` runs the module and store parts at perfbench's sizes.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import os
 import random
+import tempfile
 
 import numpy as np
 
@@ -78,6 +84,9 @@ ADDER_SOURCES = ["CIN", "A0", "B0", "A1", "B1", "A2", "B2"]
 #: Seed of the edit choices in every part.
 SEED = 1
 
+#: Seeded rounds after the warm restart.
+STORE_ROUNDS = 2
+
 
 def state_digest(session) -> str:
     """sha256 over a session's snapshot columns: names, dtypes, shapes, bytes."""
@@ -105,8 +114,45 @@ def cones(update) -> str:
     )
 
 
+def module_round(module, timer, extraction, montecarlo, edits):
+    """One round of the module loop; returns its update-mode line."""
+    graph = extraction.graph
+    for index, factor in edits:
+        edge = graph.edges[index]
+        graph.replace_edge_delay(edge, edge.delay.scale(factor))
+    update = extraction.refresh()
+    model = extraction.extract(CONFIG.criticality_threshold)
+    timer.swap_instance_model(
+        INSTANCE, model, netlist=module.netlist, placement=module.placement
+    )
+    timer.circuit_delay()
+    forward = timer.timer.last_update
+    backward = timer.timer.update()
+    montecarlo.revalidate()
+    refresh = montecarlo.last_refresh
+    return "allpairs %s | timer %s, then %s | montecarlo %s resampled=%d" % (
+        cones(update), cones(forward), cones(backward),
+        refresh.kind, refresh.resampled_rows,
+    )
+
+
+def digests(timer, extraction, montecarlo) -> str:
+    return "allpairs %s timer %s montecarlo %s" % (
+        state_digest(extraction.allpairs), state_digest(timer.timer),
+        state_digest(montecarlo),
+    )
+
+
+def seeded_edits(rng, num_edges):
+    """Three module edge indices and their scale factors."""
+    chosen = rng.choice(num_edges, size=3, replace=False)
+    factors = rng.uniform(0.9, 1.1, size=3)
+    return [(int(index), float(factor)) for index, factor in zip(chosen, factors)]
+
+
 def module_rounds(bits: int, rounds: int, samples: int) -> None:
-    """Retime rounds through the extraction, design-timer and MC sessions."""
+    """Retime rounds through the extraction, design-timer and MC sessions,
+    then a store warm restart with further rounds on both sides."""
     library = standard_library()
     netlist = array_multiplier(bits, name="mult%d" % bits)
     placement = place_netlist(netlist, library)
@@ -120,39 +166,39 @@ def module_rounds(bits: int, rounds: int, samples: int) -> None:
     graph = build_timing_graph(netlist, library, placement, variation, name=netlist.name)
     model = extract_timing_model(graph, variation, CONFIG.criticality_threshold)
     module = MultiplierModule(netlist, placement, variation, model, 0.0)
-    timer = DesignTimer(build_multiplier_design(module))
+    design = build_multiplier_design(module)
+    timer = DesignTimer(design)
     timer.circuit_delay()
     extraction = timer.attach_module_source(INSTANCE, graph, variation)
     montecarlo = MonteCarloSession(graph, num_samples=samples, seed=CONFIG.seed)
     montecarlo.revalidate()
-    edges = graph.edges
+    live = (timer, extraction, montecarlo)
     rng = np.random.default_rng(SEED)
     for round_index in range(rounds):
-        chosen = rng.choice(len(edges), size=3, replace=False)
-        factors = rng.uniform(0.9, 1.1, size=3)
-        for index, factor in zip(chosen, factors):
-            edge = edges[int(index)]
-            graph.replace_edge_delay(edge, edge.delay.scale(float(factor)))
-        update = extraction.refresh()
-        model = extraction.extract(CONFIG.criticality_threshold)
-        timer.swap_instance_model(
-            INSTANCE, model, netlist=netlist, placement=placement
+        edits = seeded_edits(rng, graph.num_edges)
+        print("module %d: %s" % (round_index, module_round(module, *live, edits)))
+        print("module %d: %s" % (round_index, digests(*live)))
+
+    with tempfile.TemporaryDirectory(prefix="session-digests-") as folder:
+        bundle = timer.save(os.path.join(folder, "design"))
+        montecarlo.save(os.path.join(folder, "montecarlo.npz"))
+        restored_timer = DesignTimer.load(bundle, design, library=library)
+        restored_extraction = restored_timer.extraction_session(INSTANCE)
+        restored = (
+            restored_timer,
+            restored_extraction,
+            MonteCarloSession.load(
+                os.path.join(folder, "montecarlo.npz"), graph=restored_extraction.graph
+            ),
         )
-        timer.circuit_delay()
-        forward = timer.timer.last_update
-        backward = timer.timer.update()
-        montecarlo.revalidate()
-        refresh = montecarlo.last_refresh
-        print(
-            "module %d: allpairs %s | timer %s, then %s | montecarlo %s resampled=%d"
-            % (round_index, cones(update), cones(forward), cones(backward),
-               refresh.kind, refresh.resampled_rows)
-        )
-        print(
-            "module %d: allpairs %s timer %s montecarlo %s"
-            % (round_index, state_digest(extraction.allpairs),
-               state_digest(timer.timer), state_digest(montecarlo))
-        )
+        print("store: live %s" % digests(*live))
+        print("store: restored %s" % digests(*restored))
+        for round_index in range(STORE_ROUNDS):
+            edits = seeded_edits(rng, graph.num_edges)
+            for side, sessions in (("live", live), ("restored", restored)):
+                print("store %d %s: %s"
+                      % (round_index, side, module_round(module, *sessions, edits)))
+                print("store %d %s: %s" % (round_index, side, digests(*sessions)))
 
 
 def c432_edits() -> None:

@@ -978,10 +978,10 @@ class MonteCarloSession:
     ) -> "MonteCarloSession":
         """Reattach a session from stored columns without resampling.
 
-        The delay and arrival matrices are copied (the session patches
-        them in place); the correlated draws and the cached result samples
-        are never mutated, so those keep the read-only (possibly memory-
-        mapped) views the store handed over.
+        The session keeps the arrays it is handed.  It patches the delay
+        and arrival matrices in place, so those must be private: the
+        store's loaders hand over copy-on-write views, of which a session
+        owns only the pages it writes.
         """
         session = cls.__new__(cls)
         graph.enable_journal()
@@ -992,9 +992,9 @@ class MonteCarloSession:
         session._correlated_draws = np.asarray(
             columns["mc.correlated_draws"], dtype=float
         )
-        session._delays = np.array(columns["mc.delays"], dtype=float)
+        session._delays = np.asarray(columns["mc.delays"], dtype=float)
         session._arrivals = (
-            np.array(columns["mc.arrivals"], dtype=float)
+            np.asarray(columns["mc.arrivals"], dtype=float)
             if meta.get("has_arrivals")
             else None
         )

@@ -7,9 +7,10 @@
 gracefully:
 
 * it runs the process engine only when more than one worker is
-  requested *and* shared memory actually works on the host; otherwise it
-  falls back to the serial engine and records why in
-  :attr:`ShardedExecutor.fallback_reason`;
+  requested, shared memory actually works on the host *and* spawned
+  workers can import the parent's ``__main__`` (not so for a script read
+  from standard input); otherwise it falls back to the serial engine and
+  records why in :attr:`ShardedExecutor.fallback_reason`;
 * the serial engine calls the task functions directly with the caller's
   live :class:`~repro.timing.arrays.GraphArrays` — zero copies, identical
   results (every task is written to be partition-deterministic);
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import sys
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -272,6 +274,35 @@ def _invoke(item: Tuple[str, object, object]):
     return shard.TASKS[task_name](arrays, payload)
 
 
+def _unimportable_main() -> Optional[str]:
+    """Why spawned workers could not import ``__main__``, or ``None``.
+
+    A spawned worker imports the parent's ``__main__`` by name when it has
+    a module spec (``python -m``), else from its ``__file__``, a relative
+    path taken against ``multiprocessing.process.ORIGINAL_DIR`` (as
+    ``multiprocessing.spawn.get_preparation_data`` resolves it).  A script
+    read from standard input (``python -``) names ``<stdin>``, which is no
+    file: every worker would die importing it.
+    """
+    from multiprocessing import process
+
+    main = sys.modules.get("__main__")
+    if getattr(getattr(main, "__spec__", None), "name", None) is not None:
+        return None
+    path = getattr(main, "__file__", None)
+    if path is None:
+        return None
+    resolved = path
+    if not os.path.isabs(resolved) and process.ORIGINAL_DIR is not None:
+        resolved = os.path.join(process.ORIGINAL_DIR, resolved)
+    if os.path.isfile(resolved):
+        return None
+    return (
+        "__main__ comes from %r, which is not a file spawned workers can "
+        "import (%s)" % (path, resolved)
+    )
+
+
 class ShardedExecutor:
     """A reusable executor sharding task payloads across worker processes."""
 
@@ -284,6 +315,8 @@ class ShardedExecutor:
             self.fallback_reason = "single worker requested"
         elif not shared_memory_available():
             self.fallback_reason = "shared memory unavailable"
+        else:
+            self.fallback_reason = _unimportable_main()
         self._engine = "serial" if self.fallback_reason else "process"
         self._pool = None
         self._closed = False

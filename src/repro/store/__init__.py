@@ -11,9 +11,14 @@ journal-replay warm starts; :mod:`~repro.store.design` bundles a whole
 model-exchange library.
 
 A warm-started process is bit-identical to one that never restarted: the
-loaders restore the exact arrays that were saved (memory-mapped where
-safe) and replay any journal window newer than the snapshot through the
-sessions' ordinary ``refresh()`` paths.  Every failure mode is typed —
+loaders restore the exact arrays that were saved and replay any journal
+window newer than the snapshot through the sessions' ordinary
+``refresh()`` paths.  They map each entry once, copy-on-write, and the
+sessions keep those private views, so a restore costs only the pages a
+session touches and the entry file never changes (see
+:mod:`~repro.store.format` for the aligned layout, the copied legacy
+entries and why an entry must not be truncated in place while a session
+restored from it is alive).  Every failure mode is typed —
 :class:`~repro.errors.StoreCorruptError` for unreadable entries,
 :class:`~repro.errors.StoreKeyError` for revision-key mismatches,
 :class:`~repro.errors.StoreReplayError` when a journal window can no

@@ -12,29 +12,53 @@ list (so a silently dropped member is detected instead of mis-parsed).
 
 Entries are written atomically (temp file + ``os.replace``) and read
 defensively: any unreadable file — truncated zip, garbage bytes, missing
-``__meta__``, undeclared or absent columns, bad JSON — raises
-:class:`~repro.errors.StoreCorruptError`; a kind mismatch raises
-:class:`~repro.errors.StoreKeyError`.
+``__meta__``, undeclared or absent columns, a column whose data runs past
+its member, bad JSON — raises :class:`~repro.errors.StoreCorruptError`; a
+kind mismatch raises :class:`~repro.errors.StoreKeyError`.
 
-Because ``np.savez`` stores members uncompressed (``ZIP_STORED``), each
-column is a plain ``.npy`` byte range at a fixed offset inside the file.
-``read_entry(..., mmap=True)`` exploits that for a true zero-copy load:
-the member's local zip header is parsed for the data offset and the array
-is returned as a read-only ``np.memmap`` view straight onto the file —
-``np.load(mmap_mode=...)`` silently ignores the request for npz archives,
-so the store does the offset arithmetic itself.  Columns that cannot be
-mapped safely (compressed, Fortran-ordered, zero-sized, object dtype)
-transparently fall back to a materialised read.
+Layout.  Members are stored uncompressed (``ZIP_STORED``), so each column
+is a plain ``.npy`` byte range at a fixed offset inside the file.
+:func:`write_entry` streams every array's buffer straight into its member
+(no ``tobytes`` copies) and starts every member's data on a 64-byte
+boundary: a padding extra field in the member's local zip header aligns
+the ``.npy`` header, which numpy already pads to 64 bytes, so the array
+data is aligned too.  The file stays a plain ``.npz`` that ``np.load``
+reads.
+
+Mapped reads.  ``np.load(mmap_mode=...)`` silently ignores the request for
+npz archives, so the store does the offset arithmetic itself: it parses
+each member's local zip header and ``.npy`` header for the data offset,
+checks the data's byte range against its member and the file, and hands
+out views of **one** mapping of the whole file per entry (one open
+descriptor, however many columns).  ``read_entry(..., mmap=True)``
+returns read-only ``np.memmap`` views.  The session loaders of
+:mod:`repro.store.snapshot` map the entry copy-on-write instead: their
+views are writable and private, a session that patches one owns only the
+pages it wrote, and the file never changes.  They copy a column that is
+not 64-byte aligned (every entry written before the aligned layout), so
+old entries load at the old cost and give the same bits.  Columns that
+cannot be mapped (compressed, Fortran-ordered, zero-sized, object dtype)
+are read into memory.
+
+A mapping keeps the bytes of the file it was made from: the store only
+ever replaces entries by rename (a save, a quarantine), which leaves a
+live mapping intact.  Never truncate or rewrite an entry in place while a
+session restored from it is alive: on POSIX systems its pages past the
+new end raise ``SIGBUS`` when touched, and rewritten pages may show
+through.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import math
 import os
+import struct
 import zipfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -55,6 +79,15 @@ STORE_FORMAT_VERSION = 1
 
 #: Reserved column holding the entry's UTF-8 JSON header.
 META_COLUMN = "__meta__"
+
+#: Byte boundary every member's data starts on (numpy's ``.npy`` header
+#: pads to the same boundary, so the array data lands on it too).
+_ALIGN = 64
+
+#: Header id of the zip extra field that pads a local header to
+#: ``_ALIGN`` (the id Android's zipalign uses: a 2-byte alignment, then
+#: zero bytes).
+_ALIGN_EXTRA_ID = 0xD935
 
 
 @dataclass(frozen=True)
@@ -117,7 +150,10 @@ def write_entry(
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as handle:
-            np.savez(handle, **{META_COLUMN: encoded}, **arrays)
+            with zipfile.ZipFile(handle, "w", zipfile.ZIP_STORED) as archive:
+                _write_member(archive, handle, META_COLUMN, encoded)
+                for name, array in arrays.items():
+                    _write_member(archive, handle, name, array)
         os.replace(tmp, path)
     finally:
         if tmp.exists():
@@ -130,6 +166,38 @@ def write_entry(
 
     store_fault_point(path)
     return path
+
+
+def _write_member(archive: zipfile.ZipFile, handle, name: str, array: np.ndarray) -> None:
+    """Stream one column into ``archive`` as ``<name>.npy``, data aligned.
+
+    The ``.npy`` header is numpy's own; the array's buffer goes to the
+    file as is, with no ``tobytes`` copy (only a non C-contiguous array is
+    copied first).  Every member is written as zip64, as ``np.savez``
+    writes them.  The padding extra field goes into the local header only:
+    the central directory keeps the member's plain record.
+    """
+    if not array.flags.c_contiguous:
+        array = np.ascontiguousarray(array)
+    npy = io.BytesIO()
+    header = np.lib.format.header_data_from_array_1_0(array)
+    try:
+        np.lib.format.write_array_header_1_0(npy, header)
+    except ValueError:  # a header too long for version 1.0
+        np.lib.format.write_array_header_2_0(npy, header)
+    info = zipfile.ZipInfo(name + ".npy")
+    info.file_size = npy.tell() + array.nbytes
+    info.compress_size = info.CRC = 0  # as archive.open sets them
+    gap = -(handle.tell() + len(info.FileHeader(zip64=True))) % _ALIGN
+    if gap:
+        # The field takes at least 6 bytes: its id, its length, the alignment.
+        gap += _ALIGN if gap < 6 else 0
+        info.extra = struct.pack("<HHH", _ALIGN_EXTRA_ID, gap - 4, _ALIGN) + bytes(gap - 6)
+    with archive.open(info, "w", force_zip64=True) as member:
+        member.write(npy.getvalue())
+        if array.nbytes:
+            member.write(array.reshape(-1).view(np.uint8))
+    info.extra = b""
 
 
 def quarantine_entry(path: Union[str, Path]) -> Path:
@@ -182,48 +250,96 @@ def _read_header(path: Path, archive: zipfile.ZipFile) -> Dict[str, Any]:
             raise StoreCorruptError(
                 "store entry %s header is missing a valid %r field" % (path, field)
             )
+    if not all(isinstance(name, str) for name in header["columns"]):
+        raise StoreCorruptError(
+            "store entry %s header lists a column name that is not a string" % path
+        )
     return header
 
 
-def _mmap_column(
-    path: Path, archive: zipfile.ZipFile, name: str
-) -> Optional[np.ndarray]:
-    """Zero-copy read-only view of one stored member, or ``None`` if unsafe.
+def _column_layout(
+    path: Path, handle, info: zipfile.ZipInfo, name: str, file_size: int
+) -> Optional[Tuple[int, np.dtype, Tuple[int, ...]]]:
+    """``(data offset, dtype, shape)`` of one stored column, or ``None``.
 
     Parses the member's *local* zip header (its name/extra lengths can
     differ from the central directory's) to find the raw ``.npy`` bytes,
-    then the npy magic/array header to find the data offset, and maps the
-    payload directly.  Anything unusual — compression, Fortran order, an
-    unknown npy version, an empty array — declines so the caller falls
-    back to a materialised read.
+    then the npy magic/array header to find the data offset.  Anything
+    unusual — compression, Fortran order, an unknown npy version, an empty
+    array — returns ``None`` so the caller reads the member instead.  Data
+    that runs past its member or the file raises: a view of it would show
+    the next member's bytes, or fault when touched.
     """
-    info = archive.getinfo(name + ".npy")
     if info.compress_type != zipfile.ZIP_STORED:
         return None
-    with open(path, "rb") as handle:
-        handle.seek(info.header_offset)
-        local = handle.read(30)
-        if len(local) != 30 or local[:4] != b"PK\x03\x04":
+    handle.seek(info.header_offset)
+    local = handle.read(30)
+    if len(local) != 30 or local[:4] != b"PK\x03\x04":
+        raise StoreCorruptError(
+            "store entry %s member %r has a corrupt local header" % (path, name)
+        )
+    name_len = int.from_bytes(local[26:28], "little")
+    extra_len = int.from_bytes(local[28:30], "little")
+    member_start = info.header_offset + 30 + name_len + extra_len
+    handle.seek(member_start)
+    try:
+        npy_version = np.lib.format.read_magic(handle)
+    except ValueError:
+        return None
+    if npy_version == (1, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
+    elif npy_version == (2, 0):
+        shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
+    else:
+        return None
+    count = math.prod(shape)
+    if fortran or dtype.hasobject or count == 0:
+        return None
+    offset = handle.tell()
+    limit = min(member_start + info.compress_size, file_size)
+    if offset + count * dtype.itemsize > limit:
+        raise StoreCorruptError(
+            "store entry %s column %r declares %d data bytes but its member "
+            "holds only %d" % (path, name, count * dtype.itemsize, limit - offset)
+        )
+    return offset, dtype, shape
+
+
+def _read_columns(
+    path: Path, handle, archive: zipfile.ZipFile, names, mode: Optional[str]
+) -> Dict[str, np.ndarray]:
+    """Every declared column, read or mapped as ``mode`` says.
+
+    ``mode`` is ``None`` (read every column into memory), ``"r"``
+    (read-only ``np.memmap`` views) or ``"c"`` (private copy-on-write
+    ``np.ndarray`` views; a column not aligned to ``_ALIGN`` is read
+    instead).  The views share one mapping of the whole file, made at the
+    first mapped column.
+    """
+    members = set(archive.namelist())
+    file_size = os.fstat(handle.fileno()).st_size
+    mapping = None
+    columns: Dict[str, np.ndarray] = {}
+    for name in names:
+        member = name + ".npy"
+        if member not in members:
             raise StoreCorruptError(
-                "store entry %s member %r has a corrupt local header" % (path, name)
+                "store entry %s is missing declared column %r" % (path, name)
             )
-        name_len = int.from_bytes(local[26:28], "little")
-        extra_len = int.from_bytes(local[28:30], "little")
-        handle.seek(info.header_offset + 30 + name_len + extra_len)
-        try:
-            npy_version = np.lib.format.read_magic(handle)
-        except ValueError:
-            return None
-        if npy_version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(handle)
-        elif npy_version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(handle)
-        else:
-            return None
-        if fortran or dtype.hasobject or int(np.prod(shape)) == 0:
-            return None
-        offset = handle.tell()
-    return np.memmap(path, dtype=dtype, mode="r", shape=shape, offset=offset)
+        layout = None
+        if mode is not None:
+            layout = _column_layout(path, handle, archive.getinfo(member), name, file_size)
+        if layout is None or (mode == "c" and layout[0] % _ALIGN):
+            with archive.open(member) as stream:
+                columns[name] = np.lib.format.read_array(stream, allow_pickle=False)
+            continue
+        offset, dtype, shape = layout
+        if mapping is None:
+            mapping = np.memmap(handle, dtype=np.uint8, mode=mode)
+        view = mapping[offset : offset + math.prod(shape) * dtype.itemsize]
+        view = view.view(dtype).reshape(shape)
+        columns[name] = view if mode == "r" else view.view(np.ndarray)
+    return columns
 
 
 def _quarantined(
@@ -248,31 +364,30 @@ def read_entry(
 
     ``kind`` (when given) asserts what the caller expects to find —
     a mismatch raises :class:`~repro.errors.StoreKeyError`.  With
-    ``mmap=True`` columns come back as read-only ``np.memmap`` views where
-    the member layout allows it (consumers copy the arrays they mutate).
+    ``mmap=True`` columns come back as read-only ``np.memmap`` views of one
+    mapping of the file, where the member layout allows it.
     With ``quarantine=True`` an unreadable file is additionally moved
     aside via :func:`quarantine_entry` before the
     :class:`~repro.errors.StoreCorruptError` propagates — the raised error
     carries the evidence location as ``quarantine_path`` and its message
     names both files.
     """
+    return _read_entry(path, kind, "r" if mmap else None, quarantine)
+
+
+def _read_entry(
+    path: Union[str, Path], kind: Optional[str], mode: Optional[str], quarantine: bool
+) -> StoreEntry:
+    """:func:`read_entry` with the mapping mode of :func:`_read_columns`.
+
+    The session loaders read with ``mode="c"``: copy-on-write views they
+    may patch, while the file never changes.
+    """
     path = Path(path)
     try:
-        with zipfile.ZipFile(path) as archive:
+        with open(path, "rb") as handle, zipfile.ZipFile(handle) as archive:
             header = _read_header(path, archive)
-            members = set(archive.namelist())
-            columns: Dict[str, np.ndarray] = {}
-            for name in header["columns"]:
-                member = name + ".npy"
-                if member not in members:
-                    raise StoreCorruptError(
-                        "store entry %s is missing declared column %r" % (path, name)
-                    )
-                array = _mmap_column(path, archive, name) if mmap else None
-                if array is None:
-                    with archive.open(member) as handle:
-                        array = np.lib.format.read_array(handle, allow_pickle=False)
-                columns[name] = array
+            columns = _read_columns(path, handle, archive, header["columns"], mode)
     except StoreKeyError:
         raise
     except StoreCorruptError as exc:

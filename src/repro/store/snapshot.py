@@ -34,10 +34,12 @@ Warm-start semantics (shared by every loader):
   in the session's ``store_fallback_reason`` — never a *silent* cold
   fallback.
 
-Arrays are restored zero-copy-adjacent: entries are read with
-``mmap=True`` and the session constructors copy only the arrays they
-mutate in place, keeping read-only state (correlated draws, cached result
-samples) as memmap views straight onto the file.
+Arrays are restored copy-on-write: the loaders map each entry once,
+privately (:mod:`repro.store.format`), and the session constructors keep
+the views they are handed, the arrays they patch in place included.  A
+restored session pays for the pages it touches, owns only the pages it
+writes, and never writes through to the file; columns of entries written
+before the aligned layout are copied instead.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 import numpy as np
 
 from repro.errors import StoreCorruptError, StoreKeyError, StoreReplayError, TimingGraphError
-from repro.store.format import StoreEntry, read_entry, write_entry
+from repro.store.format import StoreEntry, _read_entry, write_entry
 from repro.store.graphio import graph_columns, graph_from_columns, graph_meta
 from repro.timing.arrays import GraphArrays
 from repro.timing.graph import TimingGraph
@@ -183,7 +185,7 @@ def _load_session(
             "on_corrupt must be one of %r, got %r" % (_CORRUPT_MODES, on_corrupt)
         )
     try:
-        entry = read_entry(path, kind=kind, mmap=True, quarantine=on_corrupt == "rebuild")
+        entry = _read_entry(path, kind, "c", on_corrupt == "rebuild")
         target, fallback_reason = _attach_graph(entry, graph, on_overflow)
         _graph_data, session_data = _session_meta(entry)
         if fallback_reason is None:

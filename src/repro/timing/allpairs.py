@@ -619,10 +619,10 @@ class AllPairsSession:
         analysis.outputs = tuple(meta["outputs"])
         analysis.engine = str(meta.get("engine", "dense"))
         for name in cls._TENSOR_FIELDS:
-            # Private writable copies: the incremental sweeps patch the
-            # tensors in place, which must never write through to a
-            # memory-mapped store column.
-            setattr(analysis, name, np.array(columns["ap." + name]))
+            # The incremental sweeps patch the tensors in place, so they
+            # must be private: the store's loaders hand over copy-on-write
+            # views, which never write through to the entry file.
+            setattr(analysis, name, np.asarray(columns["ap." + name]))
         self._analysis = analysis
         self._serial = int(meta["serial"])
         self._dirty_fwd = None

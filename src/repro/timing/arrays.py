@@ -407,12 +407,11 @@ class GraphArrays:
         """Rebuild a view from stored columns, skipping the O(E) graph walk.
 
         The columns must come from :meth:`snapshot_columns` taken of (a
-        graph equal to) ``graph`` at ``revision``.  The edge arrays are
-        copied out of the (possibly memory-mapped) columns because
-        ``refresh()`` patches them in place — a later retime must never
-        write through to the store file.
+        graph equal to) ``graph`` at ``revision``.  The view keeps the
+        edge arrays it is handed, which ``refresh()`` patches in place:
+        the store's loaders hand over private copy-on-write views.
         """
-        edge_ids = np.array(columns[prefix + "edge_ids"], dtype=np.int64)
+        edge_ids = np.asarray(columns[prefix + "edge_ids"], dtype=np.int64)
         return cls(
             graph=graph,
             vertex_index={
@@ -421,11 +420,11 @@ class GraphArrays:
             },
             edge_rows={int(edge_id): row for row, edge_id in enumerate(edge_ids)},
             edge_ids=edge_ids,
-            edge_source=np.array(columns[prefix + "edge_source"], dtype=np.int64),
-            edge_sink=np.array(columns[prefix + "edge_sink"], dtype=np.int64),
-            edge_mean=np.array(columns[prefix + "edge_mean"], dtype=float),
-            edge_corr=np.array(columns[prefix + "edge_corr"], dtype=float),
-            edge_randvar=np.array(columns[prefix + "edge_randvar"], dtype=float),
+            edge_source=np.asarray(columns[prefix + "edge_source"], dtype=np.int64),
+            edge_sink=np.asarray(columns[prefix + "edge_sink"], dtype=np.int64),
+            edge_mean=np.asarray(columns[prefix + "edge_mean"], dtype=float),
+            edge_corr=np.asarray(columns[prefix + "edge_corr"], dtype=float),
+            edge_randvar=np.asarray(columns[prefix + "edge_randvar"], dtype=float),
             revision=int(revision),
         )
 

@@ -284,7 +284,7 @@ class IncrementalTimer:
     ) -> _PassState:
         state = _PassState.__new__(_PassState)
         for name in _PassState.__slots__:
-            array = np.array(columns["%s.%s" % (tag, name)])
+            array = np.asarray(columns["%s.%s" % (tag, name)])
             if array.shape[0] != num_vertices:
                 raise ValueError(
                     "snapshot column %s.%s covers %d vertices, expected %d"
@@ -307,6 +307,8 @@ class IncrementalTimer:
         *ahead* of it — the journal window in between replays through the
         ordinary ``refresh()``/dirty-cone paths at the first query, so a
         warm-started session is bit-identical to one that never restarted.
+        The session keeps the state arrays it is handed and patches them in
+        place; the store's loaders hand over private copy-on-write views.
         """
         self = cls.__new__(cls)
         self._graph = graph

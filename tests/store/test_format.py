@@ -176,6 +176,12 @@ class TestCorruption:
         with pytest.raises(StoreCorruptError, match=field):
             read_entry(path)
 
+    def test_non_string_column_name(self, tmp_path):
+        path = tmp_path / "e.npz"
+        _write_raw(path, _valid_header([1]), {})
+        with pytest.raises(StoreCorruptError, match="not a string"):
+            read_entry(path)
+
     def test_missing_declared_column(self, tmp_path):
         # The header is authoritative: a member silently dropped from the
         # archive is corruption, not an absent optional.
