@@ -13,17 +13,23 @@ input ``i``, ``r_e`` the maximum delay from the sink of ``e`` to output
 the Gaussian tightness-probability formula (eq. 6) on the canonical forms.
 
 One production engine evaluates the formulas: the **batched** kernel
-(:func:`edge_criticality_batch`) stacks chunks of edges into ``(chunk, I,
-O)`` tensors, the criticality analogue of the :mod:`repro.core.batch`
-propagation kernels, with the shared input/output delay-matrix moments
-hoisted out of the per-edge loop.  The chunks are sized from
+(:func:`edge_criticality_batch`) rides the all-pairs forward sweep over
+input blocks (:meth:`~repro.timing.allpairs.AllPairsTiming._sweep_inputs`).
+A one-shot analysis folds each block's arrival columns while the sweep
+fills the delay matrix, so the ``(V, I)`` arrival tensors never exist; a
+session's blocks are views of its dense tensors, so both give the same
+bits.  Per block, the kernel stacks chunks of the edges the block reaches
+into ``(chunk, B, O)`` tensors, the criticality analogue of the
+:mod:`repro.core.batch` propagation kernels, with the block's delay-matrix
+moments hoisted out of the per-edge loop, and keeps every edge's largest
+``z`` across the blocks.  The chunks are sized from
 :data:`CRITICALITY_CHUNK_PAIRS` alone (:func:`auto_chunk_edges`).  Another
-chunking gives the same values within the 1e-9 contract, not bitwise: BLAS
-rounds a contraction differently for another stack shape (one-edge chunks
-move thousands of c7552 values, by up to 2e-11).  A long run therefore
-spreads the same chunks over the usable CPUs through the shared thread
-loop of :mod:`repro.core.chunk_threads` instead of cutting new ones, and
-its values are bit-identical to the serial loop's.
+chunking or block width gives the same values within the 1e-9 contract,
+not bitwise: BLAS rounds a contraction differently for another stack shape
+(one-edge chunks move thousands of c7552 values, by up to 2e-11).  A long
+run therefore spreads each block's chunks over the usable CPUs through the
+shared thread loop of :mod:`repro.core.chunk_threads` instead of cutting
+new ones, and its values are bit-identical to the serial loop's.
 The one-edge-at-a-time **scalar reference** the kernel is verified
 against, ``edge_criticality_matrix``, lives with the other test oracles
 in ``tests/oracles.py``.  Both execute the same floating-point expressions
@@ -31,8 +37,9 @@ in ``tests/oracles.py``.  Both execute the same floating-point expressions
 :func:`repro.core.batch.tightness_from_moments` kernel), so they agree to
 BLAS round-off; the parity contract asserted by the property suite is
 1e-9.  An extraction session reruns the batched kernel after every
-all-pairs refresh that was not a no-op.  Every entry point needs the dense
-all-pairs tensors, which past the all-pairs memory budget do not exist.
+all-pairs refresh that was not a no-op.  Every entry point needs the
+to-output tensors, which a matrix-only (blocked) analysis past the
+all-pairs memory budget does not hold.
 """
 
 from __future__ import annotations
@@ -43,13 +50,15 @@ from typing import Dict, Iterable, List, Optional, Tuple
 import numpy as np
 
 from repro.core import chunk_threads
+from repro.core.batch import FoldWorkspace
 from repro.core.gaussian import DEGENERATE_THETA, normal_cdf
 from repro.errors import ModelExtractionError
 from repro.timing.allpairs import (
+    _SUFFIXES,
     ALLPAIRS_BUDGET_ENV,
     AllPairsTiming,
     allpairs_budget_floats,
-    dense_tensor_floats,
+    to_output_floats,
 )
 from repro.timing.arrays import _require_current
 from repro.timing.graph import TimingEdge, TimingGraph
@@ -157,17 +166,16 @@ def _empty_pair_space_result(edges: Iterable[TimingEdge]) -> CriticalityResult:
     )
 
 
-def _require_dense(analysis: AllPairsTiming) -> None:
-    """Raise unless ``analysis`` holds the per-vertex tensors (not blocked)."""
-    if analysis.arrival_mean is None:
+def _require_to_output(analysis: AllPairsTiming) -> None:
+    """Raise unless ``analysis`` holds the to-output tensors (not blocked)."""
+    if analysis.to_output_mean is None:
         arrays = analysis.arrays
-        footprint = dense_tensor_floats(
-            arrays.num_vertices, analysis.num_inputs, analysis.num_outputs,
-            arrays.num_corr,
+        footprint = to_output_floats(
+            arrays.num_vertices, analysis.num_outputs, arrays.num_corr
         )
         raise ModelExtractionError(
-            "edge criticality of %r needs the dense all-pairs tensors (%d "
-            "floats; budget %d floats, %s), not a blocked analysis"
+            "edge criticality of %r needs the to-output tensors (%d floats; "
+            "budget %d floats, %s), not a blocked analysis"
             % (arrays.graph.name, footprint, allpairs_budget_floats(),
                ALLPAIRS_BUDGET_ENV)
         )
@@ -178,97 +186,86 @@ def _require_dense(analysis: AllPairsTiming) -> None:
 # ----------------------------------------------------------------------
 @dataclass
 class _HoistedMoments:
-    """Edge-invariant delay-matrix terms, computed once for all chunks.
+    """Edge-invariant terms of one input block, computed once for its chunks.
 
-    The scalar reference recomputes ``m_var`` and ``mean_tolerance`` for
-    every edge, which is part of what the batched kernel saves.  The two
-    contiguous transposed copies of the matrix coefficients feed the
-    batched BLAS contractions of :func:`_chunk_terms` without a per-chunk
-    re-layout.
+    The block's ``(V, B, ...)`` arrival state and its rows of the delay
+    matrix.  The scalar reference recomputes ``m_var`` and
+    ``mean_tolerance`` for every edge, which is part of what the batched
+    kernel saves.  The two contiguous transposed copies of the matrix
+    coefficients feed the batched BLAS contractions of :func:`_chunk_terms`
+    without a per-chunk re-layout.
     """
 
-    m_mean: np.ndarray  # (I, O) mean of M
-    m_randvar: np.ndarray  # (I, O) private random variance of M
-    m_valid: np.ndarray  # (I, O) pair validity of M
-    m_var: np.ndarray  # (I, O) total variance of M
-    mean_tolerance: np.ndarray  # (I, O) tie tolerance
-    neg_tolerance: np.ndarray  # -mean_tolerance (the broadcast comparand)
-    m_corr_by_input: np.ndarray  # (I, K, O) contiguous matrix coefficients
-    m_corr_by_output: np.ndarray  # (O, K, I) contiguous matrix coefficients
+    arrival: Tuple[np.ndarray, ...]  # (V, B, ...) mean, corr, randvar, valid
+    m_mean: np.ndarray  # (B, O) mean of M
+    m_randvar: np.ndarray  # (B, O) private random variance of M
+    m_valid: np.ndarray  # (B, O) pair validity of M
+    m_var: np.ndarray  # (B, O) total variance of M
+    neg_tolerance: np.ndarray  # (B, O) minus the tie tolerance
+    m_corr_by_input: np.ndarray  # (B, K, O) contiguous matrix coefficients
+    m_corr_by_output: np.ndarray  # (O, K, B) contiguous matrix coefficients
 
 
-def _matrix_moments(analysis: AllPairsTiming) -> _HoistedMoments:
-    m_mean = analysis.matrix_mean
-    m_corr = analysis.matrix_corr
-    m_randvar = analysis.matrix_randvar
-    m_valid = analysis.matrix_valid
+def _matrix_moments(analysis: AllPairsTiming, block=None) -> _HoistedMoments:
+    """The hoisted terms of one ``(positions, arrival, matrix)`` block.
+
+    ``block`` comes from the forward sweep
+    (:meth:`~repro.timing.allpairs.AllPairsTiming._sweep_inputs`); by
+    default it is the one block of every input, read from the analysis'
+    arrival tensors (which a streamed analysis folds in full to give).
+    """
+    if block is None:
+        block = (
+            range(analysis.num_inputs),
+            tuple(getattr(analysis, "arrival_" + name) for name in _SUFFIXES),
+            tuple(getattr(analysis, "matrix_" + name) for name in _SUFFIXES),
+        )
+    _positions, arrival, (m_mean, m_corr, m_randvar, m_valid) = block
     m_var = np.einsum("ijk,ijk->ij", m_corr, m_corr) + m_randvar
     mean_tolerance = _MEAN_EPSILON * np.maximum(1.0, np.abs(m_mean))
     return _HoistedMoments(
+        arrival=arrival,
         m_mean=np.ascontiguousarray(m_mean),
         m_randvar=np.ascontiguousarray(m_randvar),
         m_valid=np.ascontiguousarray(m_valid),
         m_var=m_var,
-        mean_tolerance=mean_tolerance,
         neg_tolerance=-mean_tolerance,
         m_corr_by_input=np.ascontiguousarray(m_corr.transpose(0, 2, 1)),
         m_corr_by_output=np.ascontiguousarray(m_corr.transpose(1, 2, 0)),
     )
 
 
-def _analysis_work(
-    analysis: AllPairsTiming, threads: int
-) -> List[Dict[str, np.ndarray]]:
-    """Reusable scratch buffers of the batched kernel, one dict per thread.
+def _analysis_work(analysis: AllPairsTiming, threads: int) -> List[FoldWorkspace]:
+    """Reusable scratch buffers of the batched kernel, one per thread.
 
     Cached on the analysis object so repeated evaluations over the same
     tensors (one recompute per session refresh) skip the cold
     page-faulted allocations.  Only *uninitialised scratch* is cached —
     never values derived from the tensors, which an attached session
-    patches in place between refreshes.
+    patches in place between refreshes.  A workspace's views are
+    contiguous prefixes of flat buffers, so one workspace serves chunks of
+    every shape: the narrower chunks of a last, narrower block included.
     """
     works = getattr(analysis, "_criticality_scratch", None)
     if works is None:
         works = analysis._criticality_scratch = []
     while len(works) < threads:
-        works.append({})
+        works.append(FoldWorkspace())
     return works[:threads]
-
-
-def _view(
-    work: Dict[str, np.ndarray],
-    name: str,
-    shape: "tuple[int, ...]",
-    dtype: type = float,
-) -> np.ndarray:
-    """A reusable uninitialised chunk buffer (sliced to the chunk size).
-
-    The first chunk of a batch run is the largest, so one allocation per
-    name serves the whole run; reuse keeps the per-chunk working set hot
-    in cache and avoids ~10 large allocations (page faults) per chunk.
-    """
-    buffer = work.get(name)
-    if buffer is None or any(
-        have < want for have, want in zip(buffer.shape, shape)
-    ):
-        buffer = np.empty(shape, dtype)
-        work[name] = buffer
-    if buffer.shape == shape:
-        return buffer
-    return buffer[tuple(slice(0, want) for want in shape)]
 
 
 def _chunk_terms(
     analysis: AllPairsTiming,
     rows: np.ndarray,
     moments: _HoistedMoments,
-    work: Optional[Dict[str, np.ndarray]] = None,
+    work: Optional[FoldWorkspace] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-probability criticality terms of one edge chunk.
+    """Pre-probability criticality terms of one edge chunk in one input block.
 
-    Returns ``(z, degenerate, tied, valid)``, all shaped ``(E, I, O)`` and
-    (when ``work`` is supplied) backed by reusable buffers that the next
-    chunk overwrites.  Writing ``nd`` for the standard normal CDF, the
+    Returns ``(z, degenerate, tied, valid)``, all shaped ``(E, B, O)`` for
+    the ``B`` inputs of the block ``moments`` describes and (when ``work``
+    is supplied) backed by reusable buffers that the next chunk
+    overwrites.  Writing ``nd`` for the standard normal CDF, the
     criticality matrix of edge ``e`` is::
 
         where(valid, where(degenerate, tied, nd(z)), 0)
@@ -298,25 +295,24 @@ def _chunk_terms(
     src = arrays.edge_source[rows]
     snk = arrays.edge_sink[rows]
     num_edges = rows.size
-    num_inputs = analysis.num_inputs
+    num_inputs = moments.m_mean.shape[0]
     num_outputs = analysis.num_outputs
     shape = (num_edges, num_inputs, num_outputs)
     if work is None:
-        work = {}
+        work = FoldWorkspace()
 
     # Arrival side per (edge, input), including each edge's own delay.
-    num_corr = analysis.arrival_corr.shape[2]
-    a_mean = analysis.arrival_mean[src] + arrays.edge_mean[rows, np.newaxis]
-    a_corr = _view(work, "a_corr", (num_edges, num_inputs, num_corr))
-    np.take(analysis.arrival_corr, src, axis=0, out=a_corr)
+    arrival_mean, arrival_corr, arrival_randvar, arrival_valid = moments.arrival
+    num_corr = arrival_corr.shape[2]
+    a_mean = arrival_mean[src] + arrays.edge_mean[rows, np.newaxis]
+    a_corr = work.view("a_corr", (num_edges, num_inputs, num_corr))
+    np.take(arrival_corr, src, axis=0, out=a_corr)
     a_corr += arrays.edge_corr[rows, np.newaxis, :]
-    a_randvar = (
-        analysis.arrival_randvar[src] + arrays.edge_randvar[rows, np.newaxis]
-    )
-    a_valid = analysis.arrival_valid[src]
+    a_randvar = arrival_randvar[src] + arrays.edge_randvar[rows, np.newaxis]
+    a_valid = arrival_valid[src]
     # Path-to-output side per (edge, output).
     r_mean = analysis.to_output_mean[snk]
-    r_corr = _view(work, "r_corr", (num_edges, num_outputs, num_corr))
+    r_corr = work.view("r_corr", (num_edges, num_outputs, num_corr))
     np.take(analysis.to_output_corr, snk, axis=0, out=r_corr)
     r_randvar = analysis.to_output_randvar[snk]
     r_valid = analysis.to_output_valid[snk]
@@ -325,17 +321,17 @@ def _chunk_terms(
     r_var = np.einsum("ejk,ejk->ej", r_corr, r_corr) + r_randvar
 
     # Mean gap of d_e against M for every pair, and the pair masks.
-    delta = _view(work, "delta", shape)
+    delta = work.view("delta", shape)
     np.subtract(a_mean[:, :, np.newaxis], moments.m_mean, out=delta)
     delta += r_mean[:, np.newaxis, :]
 
-    valid = _view(work, "valid", shape, bool)
+    valid = work.view("valid", shape, bool)
     np.logical_and(
         r_valid[:, np.newaxis, :], moments.m_valid, out=valid
     )
     valid &= a_valid[:, :, np.newaxis]
 
-    tie = _view(work, "tie", shape, bool)
+    tie = work.view("tie", shape, bool)
     np.greater_equal(delta, moments.neg_tolerance, out=tie)
     tie &= valid
     flat_tie = np.flatnonzero(tie.reshape(-1))
@@ -343,12 +339,12 @@ def _chunk_terms(
     # The coefficient contractions, as contiguous batched BLAS matmuls:
     # the d_e cross term (into what becomes var_sum) and the independent
     # covariance bound cov_ind = (a_corr + r_corr) . m_corr.
-    var_sum = _view(work, "var_sum", shape)
+    var_sum = work.view("var_sum", shape)
     np.matmul(a_corr, r_corr.transpose(0, 2, 1), out=var_sum)  # a . r
-    cov = _view(work, "cov", shape)
-    a_side = _view(work, "a_side", (num_inputs, num_edges, num_outputs))
+    cov = work.view("cov", shape)
+    a_side = work.view("a_side", (num_inputs, num_edges, num_outputs))
     np.matmul(a_corr.transpose(1, 0, 2), moments.m_corr_by_input, out=a_side)
-    r_side = _view(work, "r_side", (num_outputs, num_edges, num_inputs))
+    r_side = work.view("r_side", (num_outputs, num_edges, num_inputs))
     np.matmul(r_corr.transpose(1, 0, 2), moments.m_corr_by_output, out=r_side)
     np.add(a_side.transpose(1, 0, 2), r_side.transpose(1, 2, 0), out=cov)
 
@@ -367,7 +363,7 @@ def _chunk_terms(
     # Degeneracy floor (see tightness_from_moments): absolute epsilon
     # widened relative to the variance scale, so the kernel and the scalar
     # reference classify analytically-tied operands identically.
-    floor = _view(work, "floor", shape)
+    floor = work.view("floor", shape)
     np.multiply(var_sum, THETA_RELATIVE_EPSILON, out=floor)
     np.maximum(floor, DEGENERATE_THETA * DEGENERATE_THETA, out=floor)
 
@@ -375,13 +371,13 @@ def _chunk_terms(
     cov *= -2.0
     cov += var_sum
     np.maximum(cov, 0.0, out=cov)
-    degenerate = _view(work, "degenerate", shape, bool)
+    degenerate = work.view("degenerate", shape, bool)
     np.less_equal(cov, floor, out=degenerate)
     np.sqrt(cov, out=cov)
     np.copyto(cov, 1.0, where=degenerate)
     z = np.divide(delta, cov, out=var_sum)
 
-    tied = _view(work, "tied", shape, bool)
+    tied = work.view("tied", shape, bool)
     tied[...] = False
 
     if flat_tie.size:
@@ -427,26 +423,27 @@ def edge_criticality_batch(
 ) -> CriticalityResult:
     """Maximum criticality of ``edges`` through the edge-chunked kernel.
 
-    ``edges`` defaults to every edge of the analysed graph.  Edges are
+    ``edges`` defaults to every edge of the analysed graph.  The forward
+    sweep hands over one input block at a time; within a block, edges are
     processed in chunks sized by :func:`auto_chunk_edges` so the chunk's
     pair tensors and correlation gathers together hold at most
     :data:`CRITICALITY_CHUNK_PAIRS` floats, bounding peak memory
     independently of the module's pair-space and correlation widths (and
-    keeping the chunk working set cache resident); the shared
-    delay-matrix moments are computed once for all chunks.  The per-edge
-    maximum is reduced in ``z``-space (one normal-CDF evaluation per edge,
-    see :func:`_chunk_terms`), so values match the scalar reference's
-    pair-space maximum exactly up to the 1e-9 BLAS round-off contract; the
-    reported argmax pair always attains the maximum but may differ from
-    the scalar argmax between tied pairs.  Another chunk budget moves the
-    values within that contract too, not bitwise, since BLAS rounds by the
-    chunk shape.  That is why a run of many chunks spreads the same chunks
-    over threads (:mod:`repro.core.chunk_threads`) instead of re-cutting
-    them: any thread count gives the same bits.  On an empty edge set or an
-    empty pair space the result is returned empty/zero instead of raising
-    from an empty-array reduction.
+    keeping the chunk working set cache resident); the block's
+    delay-matrix moments are computed once for all its chunks.  The
+    per-edge maximum is reduced in ``z``-space (one normal-CDF evaluation
+    per edge, see :func:`_chunk_terms`), so values match the scalar
+    reference's pair-space maximum exactly up to the 1e-9 BLAS round-off
+    contract; the reported argmax pair always attains the maximum but may
+    differ from the scalar argmax between tied pairs.  Another chunk budget
+    or block width moves the values within that contract too, not bitwise,
+    since BLAS rounds by the chunk shape.  That is why a run of many chunks
+    spreads the same chunks over threads (:mod:`repro.core.chunk_threads`)
+    instead of re-cutting them: any thread count gives the same bits.  On
+    an empty edge set or an empty pair space the result is returned
+    empty/zero instead of raising from an empty-array reduction.
     """
-    _require_dense(analysis)
+    _require_to_output(analysis)
     if edges is None:
         edges = analysis.arrays.graph.edges
     edge_list = list(edges)
@@ -456,10 +453,7 @@ def edge_criticality_batch(
     if analysis.num_inputs * analysis.num_outputs == 0:
         return _empty_pair_space_result(edge_list)
 
-    rows_all = _edge_rows(analysis, edge_list)
-    values, best = _batched_edge_max(
-        analysis, rows_all, _matrix_moments(analysis)
-    )
+    values, best = _batched_edge_max(analysis, _edge_rows(analysis, edge_list))
     num_outputs = analysis.num_outputs
     max_criticality: Dict[int, float] = {}
     argmax_pairs: Dict[int, Tuple[int, int]] = {}
@@ -473,58 +467,78 @@ def edge_criticality_batch(
 def _batched_edge_max(
     analysis: AllPairsTiming,
     rows_all: np.ndarray,
-    moments: _HoistedMoments,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-edge maximum criticality over the pair space, batched by chunks.
+    """Per-edge maximum criticality over the pair space, block by block.
 
     Returns ``(values, best)``: the maximum of every edge row of
-    ``rows_all`` and the flat index of an attaining pair.  The chunks go
-    to the shared thread loop (:func:`repro.core.chunk_threads.run_chunks`
-    on :func:`~repro.core.chunk_threads._thread_count` threads); each
-    thread owns its scratch and writes only its chunks' slices of the
-    results.  Every chunk is evaluated exactly as the serial loop
-    evaluates it, so any thread count and any order give the same bits.
+    ``rows_all`` and the flat index of an attaining pair.  The forward
+    sweep (:meth:`~repro.timing.allpairs.AllPairsTiming._sweep_inputs`)
+    hands over one input block at a time, and a block scores only the
+    edges whose source one of its inputs reaches (the others score
+    ``-inf`` on every pair of it).  Its chunks go to the shared thread
+    loop (:func:`repro.core.chunk_threads.run_chunks` on
+    :func:`~repro.core.chunk_threads._thread_count` threads, counted over
+    the chunks of every block); each thread owns its scratch and writes
+    only its chunks' edges.  Every edge keeps its largest ``z`` with the
+    first flat pair attaining it and its first degenerate-tie pair; the
+    tie rule applies once, after the last block.  That is the one-block
+    kernel's choice over the whole pair space, and every chunk is
+    evaluated exactly as the serial loop evaluates it, so any thread count
+    and any order give the same bits.
     """
-    num_inputs = analysis.num_inputs
     num_outputs = analysis.num_outputs
-    num_pairs = num_inputs * num_outputs
-    chunk_edges = auto_chunk_edges(
-        num_inputs, num_outputs, analysis.arrays.edge_corr.shape[1]
-    )
-    starts = range(0, rows_all.size, chunk_edges)
-    threads = chunk_threads._thread_count(len(starts))
+    num_corr = analysis.arrays.num_corr
+    threads = chunk_threads._thread_count(sum(
+        -(-rows_all.size // auto_chunk_edges(len(positions), num_outputs, num_corr))
+        for positions in analysis._input_blocks()
+    ))
     works = _analysis_work(analysis, threads)
-    values = np.zeros(rows_all.size, dtype=float)
-    best_all = np.zeros(rows_all.size, dtype=np.int64)
+    best_z = np.full(rows_all.size, -np.inf)
+    best = np.zeros(rows_all.size, dtype=np.int64)
+    first_tie = np.full(rows_all.size, -1, dtype=np.int64)
+    sources = analysis.arrays.edge_source[rows_all]
 
-    def run_chunk(thread: int, start: int) -> None:
-        work = works[thread]
-        chunk_rows = rows_all[start : start + chunk_edges]
-        count = chunk_rows.size
-        z, degenerate, tied, valid = _chunk_terms(
-            analysis, chunk_rows, moments, work
-        )
-        # Pairs whose value is nd(z): valid and not resolved through the
-        # degenerate 0/1 rule; everything else scores -inf (nd == 0.0).
-        unscored = _view(work, "unscored", valid.shape, bool)
-        np.logical_not(valid, out=unscored)
-        unscored |= degenerate
-        np.copyto(z, -np.inf, where=unscored)
-        z_flat = z.reshape(count, num_pairs)
-        best = np.argmax(z_flat, axis=1)
-        arange = np.arange(count)
-        chunk_values = normal_cdf(z_flat[arange, best])  # nd(-inf) == 0.0
-        # Degenerate ties contribute exactly 1.0 (criticality of a pair
-        # whose maximum is attained by this edge's path identically).
-        tied_flat = tied.reshape(count, num_pairs)
-        has_tie = tied_flat.any(axis=1)
-        tie_first = np.argmax(tied_flat, axis=1)
-        take_tie = has_tie & (chunk_values < 1.0)
-        values[start : start + count] = np.where(take_tie, 1.0, chunk_values)
-        best_all[start : start + count] = np.where(take_tie, tie_first, best)
+    def score_block(positions: range, arrival, matrix) -> None:
+        moments = _matrix_moments(analysis, (positions, arrival, matrix))
+        live = np.flatnonzero(arrival[3][sources].any(axis=1))
+        num_pairs = len(positions) * num_outputs
+        offset = positions.start * num_outputs
+        chunk_edges = auto_chunk_edges(len(positions), num_outputs, num_corr)
 
-    chunk_threads.run_chunks(threads, starts, run_chunk)
-    return values, best_all
+        def run_chunk(thread: int, start: int) -> None:
+            work = works[thread]
+            at = live[start : start + chunk_edges]
+            count = at.size
+            z, degenerate, tied, valid = _chunk_terms(
+                analysis, rows_all[at], moments, work
+            )
+            # Pairs whose value is nd(z): valid and not resolved through
+            # the degenerate 0/1 rule; everything else scores -inf.
+            unscored = work.view("unscored", valid.shape, bool)
+            np.logical_not(valid, out=unscored)
+            unscored |= degenerate
+            np.copyto(z, -np.inf, where=unscored)
+            z_flat = z.reshape(count, num_pairs)
+            chunk_best = np.argmax(z_flat, axis=1)
+            chunk_z = z_flat[np.arange(count), chunk_best]
+            # Blocks go in input order, so a later block wins only with a
+            # strictly larger z: the first attaining pair, as one argmax
+            # over the whole pair space would pick it.
+            wins = chunk_z > best_z[at]
+            best_z[at[wins]] = chunk_z[wins]
+            best[at[wins]] = chunk_best[wins] + offset
+            tied_flat = tied.reshape(count, num_pairs)
+            first = tied_flat.any(axis=1) & (first_tie[at] < 0)
+            first_tie[at[first]] = np.argmax(tied_flat[first], axis=1) + offset
+
+        chunk_threads.run_chunks(threads, range(0, live.size, chunk_edges), run_chunk)
+
+    analysis._sweep_inputs(score_block)
+    values = normal_cdf(best_z)  # nd(-inf) == 0.0
+    # Degenerate ties contribute exactly 1.0 (criticality of a pair whose
+    # maximum is attained by this edge's path identically).
+    take_tie = (first_tie >= 0) & (values < 1.0)
+    return np.where(take_tie, 1.0, values), np.where(take_tie, first_tie, best)
 
 
 # ----------------------------------------------------------------------

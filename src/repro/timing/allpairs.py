@@ -35,37 +35,49 @@ Two entry points share the tensors:
 
 Memory budget
 -------------
-:meth:`AllPairsTiming.analyze` sweeps input (output) columns level by
-level through the shared fold of :mod:`repro.timing.propagation`, in one
-of two layouts that the float budget of :func:`allpairs_budget_floats`
-(env ``REPRO_ALLPAIRS_BUDGET_FLOATS``, the host's memory cap) picks:
+:meth:`AllPairsTiming.analyze` holds the ``(V, O)`` to-output tensors and
+the ``(I, O)`` delay matrix, never the ``(V, I)`` arrival tensors:
 
-* while the dense tensors fit it, one column block holding every input
-  (output), folded straight into the full ``(V, I)`` arrival and ``(V, O)``
-  to-output tensors (the layout every incremental session and the
-  extraction/criticality consumers read) — the ``"dense"`` engine;
-* above it, blocks of ``B`` columns sized to the budget
-  (:func:`_auto_block_columns`), assembling the ``(I, O)`` delay matrix
-  without ever holding more than ``(V, B)`` state — the ``"blocked"``
-  engine, which keeps 10^5-10^6-edge designs inside a fixed memory budget.
+* the backward sweep folds every output at once into the to-output
+  tensors while they fit the float budget of :func:`allpairs_budget_floats`
+  (env ``REPRO_ALLPAIRS_BUDGET_FLOATS``, the host's memory cap) — the
+  ``"streamed"`` engine; above it the analysis holds the matrix only — the
+  ``"blocked"`` engine, which keeps 10^5-10^6-edge designs inside a fixed
+  memory budget and has no edge criticality;
+* the forward sweep folds the inputs in blocks of ``B`` columns
+  (:meth:`AllPairsTiming._input_blocks`, at most 2^22 floats of
+  ``(V, B)`` state a block), writes each block's rows of ``M`` and drops
+  the block.  It runs once: when the matrix is first read, or driven by
+  the edge criticality
+  (:func:`repro.model.criticality.compute_edge_criticalities`), which
+  scores every edge against each block while it is live.
 
-Both fold every vertex's candidate edges in the identical order through
-the same kernels, so their matrices are bit-identical at every block
-width (asserted by the parity tests up to generated 10^5-edge designs).
+An :class:`AllPairsSession` holds every tensor — the ``"dense"`` engine —
+because its dirty-cone refresh patches them in place; its forward blocks
+are column views of its arrival tensors.  Every layout folds each column
+through the same kernels in the same candidate order, so tensors and
+matrices are bit-identical at every block width (asserted by the parity
+tests up to generated 10^5-edge designs).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.core.batch import FoldWorkspace
 from repro.core.canonical import CanonicalForm
 from repro.errors import TimingGraphError
-from repro.timing.arrays import GraphArrays, _merge_dirty, _migrate_rows, _sweep_cone
+from repro.timing.arrays import (
+    GraphArrays,
+    _merge_dirty,
+    _migrate_rows,
+    _require_current,
+    _sweep_cone,
+)
 from repro.timing.graph import TimingGraph
 from repro.timing.propagation import _fold_levels, _fold_rounds, _write_moved
 
@@ -75,23 +87,28 @@ __all__ = [
     "AllPairsTiming",
     "AllPairsUpdate",
     "allpairs_budget_floats",
-    "dense_tensor_floats",
+    "to_output_floats",
 ]
 
-#: Default budget (float64 elements) for the dense ``(V, I)`` + ``(V, O)``
-#: all-pairs tensors: 2^27 floats = 1 GiB.  Above it the analysis
-#: switches to the blocked column sweep.
+#: Default budget (float64 elements) for the ``(V, O)`` to-output tensors
+#: of a one-shot analysis: 2^27 floats = 1 GiB.  Above it the analysis
+#: holds the delay matrix only.
 ALLPAIRS_BUDGET_FLOATS = 1 << 27
 
 ALLPAIRS_BUDGET_ENV = "REPRO_ALLPAIRS_BUDGET_FLOATS"
 
+_SUFFIXES = ("mean", "corr", "randvar", "valid")
+
+#: One direction's state as ``(mean, corr, randvar, valid)``.
+_State = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 
 def allpairs_budget_floats() -> int:
-    """The active dense-tensor budget (float64 elements).
+    """The active to-output tensor budget (float64 elements).
 
     Reads ``REPRO_ALLPAIRS_BUDGET_FLOATS`` on every call so tests and batch
-    jobs can cap the dense tensors without touching code; raises a
-    clear ``ValueError`` on a non-integer or non-positive override.
+    jobs can cap the tensors without touching code; raises a clear
+    ``ValueError`` on a non-integer or non-positive override.
     """
     raw = os.environ.get(ALLPAIRS_BUDGET_ENV)
     if raw is None:
@@ -109,34 +126,54 @@ def allpairs_budget_floats() -> int:
     return budget
 
 
-def dense_tensor_floats(
-    num_vertices: int, num_inputs: int, num_outputs: int, num_corr: int
-) -> int:
-    """Float64 count of the dense per-input + per-output all-pairs tensors.
+def to_output_floats(num_vertices: int, num_outputs: int, num_corr: int) -> int:
+    """Float64 count of the ``(V, O)`` to-output tensors.
 
-    Per direction the dense engine holds mean, randvar and the
-    ``num_corr``-wide coefficient tensor (the boolean masks are not
-    counted); this is the figure :meth:`AllPairsTiming.analyze` compares
-    against the budget.
+    Mean, randvar and the ``num_corr``-wide coefficient tensor (the boolean
+    mask is not counted); the figure :meth:`AllPairsTiming.analyze`
+    compares against the budget.
     """
-    per_entry = num_corr + 2
-    return num_vertices * (num_inputs + num_outputs) * per_entry
+    return num_vertices * num_outputs * (num_corr + 2)
 
 
-#: One column block of a blocked sweep: ``(positions, mean, corr, randvar,
-#: valid)``, the arrays shaped ``(V, len(positions), ...)``.
-_Block = Tuple[range, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+def _input_block_width(num_vertices: int, num_inputs: int, num_corr: int) -> int:
+    """Inputs per block of the forward sweep.
 
-
-def _auto_block_columns(num_vertices: int, num_corr: int, budget: int) -> int:
-    """Column-block width keeping the blocked working set under ``budget``.
-
-    The blocked sweep's footprint is ~4x the ``(V, B)`` state (state +
-    level accumulators + candidate and merge scratch, each bounded by the
-    widest level, itself bounded by ``V``).
+    A block's folded state is ``V x B x (K + 2)`` floats, and one block is
+    live at a time.  ``B`` is the widest width that keeps it within 1/32
+    of the default budget, 2^22 floats (32 MiB), spread evenly over the
+    blocks that width needs; a module whose whole arrival state fits
+    stays one block, the dense shapes.
     """
-    per_column = num_vertices * (num_corr + 2) * 4
-    return max(1, budget // max(per_column, 1))
+    per_column = max(1, num_vertices * (num_corr + 2))
+    widest = max(1, (ALLPAIRS_BUDGET_FLOATS // 32) // per_column)
+    count = -(-num_inputs // widest)
+    return max(1, -(-num_inputs // max(1, count)))
+
+
+def _tensor_field(name: str) -> property:
+    """A tensor attribute of :class:`AllPairsTiming`, held as ``_<name>``.
+
+    A one-shot analysis folds two groups on their first read: the delay
+    matrix through the streamed forward sweep, and the arrival tensors of
+    a ``"streamed"`` analysis in full, at their ``(V, I)`` cost (no
+    library consumer reads them).
+    """
+    key = "_" + name
+    group = name.rsplit("_", 1)[0]
+
+    def read(self):
+        if group == "matrix" and self._matrix_pending:
+            self._sweep_inputs()
+        elif group == "arrival" and self.engine == "streamed" and getattr(self, key) is None:
+            _require_current(self.arrays.graph, self.arrays, "analysis")
+            self._fold_dense(False, FoldWorkspace())
+        return getattr(self, key)
+
+    def write(self, value):
+        setattr(self, key, value)
+
+    return property(read, write)
 
 
 # ----------------------------------------------------------------------
@@ -156,13 +193,39 @@ class AllPairsTiming:
     * ``matrix_mean/corr/randvar/valid`` — shape ``(I, O, ...)``: the
       input/output delay matrix ``M`` of Section III.
 
-    A blocked analysis (over the memory budget, see the module doc) holds
-    the matrix only: the per-vertex tensors are ``None`` and the per-column
-    state is exposed through :meth:`iter_arrival_blocks` /
-    :meth:`iter_to_output_blocks` instead.
+    ``engine``, the one layout flag, says which of them are held:
+
+    * ``"dense"`` — all three (sessions, whose refresh patches them);
+    * ``"streamed"`` — what :meth:`analyze` builds: the to-output tensors
+      and the matrix, which the forward sweep (:meth:`_sweep_inputs`)
+      fills on its first read.  Reading ``arrival_*`` folds the dense
+      tensors then, at their full cost;
+    * ``"blocked"`` — the matrix only (over the memory budget, see the
+      module doc): the per-vertex tensors are ``None``.
+
+    The forward sweep of a one-shot analysis reads its graph as it was at
+    :meth:`analyze`: read the matrix before editing the graph, or analyse
+    again (a stale sweep raises :class:`~repro.errors.TimingGraphError`).
     """
 
-    def __init__(self, arrays: GraphArrays, materialize: bool = True) -> None:
+    arrival_mean = _tensor_field("arrival_mean")
+    arrival_corr = _tensor_field("arrival_corr")
+    arrival_randvar = _tensor_field("arrival_randvar")
+    arrival_valid = _tensor_field("arrival_valid")
+    to_output_mean = _tensor_field("to_output_mean")
+    to_output_corr = _tensor_field("to_output_corr")
+    to_output_randvar = _tensor_field("to_output_randvar")
+    to_output_valid = _tensor_field("to_output_valid")
+    matrix_mean = _tensor_field("matrix_mean")
+    matrix_corr = _tensor_field("matrix_corr")
+    matrix_randvar = _tensor_field("matrix_randvar")
+    matrix_valid = _tensor_field("matrix_valid")
+
+    #: True while the forward sweep of a one-shot analysis has yet to fill
+    #: the delay matrix.
+    _matrix_pending = False
+
+    def __init__(self, arrays: GraphArrays, engine: str = "dense") -> None:
         self.arrays = arrays
         graph = arrays.graph
         self.inputs: Tuple[str, ...] = graph.inputs
@@ -171,62 +234,57 @@ class AllPairsTiming:
             raise TimingGraphError(
                 "all-pairs analysis needs designated inputs and outputs"
             )
-        self.engine = "dense" if materialize else "blocked"
+        if engine not in ("dense", "streamed", "blocked"):
+            raise ValueError("unknown all-pairs engine %r" % (engine,))
+        self.engine = engine
+        num_vertices = arrays.num_vertices
+        none = (None,) * len(_SUFFIXES)
+        self._set("arrival", self._zeros(num_vertices, self.num_inputs)
+                  if engine == "dense" else none)
+        self._set("to_output", self._zeros(num_vertices, self.num_outputs)
+                  if engine != "blocked" else none)
+        self._set("matrix", self._zeros(self.num_inputs, self.num_outputs))
 
-        num_vertices = graph.num_vertices
-        num_inputs = len(self.inputs)
-        num_outputs = len(self.outputs)
-        num_corr = arrays.num_corr
+    def _zeros(self, rows: int, columns: int) -> _State:
+        num_corr = self.arrays.num_corr
+        return (
+            np.zeros((rows, columns), dtype=float),
+            np.zeros((rows, columns, num_corr), dtype=float),
+            np.zeros((rows, columns), dtype=float),
+            np.zeros((rows, columns), dtype=bool),
+        )
 
-        if materialize:
-            self.arrival_mean = np.zeros((num_vertices, num_inputs), dtype=float)
-            self.arrival_corr = np.zeros((num_vertices, num_inputs, num_corr), dtype=float)
-            self.arrival_randvar = np.zeros((num_vertices, num_inputs), dtype=float)
-            self.arrival_valid = np.zeros((num_vertices, num_inputs), dtype=bool)
+    def _set(self, group: str, tensors) -> None:
+        for suffix, tensor in zip(_SUFFIXES, tensors):
+            setattr(self, "_%s_%s" % (group, suffix), tensor)
 
-            self.to_output_mean = np.zeros((num_vertices, num_outputs), dtype=float)
-            self.to_output_corr = np.zeros((num_vertices, num_outputs, num_corr), dtype=float)
-            self.to_output_randvar = np.zeros((num_vertices, num_outputs), dtype=float)
-            self.to_output_valid = np.zeros((num_vertices, num_outputs), dtype=bool)
-        else:
-            self.arrival_mean = None
-            self.arrival_corr = None
-            self.arrival_randvar = None
-            self.arrival_valid = None
-            self.to_output_mean = None
-            self.to_output_corr = None
-            self.to_output_randvar = None
-            self.to_output_valid = None
-
-        self.matrix_mean = np.zeros((num_inputs, num_outputs), dtype=float)
-        self.matrix_corr = np.zeros((num_inputs, num_outputs, num_corr), dtype=float)
-        self.matrix_randvar = np.zeros((num_inputs, num_outputs), dtype=float)
-        self.matrix_valid = np.zeros((num_inputs, num_outputs), dtype=bool)
+    def _held(self, group: str) -> Tuple[Optional[np.ndarray], ...]:
+        """The tensors of ``group`` as held, folding nothing."""
+        return tuple(getattr(self, "_%s_%s" % (group, suffix)) for suffix in _SUFFIXES)
 
     # ------------------------------------------------------------------
     @classmethod
     def analyze(cls, graph: TimingGraph) -> "AllPairsTiming":
-        """Run the forward and backward all-pairs propagation on ``graph``.
+        """Run the backward all-pairs propagation on ``graph``.
 
-        Dense while the dense tensors fit :func:`allpairs_budget_floats`,
-        blocked (the delay matrix only) above it; see the module doc.
+        Streamed while the to-output tensors fit
+        :func:`allpairs_budget_floats`, blocked (the delay matrix only)
+        above it; the forward sweep runs on the first read of the matrix
+        or driven by the edge criticality.  See the module doc.
         """
         arrays = GraphArrays.of(graph)
-        footprint = dense_tensor_floats(
-            arrays.num_vertices, len(graph.inputs), len(graph.outputs),
-            arrays.num_corr,
+        footprint = to_output_floats(
+            arrays.num_vertices, len(graph.outputs), arrays.num_corr
         )
-        dense = footprint <= allpairs_budget_floats()
-        analysis = cls(arrays, materialize=dense)
-        if dense:
-            analysis._analyze_dense()
-        else:
-            for positions, *state in analysis.iter_arrival_blocks():
-                analysis._store_matrix_rows(positions, *state)
+        engine = "streamed" if footprint <= allpairs_budget_floats() else "blocked"
+        analysis = cls(arrays, engine)
+        if engine == "streamed":
+            analysis._fold_dense(True, FoldWorkspace())
+        analysis._matrix_pending = True
         return analysis
 
     # ------------------------------------------------------------------
-    # Levelized column sweeps (dense: one block holding every column)
+    # Levelized column sweeps
     # ------------------------------------------------------------------
     def _seed_and_fold(
         self,
@@ -277,8 +335,8 @@ class AllPairsTiming:
         positions: range,
         backward: bool,
         work: FoldWorkspace,
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """One blocked levelized pass over ``B = len(positions)`` columns.
+    ) -> _State:
+        """One levelized pass over ``B = len(positions)`` columns.
 
         Returns ``(mean, corr, randvar, valid)`` of shape ``(V, B, ...)``,
         folded by :meth:`_seed_and_fold` into workspace views.
@@ -295,35 +353,58 @@ class AllPairsTiming:
         self._seed_and_fold(positions, backward, *state, work)
         return state
 
-    def iter_arrival_blocks(self) -> Iterator[_Block]:
-        """Stream the per-input arrival state in column blocks.
+    def _fold_dense(self, backward: bool, work: FoldWorkspace) -> None:
+        """Fold one direction's dense tensors as one block of every column.
 
-        Yields ``(positions, mean, corr, randvar, valid)`` where the arrays
-        have shape ``(V, B, ...)`` for ``B = len(positions)`` input columns,
-        ``B`` sized to the memory budget (:func:`_auto_block_columns`).
-        The yielded arrays are workspace views reused by the next block —
-        consumers must copy whatever they keep.
+        Allocates them when not held; the forward fold fills ``M`` too.
         """
-        return self._iter_blocks(False)
+        group = "to_output" if backward else "arrival"
+        positions = range(self.num_outputs if backward else self.num_inputs)
+        if getattr(self, "_%s_mean" % group) is None:
+            self._set(group, self._zeros(self.arrays.num_vertices, len(positions)))
+        state = self._held(group)
+        self._seed_and_fold(positions, backward, *state, work)
+        if not backward:
+            self._store_matrix_rows(positions, *state)
+            self._matrix_pending = False
 
-    def iter_to_output_blocks(self) -> Iterator[_Block]:
-        """Stream the per-output to-output state in column blocks.
+    def _input_blocks(self) -> List[range]:
+        """The input positions of each forward block, in input order."""
+        count = self.num_inputs
+        width = _input_block_width(self.arrays.num_vertices, count, self.arrays.num_corr)
+        return [
+            range(start, min(start + width, count)) for start in range(0, count, width)
+        ]
 
-        The backward analogue of :meth:`iter_arrival_blocks`: column ``b``
-        holds the maximum delay from every vertex to output
-        ``positions[b]``.
+    def _sweep_inputs(
+        self, visit: Optional[Callable[[range, _State, _State], None]] = None
+    ) -> None:
+        """Run the forward sweep over every input block, in input order.
+
+        Calls ``visit(positions, arrival, matrix)`` with the ``(V, B, ...)``
+        arrival state of each block's inputs and their ``(B, O, ...)`` rows
+        of ``M``, each as ``(mean, corr, randvar, valid)``.  Held arrival
+        tensors (sessions) give column views.  Otherwise each block is
+        folded into one reused workspace, so one block is live at a time
+        (the next overwrites it), and writes its rows of ``M`` while the
+        matrix is pending.  The matrix is filled once every block ran.
         """
-        return self._iter_blocks(True)
-
-    def _iter_blocks(self, backward: bool) -> Iterator[_Block]:
-        count = len(self.outputs if backward else self.inputs)
-        block = _auto_block_columns(
-            self.arrays.num_vertices, self.arrays.num_corr, allpairs_budget_floats()
-        )
+        held = self._held("arrival")
+        if held[0] is None:
+            _require_current(self.arrays.graph, self.arrays, "analysis")
+        matrix = self._held("matrix")
         work = FoldWorkspace()
-        for start in range(0, count, block):
-            positions = range(start, min(start + block, count))
-            yield (positions, *self._column_block(positions, backward, work))
+        for positions in self._input_blocks():
+            columns = slice(positions.start, positions.stop)
+            if held[0] is not None:
+                arrival = tuple(tensor[:, columns] for tensor in held)
+            else:
+                arrival = self._column_block(positions, False, work)
+                if self._matrix_pending:
+                    self._store_matrix_rows(positions, *arrival)
+            if visit is not None:
+                visit(positions, arrival, tuple(tensor[columns] for tensor in matrix))
+        self._matrix_pending = False
 
     def _store_matrix_rows(
         self,
@@ -336,26 +417,10 @@ class AllPairsTiming:
         """Copy the output rows of an arrival block into matrix rows."""
         output_rows = self.arrays.output_rows
         rows = slice(positions.start, positions.stop)
-        self.matrix_mean[rows] = mean[output_rows].T
-        self.matrix_corr[rows] = corr[output_rows].transpose(1, 0, 2)
-        self.matrix_randvar[rows] = randvar[output_rows].T
-        self.matrix_valid[rows] = valid[output_rows].T
-
-    def _analyze_dense(self) -> None:
-        """Fold the materialised tensors as one block holding every column."""
-        work = FoldWorkspace()
-        inputs = range(len(self.inputs))
-        arrival = (
-            self.arrival_mean, self.arrival_corr,
-            self.arrival_randvar, self.arrival_valid,
-        )
-        self._seed_and_fold(inputs, False, *arrival, work)
-        self._store_matrix_rows(inputs, *arrival)
-        self._seed_and_fold(
-            range(len(self.outputs)), True,
-            self.to_output_mean, self.to_output_corr,
-            self.to_output_randvar, self.to_output_valid, work,
-        )
+        self._matrix_mean[rows] = mean[output_rows].T
+        self._matrix_corr[rows] = corr[output_rows].transpose(1, 0, 2)
+        self._matrix_randvar[rows] = randvar[output_rows].T
+        self._matrix_valid[rows] = valid[output_rows].T
 
     # ------------------------------------------------------------------
     # Convenience accessors
@@ -387,18 +452,17 @@ class AllPairsTiming:
     def nbytes_report(self) -> Dict[str, int]:
         """Byte accounting of the analysis: per tensor group plus total.
 
-        Mirrors :meth:`repro.parallel.shm.SharedArraysHandle.nbytes_report`.
-        ``arrival`` and ``to_output`` are 0 for a blocked analysis — that
-        difference *is* the blocked engine's memory win; ``graph_arrays``
-        is the shared edge/schedule working set underneath.
+        Mirrors :meth:`repro.parallel.shm.SharedArraysHandle.nbytes_report`
+        and counts the tensors as held, folding nothing: ``arrival`` is 0
+        unless the engine is ``"dense"`` (or ``arrival_*`` was read), and
+        ``to_output`` is 0 for a blocked analysis — those zeros *are* the
+        streamed and blocked engines' memory win; ``graph_arrays`` is the
+        shared edge/schedule working set underneath.
         """
         report = {"graph_arrays": int(self.arrays.nbytes_report()["total"])}
         for group in ("arrival", "to_output", "matrix"):
             report[group] = sum(
-                int(tensor.nbytes)
-                for suffix in ("mean", "corr", "randvar", "valid")
-                for tensor in (getattr(self, "%s_%s" % (group, suffix)),)
-                if tensor is not None
+                int(tensor.nbytes) for tensor in self._held(group) if tensor is not None
             )
         report["total"] = sum(report.values())
         return report
@@ -701,7 +765,9 @@ class AllPairsSession:
                 "all-pairs analysis needs designated inputs and outputs"
             )
         analysis = AllPairsTiming(self._arrays)
-        analysis._analyze_dense()
+        work = FoldWorkspace()
+        analysis._fold_dense(False, work)
+        analysis._fold_dense(True, work)
         self._analysis = analysis
         self._index_positions()
         self._dirty_fwd = None

@@ -198,9 +198,9 @@ class TestAnalysisChecks:
             "batch": lambda: edge_criticality_batch(blocked),
         }
         arrays = blocked.arrays
-        footprint = arrays.num_vertices * (
-            len(graph.inputs) + len(graph.outputs)
-        ) * (arrays.num_corr + 2)
+        # The budget gates the (V, O) to-output tensors alone: the arrival
+        # tensors are streamed in input blocks.
+        footprint = arrays.num_vertices * len(graph.outputs) * (arrays.num_corr + 2)
         for name, call in calls.items():
             with pytest.raises(ModelExtractionError) as excinfo:
                 call()

@@ -434,6 +434,43 @@ class TestEmptyPairSpace:
         assert result.below(1.0) == {}
 
 
+class TestScratchReuse:
+    def test_a_wider_analysis_leaves_no_stale_views(self, c432_graph, library):
+        """Regression: a thread's scratch reused for a narrower chunk shape
+        (a last, narrower input block) handed out non-contiguous views, and
+        the kernel's flat tie-refinement writes into them were lost: 6 of
+        c432's 336 values moved, with no error."""
+        from repro.netlist.iscas85 import iscas85_surrogate
+        from repro.placement.placer import place_netlist
+        from repro.timing.allpairs import AllPairsSession
+        from repro.timing.builder import build_timing_graph, default_variation_for
+
+        netlist = iscas85_surrogate("c499")  # 41 x 32 pairs, c432 has 36 x 7
+        placement = place_netlist(netlist, library)
+        wide_graph = build_timing_graph(
+            netlist, library, placement, default_variation_for(netlist, placement)
+        )
+        wide = AllPairsSession(wide_graph).state
+        narrow = AllPairsSession(c432_graph.copy()).state
+        assert wide_graph.num_edges >= c432_graph.num_edges
+        work = criticality._analysis_work(wide, 1)[0]
+        criticality._chunk_terms(
+            wide, np.arange(wide_graph.num_edges),
+            criticality._matrix_moments(wide), work,
+        )
+        rows = np.arange(c432_graph.num_edges)
+        moments = criticality._matrix_moments(narrow)
+        reused = [
+            np.array(terms)
+            for terms in criticality._chunk_terms(narrow, rows, moments, work)
+        ]
+        fresh = criticality._chunk_terms(narrow, rows, moments)
+        for name, reused_terms, fresh_terms in zip(
+            ("z", "degenerate", "tied", "valid"), reused, fresh
+        ):
+            assert np.array_equal(reused_terms, fresh_terms), name
+
+
 class TestChunkSizer:
     def test_auto_chunk_edges_is_corr_aware(self):
         from repro.model.criticality import auto_chunk_edges

@@ -38,7 +38,7 @@ from repro.model.criticality import (
     _chunk_terms,
     _edge_rows,
     _matrix_moments,
-    _require_dense,
+    _require_to_output,
 )
 from repro.montecarlo.flat import _NEG_INF
 from repro.timing.allpairs import AllPairsTiming
@@ -56,7 +56,7 @@ def edge_criticality_matrix(
     batched kernel is verified against, to 1e-9: BLAS blocks the two
     kernels' contractions differently.
     """
-    _require_dense(analysis)
+    _require_to_output(analysis)
     arrays = analysis.arrays
     edge_row = arrays.edge_rows[edge.edge_id]
     source_row = int(arrays.edge_source[edge_row])
@@ -136,7 +136,7 @@ def edge_criticality_tensor(
     caller's responsibility (``E * I * O`` doubles per temporary) — use
     :func:`edge_criticality_batch` for the memory-bounded driver.
     """
-    _require_dense(analysis)
+    _require_to_output(analysis)
     edge_list = list(edges)
     if not edge_list:
         return np.zeros(

@@ -1,13 +1,15 @@
-"""Parity and memory accounting of the blocked all-pairs engine.
+"""Parity and memory accounting of the streamed and blocked all-pairs engines.
 
-The blocked engine streams input/output columns in budget-sized blocks
-instead of materializing the full ``(V, I)`` / ``(V, O)`` state tensors.
-The dense engine is the same levelized column pass with one block holding
-every column, so both execute the identical fold kernels in the identical
-order and parity with the dense reference is asserted exactly (tolerance
-0: bitwise on every graph below).  ``REPRO_ALLPAIRS_BUDGET_FLOATS`` picks
-the engine and the block width; widths no over-budget setting reaches run
-through the private per-block pass ``_column_block``.
+A one-shot analysis never holds the ``(V, I)`` arrival tensors: its
+forward sweep folds the inputs in blocks and writes each block's rows of
+the delay matrix.  It holds the ``(V, O)`` to-output tensors while they
+fit ``REPRO_ALLPAIRS_BUDGET_FLOATS`` (the streamed engine) and the matrix
+only above it (the blocked engine).  The dense reference is a session's
+state, which folds every input as one block.  All of them execute the
+identical fold kernels in the identical order, so parity is asserted
+exactly (tolerance 0: bitwise on every graph below).  The block width is
+derived (``_input_block_width``); the tests force other widths by
+monkeypatching it, or run the private per-block pass ``_column_block``.
 """
 
 from __future__ import annotations
@@ -23,13 +25,13 @@ from repro.netlist.generators import (
 )
 from repro.core.batch import FoldWorkspace
 from repro.montecarlo.flat import simulate_graph_delay
+from repro.timing import allpairs
 from repro.timing.allpairs import (
     ALLPAIRS_BUDGET_FLOATS,
     AllPairsSession,
     AllPairsTiming,
-    _auto_block_columns,
     allpairs_budget_floats,
-    dense_tensor_floats,
+    to_output_floats,
 )
 from repro.timing.arrays import GraphArrays
 from repro.timing.builder import synthetic_timing_graph
@@ -44,17 +46,27 @@ def random_graph():
     return synthetic_timing_graph(netlist, num_locals=5, seed=3)
 
 
-def _blocked(graph, monkeypatch, width=1):
-    """The blocked analysis under the budget that streams ``width`` columns.
+def _force_width(monkeypatch, width):
+    """Fold the forward sweep in blocks of ``width`` inputs."""
+    monkeypatch.setattr(allpairs, "_input_block_width", lambda *_sizes: width)
 
-    The budget stays set, so the analysis' block iterators use it too.
+
+def _blocked(graph, monkeypatch, width=1):
+    """The blocked analysis, its forward sweep in blocks of ``width`` inputs.
+
+    The budget sits one float under the to-output footprint and stays set.
     """
     arrays = GraphArrays.of(graph)
-    budget = width * arrays.num_vertices * (arrays.num_corr + 2) * 4
-    assert _auto_block_columns(arrays.num_vertices, arrays.num_corr, budget) == width
-    monkeypatch.setenv("REPRO_ALLPAIRS_BUDGET_FLOATS", str(budget))
+    footprint = to_output_floats(
+        arrays.num_vertices, len(graph.outputs), arrays.num_corr
+    )
+    monkeypatch.setenv("REPRO_ALLPAIRS_BUDGET_FLOATS", str(footprint - 1))
+    _force_width(monkeypatch, width)
     analysis = AllPairsTiming.analyze(graph)
     assert analysis.engine == "blocked"
+    assert [len(block) for block in analysis._input_blocks()][0] == min(
+        width, analysis.num_inputs
+    )
     return analysis
 
 
@@ -80,7 +92,7 @@ class TestEngineParity:
     @pytest.mark.parametrize("block_columns", [1, 3, 1000])
     def test_parity_for_every_block_width(self, random_graph, block_columns):
         dense = AllPairsTiming.analyze(random_graph)
-        blocked = AllPairsTiming(GraphArrays.of(random_graph), materialize=False)
+        blocked = AllPairsTiming(GraphArrays.of(random_graph), engine="blocked")
         work = FoldWorkspace()
         for start in range(0, blocked.num_inputs, block_columns):
             positions = range(start, min(start + block_columns, blocked.num_inputs))
@@ -99,10 +111,17 @@ class TestEngineParity:
 
 
 class TestEngineSelection:
-    def test_auto_picks_dense_under_budget(self, random_graph):
+    def test_auto_picks_streamed_under_budget(self, random_graph):
         analysis = AllPairsTiming.analyze(random_graph)
-        assert analysis.engine == "dense"
-        assert analysis.arrival_mean is not None
+        assert analysis.engine == "streamed"
+        assert analysis.to_output_mean is not None
+        # The arrival tensors are streamed, never held, and the matrix the
+        # sweep fills is the dense one.
+        assert analysis.nbytes_report()["arrival"] == 0
+        dense = AllPairsSession(random_graph.copy()).state
+        assert dense.engine == "dense"
+        _assert_matrix_parity(dense, analysis)
+        assert analysis.nbytes_report()["arrival"] == 0
 
     def test_auto_picks_blocked_over_budget(self, random_graph, monkeypatch):
         monkeypatch.setenv("REPRO_ALLPAIRS_BUDGET_FLOATS", "64")
@@ -126,47 +145,43 @@ class TestEngineSelection:
         with pytest.raises(ValueError):
             allpairs_budget_floats()
 
-    def test_dense_tensor_floats_formula(self):
-        assert dense_tensor_floats(100, 8, 4, 5) == 100 * 12 * 7
+    def test_to_output_floats_formula(self):
+        assert to_output_floats(100, 4, 5) == 100 * 4 * 7
 
     def test_analyze_takes_only_the_graph(self):
-        # The budget alone picks the engine and the block width.
+        # The budget alone picks the engine; the block width is derived.
         assert list(inspect.signature(AllPairsTiming.analyze).parameters) == ["graph"]
-        for iterate in (
-            AllPairsTiming.iter_arrival_blocks,
-            AllPairsTiming.iter_to_output_blocks,
-        ):
-            assert list(inspect.signature(iterate).parameters) == ["self"]
+        assert list(inspect.signature(AllPairsTiming._input_blocks).parameters) == ["self"]
 
 
 class TestBlockIterators:
     def test_arrival_blocks_cover_dense_columns(self, random_graph, monkeypatch):
-        dense = AllPairsTiming.analyze(random_graph)
+        dense = AllPairsSession(random_graph.copy()).state
         blocked = _blocked(random_graph, monkeypatch, width=2)
         seen = np.zeros(len(dense.inputs), dtype=bool)
-        for positions, mean, corr, randvar, valid in blocked.iter_arrival_blocks():
+
+        def visit(positions, state, matrix):
             columns = list(positions)
             assert len(columns) <= 2
             assert not seen[columns].any()
             seen[columns] = True
-            assert np.max(
-                np.abs(dense.arrival_mean[:, columns] - mean), initial=0.0
-            ) <= PARITY_TOLERANCE
-            assert np.array_equal(dense.arrival_valid[:, columns], valid)
+            for name, block, rows in zip(allpairs._SUFFIXES, state, matrix):
+                assert np.array_equal(
+                    getattr(dense, "arrival_" + name)[:, columns], block
+                ), name
+                assert np.array_equal(getattr(dense, "matrix_" + name)[columns], rows)
+
+        blocked._sweep_inputs(visit=visit)
         assert seen.all()
 
-    def test_to_output_blocks_cover_dense_columns(self, random_graph, monkeypatch):
-        dense = AllPairsTiming.analyze(random_graph)
-        blocked = _blocked(random_graph, monkeypatch, width=3)
-        seen = np.zeros(len(dense.outputs), dtype=bool)
-        for positions, mean, corr, randvar, valid in blocked.iter_to_output_blocks():
-            columns = list(positions)
-            assert len(columns) <= 3
-            seen[columns] = True
-            assert np.max(
-                np.abs(dense.to_output_mean[:, columns] - mean), initial=0.0
-            ) <= PARITY_TOLERANCE
-        assert seen.all()
+    def test_to_output_tensors_match_dense(self, random_graph):
+        dense = AllPairsSession(random_graph.copy()).state
+        streamed = AllPairsTiming.analyze(random_graph)
+        for name in allpairs._SUFFIXES:
+            assert np.array_equal(
+                getattr(dense, "to_output_" + name),
+                getattr(streamed, "to_output_" + name),
+            ), name
 
 
 class TestMemoryAccounting:
@@ -193,16 +208,20 @@ class TestMemoryAccounting:
         )
 
     def test_dense_and_blocked_reports_differ(self, random_graph, monkeypatch):
-        dense = AllPairsTiming.analyze(random_graph)
+        dense = AllPairsSession(random_graph.copy()).state
+        streamed = AllPairsTiming.analyze(random_graph)
         blocked = _blocked(random_graph, monkeypatch)
         dense_report = dense.nbytes_report()
+        streamed_report = streamed.nbytes_report()
         blocked_report = blocked.nbytes_report()
         assert dense_report["arrival"] > 0
         assert dense_report["to_output"] > 0
+        assert streamed_report["arrival"] == 0
+        assert streamed_report["to_output"] == dense_report["to_output"]
         assert blocked_report["arrival"] == 0
         assert blocked_report["to_output"] == 0
-        assert blocked_report["matrix"] == dense_report["matrix"]
-        assert blocked_report["total"] < dense_report["total"]
+        assert blocked_report["matrix"] == streamed_report["matrix"] == dense_report["matrix"]
+        assert blocked_report["total"] < streamed_report["total"] < dense_report["total"]
 
     def test_session_report_tracks_analysis(self, random_graph):
         session = AllPairsSession(random_graph)
@@ -225,7 +244,7 @@ class TestGeneratedPipeline:
         times = propagate_arrival_times_batch(graph)
         assert times.arrays is arrays
         assert times.valid.all()
-        analysis = AllPairsTiming(arrays, materialize=False)
+        analysis = AllPairsTiming(arrays, engine="blocked")
         columns = range(min(8, analysis.num_inputs))
         *_moments, valid = analysis._column_block(columns, False, FoldWorkspace())
         assert valid.any()
